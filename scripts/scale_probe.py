@@ -3,6 +3,10 @@
 and candidate-check counts as JSON on stdout.
 
 Run in a fresh process so ru_maxrss reflects this build alone.
+`max_rss_mb` is this process's peak RSS plus `--workers` times the
+largest peak of a forked worker: an upper bound on the build's combined
+peak, since not every worker peaks at once and pages a worker shares
+with this process count twice.  With one worker nothing is forked.
 """
 
 import argparse
@@ -16,6 +20,12 @@ from pathlib import Path
 from evgraph.config import PipelineConfig
 from evgraph.pipeline import run_build
 from evgraph.synth import write_layered_inputs
+
+
+def max_rss_kb(workers: int) -> int:
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return own + workers * child
 
 
 def main() -> int:
@@ -64,7 +74,7 @@ def main() -> int:
             "expansion_checks": counts["expansion_checks"],
             "gen_seconds": round(gen_seconds, 3),
             "build_seconds": round(build_seconds, 3),
-            "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "max_rss_mb": max_rss_kb(args.workers) / 1024.0,
             "work_dir": str(work),
         },
         sys.stdout,

@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_keys, make_config, parse_config_file
-from .pipeline import REPORT_FILE, StageError, load_built_graph, run_build
+from .pipeline import REPORT_FILE, StageError, run_build
 from .store import (
     GraphFormatError,
     NodeLookupError,
     format_stats,
     query_entails,
+    read_graph,
     sample_for_annotation,
     stats,
 )
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
 
-        graph = load_built_graph(cfg.output_dir)
+        graph = read_graph(cfg.output_dir)
         if args.command == "stats":
             sys.stdout.write(format_stats(stats(graph)))
         elif args.command == "sample":

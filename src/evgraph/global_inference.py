@@ -2,27 +2,22 @@
 
 The scored predicate rules are organized into a forest (specific ->
 general, cycles broken on the weakest edge), maximal root-to-leaf
-chains become predicate paths, and each consecutive path edge spawns a
-bipartite candidate check over the eventualities of its two predicates.
-Accepted pairs become global edges; chain nodes are then expanded with
-same-predicate argument-generalization edges, which stay local.
+chains become predicate paths, and each consecutive path edge checks
+every eventuality pair of its two predicates: pairs whose arguments pass
+the argument filter are composed into scored edges, and those that clear
+the acceptance test become global edges.  Chain nodes are then expanded
+with same-predicate argument-generalization edges, which stay local.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from ._parallel import indexed_map
 from .corpus import CorpusIndex
-from .model import (
-    PROVENANCE_GLOBAL,
-    PROVENANCE_LOCAL,
-    ScoredEdge,
-    aligned_slots,
-    type_label,
-)
+from .local import argument_score, compose_edge
+from .model import PROVENANCE_GLOBAL, PROVENANCE_LOCAL, ScoredEdge, aligned_slots
 from .resources import TaxonomyStore
 from .rules import PredicateRule
 
@@ -180,73 +175,6 @@ def extract_paths(
     return tuple(sorted(paths))
 
 
-@dataclass(frozen=True)
-class BipartiteCandidate:
-    """Candidate eventuality pairs between two consecutive path predicates."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]  # (left id, right id, local score)
-
-
-def _pair_components(
-    index: CorpusIndex,
-    left_id: str,
-    right_id: str,
-    store: TaxonomyStore,
-) -> tuple[bool, float] | None:
-    """(identical_args, arg_score) for an eventuality pair, or None when the
-    pattern pair is inadmissible."""
-    pat_l = index.by_id[left_id].pattern
-    pat_r = index.by_id[right_id].pattern
-    slots = aligned_slots(pat_l, pat_r)
-    if slots is None:
-        return None
-    args_l = index.arg_surfaces[left_id]
-    args_r = index.arg_surfaces[right_id]
-    probs = store.probs
-    identical = True
-    miss = 1.0
-    for i, j in slots:
-        t_l = args_l[i]
-        t_r = args_r[j]
-        if t_l == t_r:
-            miss = 0.0  # term probability 1 zeroes the noisy-OR miss product
-            continue
-        identical = False
-        entry = probs.get(t_l)
-        miss *= 1.0 - (entry.get(t_r, 0.0) if entry else 0.0)
-    if identical:
-        return True, 1.0
-    return False, 1.0 - miss
-
-
-def build_bipartite(
-    index: CorpusIndex,
-    pred_left: str,
-    pred_right: str,
-    rule_score: float,
-    store: TaxonomyStore,
-) -> BipartiteCandidate:
-    """All pairs with same or (taxonomy-)entailed arguments, weighted by
-    their composed local score."""
-    left = index.by_predicate.get(pred_left, ())
-    right = index.by_predicate.get(pred_right, ())
-    cand = []
-    for lid in left:
-        cond_l = index.cond_prob[lid]
-        for rid in right:
-            parts = _pair_components(index, lid, rid, store)
-            if parts is None:
-                continue
-            identical, arg_score = parts
-            if not identical and arg_score <= 0.0:
-                continue
-            pen = min(1.0, cond_l / index.cond_prob[rid])
-            cand.append((lid, rid, math.sqrt(rule_score * pen * arg_score)))
-    return BipartiteCandidate(left=left, right=right, edges=tuple(cand))
-
-
 def infer_path_edges(
     index: CorpusIndex,
     path: tuple[str, ...],
@@ -258,65 +186,51 @@ def infer_path_edges(
     """Accepted global edges for one predicate path, plus the number of
     candidate pairs checked.
 
-    A pair is accepted when its aligned arguments are identical, or when
-    both the argument score and the composed score clear their thresholds.
+    A pair passes the argument filter when its aligned arguments are
+    identical or its argument score exceeds tau_a; it is accepted when it
+    is identical or its composed score also exceeds tau_e.
     """
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
+    probs = store.probs
     for pred_l, pred_r in zip(path, path[1:]):
         rule_score = rule_scores.get((pred_l, pred_r), 0.0)
         left = index.by_predicate.get(pred_l, ())
-        right = index.by_predicate.get(pred_r, ())
+        right = [
+            (
+                rid,
+                index.by_id[rid].pattern,
+                index.arg_surfaces[rid],
+                index.cond_prob[rid],
+            )
+            for rid in index.by_predicate.get(pred_r, ())
+        ]
+        checks += len(left) * len(right)
         for lid in left:
+            pat_l = index.by_id[lid].pattern
+            args_l = index.arg_surfaces[lid]
             cond_l = index.cond_prob[lid]
-            for rid in right:
-                checks += 1
-                parts = _pair_components(index, lid, rid, store)
-                if parts is None:
+            for rid, pat_r, args_r, cond_r in right:
+                slots = aligned_slots(pat_l, pat_r)
+                if slots is None:
                     continue
-                identical, arg_score = parts
-                pen = min(1.0, cond_l / index.cond_prob[rid])
-                composed = math.sqrt(rule_score * pen * arg_score)
-                if identical or (arg_score > tau_a and composed > tau_e):
-                    edges[(lid, rid)] = ScoredEdge(
-                        from_id=lid,
-                        to_id=rid,
-                        arg_score=arg_score,
-                        pred_score=rule_score,
-                        penalty=pen,
-                        local_score=composed,
-                        provenance=PROVENANCE_GLOBAL,
-                        type_label=type_label(
-                            index.by_id[lid].pattern, index.by_id[rid].pattern
-                        ),
-                    )
+                identical, arg_score = argument_score(args_l, args_r, slots, probs)
+                if not identical and arg_score <= tau_a:
+                    continue
+                edge = compose_edge(
+                    lid,
+                    rid,
+                    pat_l,
+                    pat_r,
+                    rule_score,
+                    cond_l,
+                    cond_r,
+                    arg_score,
+                    PROVENANCE_GLOBAL,
+                )
+                if identical or edge.local_score > tau_e:
+                    edges[(lid, rid)] = edge
     return edges, checks
-
-
-def iter_chains(
-    edge_keys: tuple[tuple[str, str], ...]
-) -> Iterator[tuple[str, ...]]:
-    """Maximal eventuality chains: forward walks from in-degree-0 nodes
-    over one path's accepted edge set."""
-    out: dict[str, list[str]] = {}
-    has_incoming: set[str] = set()
-    for src, dst in sorted(edge_keys):
-        out.setdefault(src, []).append(dst)
-        has_incoming.add(dst)
-    starts = sorted(n for n in out if n not in has_incoming)
-
-    def walk(node: str, trail: list[str]) -> Iterator[tuple[str, ...]]:
-        trail.append(node)
-        nexts = out.get(node)
-        if not nexts:
-            yield tuple(trail)
-        else:
-            for nxt in nexts:
-                yield from walk(nxt, trail)
-        trail.pop()
-
-    for start in starts:
-        yield from walk(start, [])
 
 
 def expand_with_argument_rules(
@@ -331,6 +245,9 @@ def expand_with_argument_rules(
     A candidate premise must share the node's predicate and relate every
     aligned term either identically or through an argument rule; the
     composed score (with identity predicate score) must clear tau_e.
+    That rule is stricter than `argument_score`, where one identical slot
+    saturates the noisy-OR whatever the other slots hold, so expansion
+    keeps its own slot loop and stops at the first slot without a rule.
     """
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
@@ -343,7 +260,8 @@ def expand_with_argument_rules(
             if cand_id == node_id:
                 continue
             checks += 1
-            slots = aligned_slots(index.by_id[cand_id].pattern, node_pat)
+            cand_pat = index.by_id[cand_id].pattern
+            slots = aligned_slots(cand_pat, node_pat)
             if slots is None:
                 continue
             cand_args = index.arg_surfaces[cand_id]
@@ -362,20 +280,19 @@ def expand_with_argument_rules(
                 miss *= 1.0 - score
             if not ok:
                 continue
-            arg_score = 1.0 - miss
-            pen = min(1.0, index.cond_prob[cand_id] / cond_node)
-            composed = math.sqrt(pen * arg_score)
-            if composed > tau_e:
-                edges[(cand_id, node_id)] = ScoredEdge(
-                    from_id=cand_id,
-                    to_id=node_id,
-                    arg_score=arg_score,
-                    pred_score=1.0,
-                    penalty=pen,
-                    local_score=composed,
-                    provenance=PROVENANCE_LOCAL,
-                    type_label=type_label(index.by_id[cand_id].pattern, node_pat),
-                )
+            edge = compose_edge(
+                cand_id,
+                node_id,
+                cand_pat,
+                node_pat,
+                1.0,
+                index.cond_prob[cand_id],
+                cond_node,
+                1.0 - miss,
+                PROVENANCE_LOCAL,
+            )
+            if edge.local_score > tau_e:
+                edges[(cand_id, node_id)] = edge
     return edges, checks
 
 

@@ -9,39 +9,78 @@ where L_a is the noisy-OR over aligned argument-term probabilities,
 L_p is the Balanced-Inclusion similarity of the two predicates'
 PMI-weighted context vectors (1.0 for identical predicates), and f is
 the extraction-frequency penalty min(1, P(a_i|p_i) / P(a_j|p_j)).
+
+`argument_score` is the one noisy-OR over term probabilities (path
+inference and BInc's signature augmentation call it), and `compose_edge`
+the one penalty and geometric mean (path inference and expansion call
+it).  Expansion's stricter argument-rule check has its own slot loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._parallel import indexed_map
 from .corpus import CorpusIndex
-from .model import ArgumentTerm, aligned_slots
-from .resources import TaxonomyStore, term_entailment_prob
+from .model import ScoredEdge, aligned_slots, type_label
+from .resources import TaxonomyStore
 from .rules import PredicateRule, with_scores
 
 
-def argument_set_score(
-    aligned_pairs: tuple[tuple[ArgumentTerm, ArgumentTerm], ...],
-    store: TaxonomyStore,
-) -> float:
-    """Noisy-OR over the aligned term pairs: 1 - prod(1 - L_t)."""
-    if not aligned_pairs:
-        raise ValueError("no aligned argument pairs to score")
+def argument_score(
+    args_from: Sequence[str],
+    args_to: Sequence[str],
+    slots: tuple[tuple[int, int], ...],
+    term_probs: dict[str, dict[str, float]],
+) -> tuple[bool, float]:
+    """(identical, L_a) for two argument tuples over their aligned slots.
+
+    L_a is the noisy-OR 1 - prod(1 - L_t).  An identical term pair has
+    probability 1, so one identical slot saturates L_a; any other pair
+    reads term_probs[a][b], and a missing entry counts as 0.
+    """
+    identical = True
     miss = 1.0
-    for term_i, term_j in aligned_pairs:
-        miss *= 1.0 - term_entailment_prob(store, term_i.surface, term_j.surface)
-    return 1.0 - miss
+    for i, j in slots:
+        t_from = args_from[i]
+        t_to = args_to[j]
+        if t_from == t_to:
+            miss = 0.0
+            continue
+        identical = False
+        entry = term_probs.get(t_from)
+        miss *= 1.0 - (entry.get(t_to, 0.0) if entry else 0.0)
+    if identical:
+        return True, 1.0
+    return False, 1.0 - miss
 
 
-def noisy_or(probabilities) -> float:
-    """1 - prod(1 - p) over raw probabilities (surface-level convenience)."""
-    miss = 1.0
-    for p in probabilities:
-        miss *= 1.0 - p
-    return 1.0 - miss
+def compose_edge(
+    from_id: str,
+    to_id: str,
+    pattern_from: str,
+    pattern_to: str,
+    pred_score: float,
+    cond_from: float,
+    cond_to: float,
+    arg_score: float,
+    provenance: str,
+) -> ScoredEdge:
+    """The scored edge from_id -> to_id: penalty min(1, c_from / c_to) and
+    composed score sqrt(pred * penalty * arg)."""
+    pen = min(1.0, cond_from / cond_to)
+    return ScoredEdge(
+        from_id=from_id,
+        to_id=to_id,
+        arg_score=arg_score,
+        pred_score=pred_score,
+        penalty=pen,
+        local_score=math.sqrt(pred_score * pen * arg_score),
+        provenance=provenance,
+        type_label=type_label(pattern_from, pattern_to),
+    )
 
 
 def pmi_weight(total_mass: int, pair_count: int, pred_count: int, sig_count: int) -> float:
@@ -94,10 +133,8 @@ def _signature_entailment(
             slots = aligned_slots(pat_from, pat_to)
             if slots is None:
                 continue
-            miss = 1.0
-            for i, j in slots:
-                miss *= 1.0 - term_entailment_prob(store, terms_from[i], terms_to[j])
-            best = max(best, 1.0 - miss)
+            _, score = argument_score(terms_from, terms_to, slots, store.probs)
+            best = max(best, score)
     return best
 
 
@@ -165,25 +202,6 @@ def predicate_score(
     u = build_feature_vector(index, pred_i, pred_j, aug_lambda, store)
     v = build_feature_vector(index, pred_j, pred_i, aug_lambda, store)
     return binc(u, v)
-
-
-def penalty_raw(index: CorpusIndex, id_i: str, id_j: str) -> float:
-    """Unclamped frequency penalty P(a_i|p_i) / P(a_j|p_j)."""
-    p_i = index.cond_prob.get(id_i)
-    p_j = index.cond_prob.get(id_j)
-    if p_i is None or p_j is None or p_j == 0.0:
-        raise ValueError(f"eventuality pair ({id_i!r}, {id_j!r}) not in corpus")
-    return p_i / p_j
-
-
-def penalty(index: CorpusIndex, id_i: str, id_j: str) -> float:
-    """Frequency penalty clamped to [0,1] so composed scores stay probabilities."""
-    return min(1.0, penalty_raw(index, id_i, id_j))
-
-
-def local_score(pred_score: float, pen: float, arg_score: float) -> float:
-    """Geometric mean of the three component scores."""
-    return math.sqrt(pred_score * pen * arg_score)
 
 
 def score_predicate_rules(

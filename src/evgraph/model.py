@@ -8,7 +8,6 @@ eventualities role by role so that set-level entailment can be scored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,13 +114,6 @@ class Predicate:
     surface: str
     kind: str  # VERB | VERB_PREP | BE_ADJ
 
-    @property
-    def base(self) -> str:
-        """Leading lemma of a compound (the verb of "take-over", "be" of "be-red")."""
-        if self.kind == VERB:
-            return self.surface
-        return self.surface.split(COMPOUND_SEP, 1)[0]
-
 
 @dataclass(frozen=True, slots=True)
 class ArgumentTerm:
@@ -185,9 +177,6 @@ class Eventuality:
                 )
             tokens.append(tok)
         return cls(pattern=pattern, tokens=tuple(tokens), frequency=frequency)
-
-    def token(self, role: str) -> str:
-        return self.tokens[PATTERN_ROLES[self.pattern].index(role)]
 
     @property
     def role_tokens(self) -> dict[str, str]:
@@ -291,41 +280,6 @@ def decompose(e: Eventuality) -> DecomposedEventuality:
     )
 
 
-def recompose(d: DecomposedEventuality) -> Eventuality:
-    """Inverse of decompose.  Compounds split once from the left, which is
-    exact as long as verb/preposition lemmas carry no hyphen themselves."""
-    surfaces = d.args.surfaces
-    pat = d.pattern
-    if pat == "s-v":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface}
-    elif pat == "s-v-o":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "n2": surfaces[1]}
-    elif pat == "s-v-p-o":
-        v, p = d.predicate.surface.split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "v1": v, "p1": p, "n2": surfaces[1]}
-    elif pat == "s-v-o-p-o":
-        p, n3 = surfaces[2].split(COMPOUND_SEP, 1)
-        roles = {
-            "n1": surfaces[0],
-            "v1": d.predicate.surface,
-            "n2": surfaces[1],
-            "p1": p,
-            "n3": n3,
-        }
-    elif pat == "s-v-a":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "a1": surfaces[1]}
-    elif pat == "s-be-a":
-        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "a1": a}
-    elif pat == "s-be-a-p-o":
-        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
-        p, n2 = surfaces[1].split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "a1": a, "p1": p, "n2": n2}
-    else:
-        raise DecompositionError(f"unknown pattern {pat!r}")
-    return Eventuality.create(pat, roles, d.frequency)
-
-
 @lru_cache(maxsize=None)
 def aligned_slots(
     premise_pattern: str, hypothesis_pattern: str
@@ -407,24 +361,3 @@ class ScoredEdge:
     @property
     def key(self) -> tuple[str, str]:
         return (self.from_id, self.to_id)
-
-
-def make_edge(
-    premise: DecomposedEventuality,
-    hypothesis: DecomposedEventuality,
-    arg_score: float,
-    pred_score: float,
-    penalty: float,
-    provenance: str,
-) -> ScoredEdge:
-    """Build a ScoredEdge, deriving the composed score and type label."""
-    return ScoredEdge(
-        from_id=premise.source,
-        to_id=hypothesis.source,
-        arg_score=arg_score,
-        pred_score=pred_score,
-        penalty=penalty,
-        local_score=math.sqrt(pred_score * penalty * arg_score),
-        provenance=provenance,
-        type_label=type_label(premise.pattern, hypothesis.pattern),
-    )

@@ -188,6 +188,3 @@ def run_build(cfg: PipelineConfig) -> BuildResult:
     _staged("persist", write_outputs, result, cfg.output_dir)
     return result
 
-
-def load_built_graph(output_dir: str | Path) -> store.EntailmentGraph:
-    return store.read_graph(output_dir)

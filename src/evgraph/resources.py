@@ -88,16 +88,6 @@ def conceptualize(store: TaxonomyStore, term: str, k: int) -> list[tuple[str, fl
     return [(concept, freq / total) for concept, freq in ordered[:k]]
 
 
-def term_entailment_prob(store: TaxonomyStore, term_i: str, term_j: str) -> float:
-    """P(term_i entails term_j): 1.0 on identity, else the taxonomy
-    co-occurrence probability of term_j as a concept of term_i, else 0."""
-    term_i = normalize_token(term_i)
-    term_j = normalize_token(term_j)
-    if term_i == term_j:
-        return 1.0
-    return store.probs.get(term_i, {}).get(term_j, 0.0)
-
-
 @dataclass(frozen=True)
 class VerbHierarchyStore:
     """Directed specific -> general verb edges plus the light-verb list."""

@@ -94,14 +94,6 @@ def argument_rule_lookup(rules) -> dict[tuple[str, str], float]:
     return {(r.from_term, r.to_term): r.score for r in rules}
 
 
-def argument_rules_by_target(rules) -> dict[str, tuple[tuple[str, float], ...]]:
-    """to_term -> ((from_term, score), ...) for expansion-style reverse lookups."""
-    inverse: dict[str, list[tuple[str, float]]] = {}
-    for r in rules:
-        inverse.setdefault(r.to_term, []).append((r.from_term, r.score))
-    return {t: tuple(sorted(v)) for t, v in inverse.items()}
-
-
 def write_argument_rules(rules, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in rules:
@@ -113,20 +105,6 @@ def write_predicate_rules(rules, path: str | Path) -> None:
         for r in rules:
             score = "" if r.score is None else repr(r.score)
             fh.write(f"{r.from_pred}\t{r.to_pred}\t{score}\n")
-
-
-def read_predicate_rules(path: str | Path) -> tuple[PredicateRule, ...]:
-    rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected from/to/score")
-            score = float(parts[2]) if parts[2] else None
-            rules.append(PredicateRule(parts[0], parts[1], score))
-    return tuple(rules)
 
 
 def with_scores(

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from chains import iter_chains
 from evgraph.cli import main as cli_main
 from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
-from evgraph.global_inference import iter_chains
-from evgraph.local import argument_set_score, binc, local_score, FeatureVector
-from evgraph.model import ArgumentTerm, Eventuality, ScoredEdge, decompose, type_label
+from evgraph.local import FeatureVector, argument_score, binc, compose_edge
+from evgraph.model import Eventuality, ScoredEdge, decompose, type_label
 from evgraph.pipeline import OUTPUT_FILES, build
 from evgraph.resources import load_taxonomy
 from evgraph.store import (
@@ -58,18 +58,19 @@ def test_criterion_01_noisy_or_matches_bernoulli_oracle(tmp_path):
     cases = []
     for k in range(1000):
         size = rng.randint(1, 3)
-        pairs = []
+        args_from = []
+        args_to = []
         probs = []
         for slot in range(size):
             mode = rng.randrange(3)
             if mode == 0:  # identical terms, probability 1
                 term = f"same{k}x{slot}"
-                pairs.append((ArgumentTerm(term, "subject"), ArgumentTerm(term, "subject")))
+                args_from.append(term)
+                args_to.append(term)
                 probs.append(1.0)
             elif mode == 1:  # unrelated terms, probability 0
-                pairs.append(
-                    (ArgumentTerm(f"a{k}x{slot}", "object"), ArgumentTerm(f"b{k}x{slot}", "object"))
-                )
+                args_from.append(f"a{k}x{slot}")
+                args_to.append(f"b{k}x{slot}")
                 probs.append(0.0)
             else:  # taxonomy-backed rational probability
                 hits = rng.randint(1, 99)
@@ -77,35 +78,46 @@ def test_criterion_01_noisy_or_matches_bernoulli_oracle(tmp_path):
                 inst, conc = f"i{k}x{slot}", f"c{k}x{slot}"
                 lines.append(f"{conc}\t{inst}\t{hits}")
                 lines.append(f"zfiller\t{inst}\t{misses}")
-                pairs.append((ArgumentTerm(inst, "object"), ArgumentTerm(conc, "object")))
+                args_from.append(inst)
+                args_to.append(conc)
                 probs.append(hits / (hits + misses))
-        cases.append((tuple(pairs), probs))
+        slots = tuple((slot, slot) for slot in range(size))
+        cases.append((tuple(args_from), tuple(args_to), slots, probs))
 
     tax_path = tmp_path / "t.tsv"
     tax_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     store = load_taxonomy(tax_path)
 
     started = time.perf_counter()
-    for pairs, probs in cases:
-        assert abs(argument_set_score(pairs, store) - _bernoulli_or(probs)) <= 1e-12
+    for args_from, args_to, slots, probs in cases:
+        identical, score = argument_score(args_from, args_to, slots, store.probs)
+        assert identical == (args_from == args_to)
+        assert abs(score - _bernoulli_or(probs)) <= 1e-12
     assert time.perf_counter() - started < 1.0
 
 
 # --- criterion 2: geometric-mean identity and monotonicity --------------------
 
 
+def _composed(p, f, a):
+    """compose_edge's score with c_to = 1, so its penalty is exactly f."""
+    edge = compose_edge("s-v:a|p", "s-v:b|q", "s-v", "s-v", p, f, 1.0, a, "global")
+    assert (edge.pred_score, edge.penalty, edge.arg_score) == (p, f, a)
+    return edge.local_score
+
+
 def test_criterion_02_composed_score_identity_and_monotonicity():
     rng = random.Random(20_241)
     for _ in range(1000):
         p, f, a = rng.random(), rng.random(), rng.random()
-        score = local_score(p, f, a)
+        score = _composed(p, f, a)
         assert abs(score * score - p * f * a) <= 1e-12
         bump = rng.random() * (1.0 - p)
-        assert local_score(p + bump, f, a) >= score
+        assert _composed(p + bump, f, a) >= score
         bump = rng.random() * (1.0 - f)
-        assert local_score(p, f + bump, a) >= score
+        assert _composed(p, f + bump, a) >= score
         bump = rng.random() * (1.0 - a)
-        assert local_score(p, f, a + bump) >= score
+        assert _composed(p, f, a + bump) >= score
 
 
 # --- criterion 3: BInc suite ---------------------------------------------------

@@ -1,22 +1,23 @@
-"""Forest construction, path extraction, bipartite candidates, path
-inference against a brute-force oracle, and argument-rule expansion."""
+"""Forest construction, path extraction, the candidate pairs of one path
+edge, path inference against a brute-force oracle, and argument-rule
+expansion."""
 
 import math
 
 import pytest
 
+from chains import iter_chains
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.global_inference import (
-    build_bipartite,
     build_forest,
     expand_with_argument_rules,
     extract_paths,
     infer_path_edges,
-    iter_chains,
     run_global_stage,
 )
+from evgraph.local import argument_score
 from evgraph.model import aligned_slots
-from evgraph.resources import load_taxonomy, term_entailment_prob
+from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 
 
@@ -111,7 +112,9 @@ def test_paths_branching_tree_enumerates_all_maximal_chains():
     assert extract_paths(forest) == (("x", "m", "r"), ("y", "m", "r"))
 
 
-# --- bipartite candidates ------------------------------------------------------
+# --- candidate pairs of one path edge ------------------------------------------
+# With tau_a = tau_e = 0 and rule score > 0, the accepted set of a path edge
+# is every pair with identical or taxonomy-related arguments.
 
 FIG_CORPUS = [
     "s-v-o\tn1=boy;v1=chew;n2=apple\t4",
@@ -124,17 +127,22 @@ FIG_CORPUS = [
 def test_bipartite_contains_identical_argument_pair(tmp_path):
     index = _index(FIG_CORPUS)
     store = _taxonomy([], tmp_path)
-    bip = build_bipartite(index, "chew", "eat", 1.0, store)
-    assert bip.left == ("s-v-o:boy|chew|apple", "s-v-o:boy|chew|food")
-    assert bip.right == ("s-v-o:boy|eat|apple", "s-v-o:boy|eat|food")
-    keys = {(l, r) for l, r, _ in bip.edges}
-    assert ("s-v-o:boy|chew|apple", "s-v-o:boy|eat|apple") in keys
+    edges, checks = infer_path_edges(
+        index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
+    )
+    assert checks == 2 * 2
+    key = ("s-v-o:boy|chew|apple", "s-v-o:boy|eat|apple")
+    assert key in edges
+    assert edges[key].arg_score == 1.0 and edges[key].local_score == 1.0
 
 
 def test_bipartite_empty_side(tmp_path):
     index = _index(FIG_CORPUS)
     store = _taxonomy([], tmp_path)
-    assert build_bipartite(index, "chew", "drink", 1.0, store).edges == ()
+    edges, checks = infer_path_edges(
+        index, ("chew", "drink"), {("chew", "drink"): 1.0}, store, 0.0, 0.0
+    )
+    assert edges == {} and checks == 0
 
 
 def test_bipartite_taxonomy_related_candidate_carries_composed_weight(tmp_path):
@@ -142,11 +150,14 @@ def test_bipartite_taxonomy_related_candidate_carries_composed_weight(tmp_path):
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=x;v1=eat;n2=fruit\t2"]
     )
     store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
-    bip = build_bipartite(index, "chew", "eat", 0.81, store)
-    [(lid, rid, weight)] = list(bip.edges)
+    edges, _ = infer_path_edges(
+        index, ("chew", "eat"), {("chew", "eat"): 0.81}, store, 0.0, 0.0
+    )
+    [((lid, rid), edge)] = list(edges.items())
     assert lid == "s-v-o:x|chew|apple" and rid == "s-v-o:x|eat|fruit"
     # subject x matches (noisy-OR gives 1.0), penalty 1, rule score 0.81
-    assert weight == pytest.approx(math.sqrt(0.81 * 1.0 * 1.0), abs=1e-12)
+    assert (edge.arg_score, edge.penalty, edge.pred_score) == (1.0, 1.0, 0.81)
+    assert edge.local_score == pytest.approx(math.sqrt(0.81 * 1.0 * 1.0), abs=1e-12)
 
 
 def test_bipartite_unrelated_arguments_excluded(tmp_path):
@@ -154,10 +165,19 @@ def test_bipartite_unrelated_arguments_excluded(tmp_path):
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=y;v1=eat;n2=rock\t2"]
     )
     store = _taxonomy([], tmp_path)
-    assert build_bipartite(index, "chew", "eat", 1.0, store).edges == ()
+    edges, checks = infer_path_edges(
+        index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
+    )
+    assert edges == {} and checks == 1
 
 
 # --- path inference vs brute force ---------------------------------------------
+
+
+def _term_prob(store, a, b):
+    if a == b:
+        return 1.0
+    return store.probs.get(a, {}).get(b, 0.0)
 
 
 def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
@@ -175,7 +195,7 @@ def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
                 identical = all(a == b for a, b in pairs)
                 miss = 1.0
                 for a, b in pairs:
-                    miss *= 1.0 - term_entailment_prob(store, a, b)
+                    miss *= 1.0 - _term_prob(store, a, b)
                 l_a = 1.0 - miss
                 pen = min(1.0, index.cond_prob[lid] / index.cond_prob[rid])
                 l_e = math.sqrt(rule_scores[(p_l, p_r)] * pen * l_a)
@@ -224,23 +244,45 @@ def test_strict_thresholds_keep_only_identical_argument_pairs(tmp_path):
 
 
 def test_infer_consistent_with_bipartite_acceptance(tmp_path):
+    # The thresholds only filter: the edges accepted at (tau_a, tau_e) are
+    # the loose (0, 0) candidates that pass the acceptance test, unchanged,
+    # and every candidate's factors re-derive independently.
     index = _index(MIXED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     tau_a, tau_e = 0.25, 0.15
     rule_scores = {("chew", "eat"): 0.7}
     edges, _ = infer_path_edges(index, ("chew", "eat"), rule_scores, store, tau_a, tau_e)
-    bip = build_bipartite(index, "chew", "eat", 0.7, store)
-    accepted_from_bipartite = set()
-    for lid, rid, weight in bip.edges:
+    loose, _ = infer_path_edges(index, ("chew", "eat"), rule_scores, store, 0.0, 0.0)
+    accepted_from_bipartite = {}
+    for (lid, rid), edge in loose.items():
         slots = aligned_slots(index.by_id[lid].pattern, index.by_id[rid].pattern)
         args_l, args_r = index.arg_surfaces[lid], index.arg_surfaces[rid]
         identical = all(args_l[i] == args_r[j] for i, j in slots)
         miss = 1.0
         for i, j in slots:
-            miss *= 1.0 - term_entailment_prob(store, args_l[i], args_r[j])
-        if identical or (1.0 - miss > tau_a and weight > tau_e):
-            accepted_from_bipartite.add((lid, rid))
-    assert set(edges) == accepted_from_bipartite
+            miss *= 1.0 - _term_prob(store, args_l[i], args_r[j])
+        assert edge.arg_score == 1.0 - miss
+        assert edge.penalty == min(1.0, index.cond_prob[lid] / index.cond_prob[rid])
+        assert edge.local_score == math.sqrt(0.7 * edge.penalty * edge.arg_score)
+        if identical or (edge.arg_score > tau_a and edge.local_score > tau_e):
+            accepted_from_bipartite[(lid, rid)] = edge
+    assert edges == accepted_from_bipartite
+
+
+def test_path_identical_slot_saturates_argument_score(tmp_path):
+    # boy chew apple -> girl eat apple: no taxonomy entry relates boy and
+    # girl, but the identical object has probability 1 and zeroes the
+    # noisy-OR miss product, so the pair scores 1.0 and is accepted.
+    index = _index(
+        ["s-v-o\tn1=boy;v1=chew;n2=apple\t2", "s-v-o\tn1=girl;v1=eat;n2=apple\t2"]
+    )
+    store = _taxonomy(["food\tapple\t3"], tmp_path)
+    edges, _ = infer_path_edges(
+        index, ("chew", "eat"), {("chew", "eat"): 0.7}, store, 0.3, 0.2
+    )
+    edge = edges[("s-v-o:boy|chew|apple", "s-v-o:girl|eat|apple")]
+    assert edge.arg_score == 1.0
+    assert edge.local_score == math.sqrt(0.7)
 
 
 # --- chains ----------------------------------------------------------------
@@ -327,6 +369,27 @@ def test_expansion_allows_all_equal_cross_pattern_pair(tmp_path):
     store = _taxonomy([], tmp_path)
     edges, _ = expand_with_argument_rules(index, {"s-v-o:boy|eat|apple"}, {}, store, 0.2)
     assert set(edges) == {("s-v-o-p-o:boy|eat|apple|at|home", "s-v-o:boy|eat|apple")}
+
+
+def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
+    # Expansion needs a rule for every non-identical slot: the identical
+    # subject and the ruled object do not carry the prep-object, although
+    # the path-inference noisy-OR scores the same pair 1.0.
+    index = _index(
+        [
+            "s-v-o-p-o\tn1=boy;v1=eat;n2=apple;p1=at;n3=home\t1",
+            "s-v-o-p-o\tn1=boy;v1=eat;n2=food;p1=at;n3=school\t1",
+        ]
+    )
+    store = _taxonomy([], tmp_path)
+    rules = {("apple", "food"): 1.0}
+    cand, node = "s-v-o-p-o:boy|eat|apple|at|home", "s-v-o-p-o:boy|eat|food|at|school"
+    edges, checks = expand_with_argument_rules(index, {node}, rules, store, 0.0)
+    assert edges == {} and checks == 1
+    slots = aligned_slots("s-v-o-p-o", "s-v-o-p-o")
+    assert argument_score(
+        index.arg_surfaces[cand], index.arg_surfaces[node], slots, store.probs
+    ) == (False, 1.0)
 
 
 # --- merged stage ------------------------------------------------------------

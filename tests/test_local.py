@@ -1,5 +1,6 @@
-"""Scoring-formula tests: noisy-OR against Bernoulli enumeration, PMI,
-BInc, the frequency penalty, and the composed score."""
+"""Scoring-formula tests: the argument-score noisy-OR against Bernoulli
+enumeration, PMI, BInc, and the edge composer's frequency penalty and
+composed score."""
 
 import math
 import random
@@ -12,19 +13,15 @@ from hypothesis import strategies as st
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.local import (
     FeatureVector,
-    argument_set_score,
+    argument_score,
     binc,
     build_feature_vector,
-    local_score,
-    noisy_or,
-    penalty,
-    penalty_raw,
+    compose_edge,
     pmi,
     pmi_weight,
     predicate_score,
     score_predicate_rules,
 )
-from evgraph.model import ArgumentTerm
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 
@@ -57,6 +54,17 @@ def bernoulli_or(probs):
 # --- argument set score (noisy-OR) ---------------------------------------------
 
 
+def noisy_or(probs):
+    """argument_score over distinct terms a<k> -> b<k> with P = probs[k]."""
+    slots = tuple((k, k) for k in range(len(probs)))
+    term_probs = {f"a{k}": {f"b{k}": p} for k, p in enumerate(probs)}
+    args_from = tuple(f"a{k}" for k in range(len(probs)))
+    args_to = tuple(f"b{k}" for k in range(len(probs)))
+    identical, score = argument_score(args_from, args_to, slots, term_probs)
+    assert not identical
+    return score
+
+
 def test_noisy_or_matches_bernoulli_enumeration():
     rng = random.Random(11)
     for _ in range(300):
@@ -66,23 +74,22 @@ def test_noisy_or_matches_bernoulli_enumeration():
 
 def test_argument_set_score_examples(tmp_path):
     store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
-    subj = ArgumentTerm("boy", "subject")
-    apple = ArgumentTerm("apple", "object")
-    fruit = ArgumentTerm("fruit", "object")
-    rock = ArgumentTerm("rock", "object")
+    both = ((0, 0), (1, 1))
     # identical pair forces 1.0
-    assert argument_set_score(((subj, subj), (apple, apple)), store) == 1.0
+    assert argument_score(("boy", "apple"), ("boy", "apple"), both, store.probs) == (
+        True,
+        1.0,
+    )
     # (0.75, 0) -> 0.75
-    pairs = ((apple, fruit), (ArgumentTerm("dog", "subject"), ArgumentTerm("cat", "subject")))
-    assert argument_set_score(pairs, store) == pytest.approx(0.75, abs=1e-12)
+    identical, score = argument_score(("apple", "dog"), ("fruit", "cat"), both, store.probs)
+    assert not identical and score == pytest.approx(0.75, abs=1e-12)
     # all-zero pairs -> 0
-    assert argument_set_score(((apple, rock),), store) == 0.0
-
-
-def test_argument_set_score_rejects_empty_alignment(tmp_path):
-    store = _taxonomy([], tmp_path)
-    with pytest.raises(ValueError, match="no aligned"):
-        argument_set_score((), store)
+    assert argument_score(("apple",), ("rock",), ((0, 0),), store.probs) == (False, 0.0)
+    # only the aligned slots count: the premise's second term is dropped
+    assert argument_score(("apple", "x"), ("fruit",), ((0, 0),), store.probs) == (
+        False,
+        0.75,
+    )
 
 
 @given(
@@ -263,7 +270,7 @@ def test_score_predicate_rules_fills_scores_and_is_worker_stable(tmp_path):
     assert all(r.score is not None for r in serial)
 
 
-# --- penalty -------------------------------------------------------------------
+# --- penalty (edge composer) ---------------------------------------------------
 
 SEE_THINK_CORPUS = [
     "s-v-o\tn1=she;v1=see;n2=towel\t26",
@@ -273,21 +280,37 @@ SEE_THINK_CORPUS = [
 ]
 
 
+def _penalty(index, id_from, id_to):
+    """The penalty compose_edge derives for two corpus eventualities."""
+    edge = compose_edge(
+        id_from,
+        id_to,
+        index.by_id[id_from].pattern,
+        index.by_id[id_to].pattern,
+        1.0,
+        index.cond_prob[id_from],
+        index.cond_prob[id_to],
+        1.0,
+        "global",
+    )
+    return edge.penalty
+
+
 def test_penalty_worked_example():
     index = _index(SEE_THINK_CORPUS)
     see = "s-v-o:she|see|towel"
     think = "s-v-o:she|think|towel"
     # raw = (26/100)/(4/100) = 6.5, clamped
-    assert penalty_raw(index, see, think) == pytest.approx(6.5, rel=1e-12)
-    assert penalty(index, see, think) == 1.0
-    assert penalty(index, think, see) == pytest.approx(0.04 / 0.26, rel=1e-12)
+    assert index.cond_prob[see] / index.cond_prob[think] == pytest.approx(6.5, rel=1e-12)
+    assert _penalty(index, see, think) == 1.0
+    assert _penalty(index, think, see) == pytest.approx(0.04 / 0.26, rel=1e-12)
 
 
 def test_penalty_equal_conditionals():
     index = _index(
         ["s-v-o\tn1=a;v1=p;n2=x\t3", "s-v-o\tn1=a;v1=q;n2=x\t3"]
     )
-    assert penalty(index, "s-v-o:a|p|x", "s-v-o:a|q|x") == 1.0
+    assert _penalty(index, "s-v-o:a|p|x", "s-v-o:a|q|x") == 1.0
 
 
 def test_penalty_ratio_example():
@@ -300,24 +323,26 @@ def test_penalty_ratio_example():
         ]
     )
     # (1/10) / (5/10) = 0.2
-    assert penalty(index, "s-v-o:a|p|x", "s-v-o:a|q|x") == pytest.approx(0.2, rel=1e-12)
+    assert _penalty(index, "s-v-o:a|p|x", "s-v-o:a|q|x") == pytest.approx(0.2, rel=1e-12)
 
 
 def test_penalty_reciprocal_before_clamping():
     index = _index(SEE_THINK_CORPUS)
     a, b = "s-v-o:she|see|towel", "s-v-o:she|think|towel"
-    assert penalty_raw(index, a, b) * penalty_raw(index, b, a) == pytest.approx(
-        1.0, rel=1e-12
-    )
-
-
-def test_penalty_unknown_pair_errors():
-    index = _index(SEE_THINK_CORPUS)
-    with pytest.raises(ValueError, match="not in corpus"):
-        penalty(index, "s-v-o:she|see|towel", "s-v:nobody|knows")
+    # the clamped direction is exactly the reciprocal of the unclamped one
+    assert _penalty(index, a, b) == 1.0
+    raw_ab = index.cond_prob[a] / index.cond_prob[b]
+    assert _penalty(index, b, a) * raw_ab == pytest.approx(1.0, rel=1e-12)
 
 
 # --- composed score ------------------------------------------------------------
+
+
+def local_score(pred, pen, arg):
+    """compose_edge with c_to = 1, so its penalty is exactly c_from = pen."""
+    edge = compose_edge("s-v:a|p", "s-v:b|q", "s-v", "s-v", pred, pen, 1.0, arg, "global")
+    assert edge.penalty == pen and edge.type_label == "s-v ⊨ s-v"
+    return edge.local_score
 
 
 def test_local_score_examples():

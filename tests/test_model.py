@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from evgraph.model import (
     ADJECTIVE,
     ADMISSIBLE_TYPE_PAIRS,
+    COMPOUND_SEP,
     OBJECT,
     PATTERNS,
     PREP_OBJECT,
     SUBJECT,
     TYPE_LABELS,
     AlignmentError,
+    DecomposedEventuality,
     DecompositionError,
     Eventuality,
     ScoredEdge,
@@ -22,7 +24,6 @@ from evgraph.model import (
     aligned_slots,
     decompose,
     normalize_token,
-    recompose,
     type_label,
 )
 
@@ -51,7 +52,6 @@ def test_decompose_s_v_o():
 def test_decompose_s_v_p_o_compounds_predicate():
     d = decompose(ev("s-v-p-o", n1="he", v1="take", p1="over", n2="company"))
     assert d.predicate.surface == "take-over" and d.predicate.kind == "verb-prep"
-    assert d.predicate.base == "take"
     assert d.args.surfaces == ("he", "company")
     assert [t.role for t in d.args.terms] == [SUBJECT, OBJECT]
 
@@ -160,6 +160,41 @@ def eventualities(draw):
     wanted = {r: roles[r] for r in PATTERN_ROLES[pattern]}
     freq = draw(st.integers(min_value=1, max_value=1000))
     return Eventuality.create(pattern, wanted, freq)
+
+
+def recompose(d: DecomposedEventuality) -> Eventuality:
+    """Inverse of decompose.  Compounds split once from the left, which is
+    exact as long as verb/preposition lemmas carry no hyphen themselves."""
+    surfaces = d.args.surfaces
+    pat = d.pattern
+    if pat == "s-v":
+        roles = {"n1": surfaces[0], "v1": d.predicate.surface}
+    elif pat == "s-v-o":
+        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "n2": surfaces[1]}
+    elif pat == "s-v-p-o":
+        v, p = d.predicate.surface.split(COMPOUND_SEP, 1)
+        roles = {"n1": surfaces[0], "v1": v, "p1": p, "n2": surfaces[1]}
+    elif pat == "s-v-o-p-o":
+        p, n3 = surfaces[2].split(COMPOUND_SEP, 1)
+        roles = {
+            "n1": surfaces[0],
+            "v1": d.predicate.surface,
+            "n2": surfaces[1],
+            "p1": p,
+            "n3": n3,
+        }
+    elif pat == "s-v-a":
+        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "a1": surfaces[1]}
+    elif pat == "s-be-a":
+        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
+        roles = {"n1": surfaces[0], "a1": a}
+    elif pat == "s-be-a-p-o":
+        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
+        p, n2 = surfaces[1].split(COMPOUND_SEP, 1)
+        roles = {"n1": surfaces[0], "a1": a, "p1": p, "n2": n2}
+    else:
+        raise DecompositionError(f"unknown pattern {pat!r}")
+    return Eventuality.create(pat, roles, d.frequency)
 
 
 @given(eventualities())

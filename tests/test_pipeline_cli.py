@@ -12,8 +12,8 @@ from evgraph.config import (
     make_config,
     parse_config_file,
 )
-from evgraph.pipeline import OUTPUT_FILES, StageError, build, load_built_graph, run_build
-from evgraph.store import stats
+from evgraph.pipeline import OUTPUT_FILES, StageError, build, run_build
+from evgraph.store import read_graph, stats
 from evgraph.synth import write_config_file, write_toy_inputs
 
 
@@ -145,7 +145,7 @@ def test_report_counts_match_persisted_files(toy):
     assert len(node_lines) == counts["eventualities"]
     assert len(tr_lines) == counts["argument_rules"]
     assert len(path_lines) == counts["paths"]
-    graph = load_built_graph(out)
+    graph = read_graph(out)
     recomputed = [
         {
             "type": r.label,
@@ -173,7 +173,7 @@ def test_empty_corpus_builds_empty_graph(tmp_path):
     assert counts["eventualities"] == 0
     assert counts["edges_total"] == 0
     assert counts["paths"] == 0
-    assert load_built_graph(tmp_path / "out").edges == {}
+    assert read_graph(tmp_path / "out").edges == {}
 
 
 def test_missing_corpus_is_stage_tagged(toy, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evgraph.local import argument_score
 from evgraph.resources import (
     DEFAULT_LIGHT_VERBS,
     ResourceError,
@@ -11,7 +12,6 @@ from evgraph.resources import (
     load_light_verbs,
     load_taxonomy,
     load_verb_hierarchy,
-    term_entailment_prob,
 )
 
 
@@ -109,6 +109,11 @@ def test_conceptualize_probabilities_sum_to_one_when_k_covers_all(tmp_path):
     store = _taxonomy(APPLE_LINES + ["food\tapple\t2"], tmp_path)
     probs = [p for _, p in conceptualize(store, "apple", 10)]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def term_entailment_prob(store, term_i, term_j):
+    """P(term_i entails term_j) as the argument score of one aligned slot."""
+    return argument_score((term_i,), (term_j,), ((0, 0),), store.probs)[1]
 
 
 def test_term_entailment_prob(tmp_path):

@@ -3,12 +3,12 @@
 import pytest
 
 from evgraph.corpus import CorpusIndex, parse_corpus_line
-from evgraph.resources import load_taxonomy, load_verb_hierarchy, term_entailment_prob
+from evgraph.resources import load_taxonomy, load_verb_hierarchy
 from evgraph.rules import (
+    PredicateRule,
     build_argument_rules,
     build_predicate_rules,
     collect_vocabulary,
-    read_predicate_rules,
     with_scores,
     write_predicate_rules,
 )
@@ -92,7 +92,7 @@ def test_argument_rules_irreflexive_and_reproducible(tmp_path):
     rules = build_argument_rules(store, frozenset({"apple", "fruit", "pear"}), 5, 0.0)
     for r in rules:
         assert r.from_term != r.to_term
-        assert r.score == term_entailment_prob(store, r.from_term, r.to_term)
+        assert r.score == store.probs[r.from_term][r.to_term]
 
 
 def test_predicate_rules_basic(tmp_path):
@@ -143,6 +143,15 @@ def test_predicate_rules_no_self_loops(tmp_path):
         hier, {"run": 10, "move": 10}, {"run": "verb", "move": "verb"}, 5
     )
     assert all(r.from_pred != r.to_pred for r in rules)
+
+
+def read_predicate_rules(path):
+    rules = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            from_pred, to_pred, score = line.rstrip("\n").split("\t")
+            rules.append(PredicateRule(from_pred, to_pred, float(score) if score else None))
+    return tuple(rules)
 
 
 def test_predicate_rule_file_round_trip(tmp_path):
