@@ -1,6 +1,12 @@
 #!/usr/bin/env python3
 """Build a synthetic corpus at scale and report wall time, peak memory,
-and candidate-check counts as JSON on stdout.
+edge count and the dense check counts as JSON on stdout.
+
+`candidate_checks` and `expansion_checks` are the pairs an exhaustive
+global stage would check (|left| x |right| per path edge, the rest of
+the predicate per chain node, summed over paths), not the pairs scored:
+the build only scores candidates found in its posting lists, so its
+time follows the edges it accepts rather than these counts.
 
 Run in a fresh process so ru_maxrss reflects this build alone.
 `max_rss_mb` is this process's peak RSS plus `--workers` times the

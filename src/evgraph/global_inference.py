@@ -2,11 +2,17 @@
 
 The scored predicate rules are organized into a forest (specific ->
 general, cycles broken on the weakest edge), maximal root-to-leaf
-chains become predicate paths, and each consecutive path edge checks
-every eventuality pair of its two predicates: pairs whose arguments pass
-the argument filter are composed into scored edges, and those that clear
+chains become predicate paths, and each distinct path edge relates the
+eventualities of its two predicates: pairs whose arguments pass the
+argument filter are composed into scored edges, and those that clear
 the acceptance test become global edges.  Chain nodes are then expanded
 with same-predicate argument-generalization edges, which stay local.
+
+Neither step checks every eventuality pair.  Both look candidates up in
+(pattern, slot, term) posting lists of one predicate, probing with a
+term and the terms it may entail (its taxonomy concepts for path edges,
+the sources of argument rules into it for expansion); only the hits are
+scored.  The reported check counts are still the dense pair counts.
 """
 
 from __future__ import annotations
@@ -14,10 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._parallel import indexed_map
 from .corpus import CorpusIndex
 from .local import argument_score, compose_edge
-from .model import PROVENANCE_GLOBAL, PROVENANCE_LOCAL, ScoredEdge, aligned_slots
+from .model import (
+    ADMISSIBLE_TYPE_PAIRS,
+    PROVENANCE_GLOBAL,
+    PROVENANCE_LOCAL,
+    ScoredEdge,
+    aligned_slots,
+)
 from .resources import TaxonomyStore
 from .rules import PredicateRule
 
@@ -175,6 +186,33 @@ def extract_paths(
     return tuple(sorted(paths))
 
 
+def _counterparts():
+    """Each pattern's admissible hypotheses, and each pattern's admissible
+    premises, as (other pattern, aligned slots) tuples."""
+    hypotheses: dict[str, list] = {}
+    premises: dict[str, list] = {}
+    for premise, hypothesis in ADMISSIBLE_TYPE_PAIRS:
+        slots = aligned_slots(premise, hypothesis)
+        hypotheses.setdefault(premise, []).append((hypothesis, slots))
+        premises.setdefault(hypothesis, []).append((premise, slots))
+    return hypotheses, premises
+
+
+_HYPOTHESES, _PREMISES = _counterparts()
+
+
+def _slot_postings(
+    index: CorpusIndex, ids: tuple[str, ...]
+) -> dict[tuple[str, int, str], list[str]]:
+    """(pattern, slot, term) -> the ids holding that term in that slot."""
+    postings: dict[tuple[str, int, str], list[str]] = {}
+    for eid in ids:
+        pattern = index.by_id[eid].pattern
+        for slot, term in enumerate(index.arg_surfaces[eid]):
+            postings.setdefault((pattern, slot, term), []).append(eid)
+    return postings
+
+
 def infer_path_edges(
     index: CorpusIndex,
     path: tuple[str, ...],
@@ -183,12 +221,16 @@ def infer_path_edges(
     tau_a: float,
     tau_e: float,
 ) -> tuple[dict[tuple[str, str], ScoredEdge], int]:
-    """Accepted global edges for one predicate path, plus the number of
-    candidate pairs checked.
+    """Accepted global edges for one predicate path, plus the dense number
+    of candidate pairs, |left| x |right| summed over the path edges.
 
     A pair passes the argument filter when its aligned arguments are
     identical or its argument score exceeds tau_a; it is accepted when it
-    is identical or its composed score also exceeds tau_e.
+    is identical or its composed score also exceeds tau_e.  Since tau_a
+    >= 0, a passing pair has some aligned slot whose terms are identical
+    or have a nonzero taxonomy probability.  So only the right-hand
+    eventualities found under a left term, or one of its taxonomy
+    concepts, in a (pattern, slot) posting list are scored.
     """
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
@@ -196,40 +238,38 @@ def infer_path_edges(
     for pred_l, pred_r in zip(path, path[1:]):
         rule_score = rule_scores.get((pred_l, pred_r), 0.0)
         left = index.by_predicate.get(pred_l, ())
-        right = [
-            (
-                rid,
-                index.by_id[rid].pattern,
-                index.arg_surfaces[rid],
-                index.cond_prob[rid],
-            )
-            for rid in index.by_predicate.get(pred_r, ())
-        ]
+        right = index.by_predicate.get(pred_r, ())
         checks += len(left) * len(right)
+        postings = _slot_postings(index, right)
         for lid in left:
             pat_l = index.by_id[lid].pattern
             args_l = index.arg_surfaces[lid]
             cond_l = index.cond_prob[lid]
-            for rid, pat_r, args_r, cond_r in right:
-                slots = aligned_slots(pat_l, pat_r)
-                if slots is None:
-                    continue
-                identical, arg_score = argument_score(args_l, args_r, slots, probs)
-                if not identical and arg_score <= tau_a:
-                    continue
-                edge = compose_edge(
-                    lid,
-                    rid,
-                    pat_l,
-                    pat_r,
-                    rule_score,
-                    cond_l,
-                    cond_r,
-                    arg_score,
-                    PROVENANCE_GLOBAL,
-                )
-                if identical or edge.local_score > tau_e:
-                    edges[(lid, rid)] = edge
+            for pat_r, slots in _HYPOTHESES.get(pat_l, ()):
+                hits: dict[str, None] = {}
+                for i, j in slots:
+                    term = args_l[i]
+                    for probe in (term, *probs.get(term, ())):
+                        hits.update(dict.fromkeys(postings.get((pat_r, j, probe), ())))
+                for rid in hits:
+                    identical, arg_score = argument_score(
+                        args_l, index.arg_surfaces[rid], slots, probs
+                    )
+                    if not identical and arg_score <= tau_a:
+                        continue
+                    edge = compose_edge(
+                        lid,
+                        rid,
+                        pat_l,
+                        pat_r,
+                        rule_score,
+                        cond_l,
+                        index.cond_prob[rid],
+                        arg_score,
+                        PROVENANCE_GLOBAL,
+                    )
+                    if identical or edge.local_score > tau_e:
+                        edges[(lid, rid)] = edge
     return edges, checks
 
 
@@ -240,7 +280,8 @@ def expand_with_argument_rules(
     store: TaxonomyStore,
     tau_e: float,
 ) -> tuple[dict[tuple[str, str], ScoredEdge], int]:
-    """Attach incoming same-predicate edges to chain nodes.
+    """Attach incoming same-predicate edges to chain nodes, plus the dense
+    number of candidates, the other eventualities of each node's predicate.
 
     A candidate premise must share the node's predicate and relate every
     aligned term either identically or through an argument rule; the
@@ -248,51 +289,66 @@ def expand_with_argument_rules(
     That rule is stricter than `argument_score`, where one identical slot
     saturates the noisy-OR whatever the other slots hold, so expansion
     keeps its own slot loop and stops at the first slot without a rule.
+    Only premises whose first aligned term is the node's term, or a
+    source of an argument rule into it, are looked at: those are found in
+    (pattern, slot) posting lists, built for one predicate at a time.
     """
+    rule_sources: dict[str, list[str]] = {}
+    for (t_from, t_to), score in rule_by_pair.items():
+        if score > 0.0:
+            rule_sources.setdefault(t_to, []).append(t_from)
+    nodes_by_pred: dict[str, list[str]] = {}
+    for node_id in chain_node_ids:
+        pred = index.decomposed[node_id].predicate.surface
+        nodes_by_pred.setdefault(pred, []).append(node_id)
+
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
-    for node_id in sorted(chain_node_ids):
-        node_pat = index.by_id[node_id].pattern
-        node_args = index.arg_surfaces[node_id]
-        pred = index.decomposed[node_id].predicate.surface
-        cond_node = index.cond_prob[node_id]
-        for cand_id in index.by_predicate.get(pred, ()):
-            if cand_id == node_id:
-                continue
-            checks += 1
-            cand_pat = index.by_id[cand_id].pattern
-            slots = aligned_slots(cand_pat, node_pat)
-            if slots is None:
-                continue
-            cand_args = index.arg_surfaces[cand_id]
-            ok = True
-            miss = 1.0
-            for i, j in slots:
-                t_from = cand_args[i]
-                t_to = node_args[j]
-                if t_from == t_to:
-                    miss = 0.0
-                    continue
-                score = rule_by_pair.get((t_from, t_to), 0.0)
-                if score <= 0.0:
-                    ok = False
-                    break
-                miss *= 1.0 - score
-            if not ok:
-                continue
-            edge = compose_edge(
-                cand_id,
-                node_id,
-                cand_pat,
-                node_pat,
-                1.0,
-                index.cond_prob[cand_id],
-                cond_node,
-                1.0 - miss,
-                PROVENANCE_LOCAL,
-            )
-            if edge.local_score > tau_e:
-                edges[(cand_id, node_id)] = edge
+    for pred in sorted(nodes_by_pred):
+        same_pred = index.by_predicate[pred]
+        postings = _slot_postings(index, same_pred)
+        for node_id in sorted(nodes_by_pred[pred]):
+            checks += len(same_pred) - 1
+            node_pat = index.by_id[node_id].pattern
+            node_args = index.arg_surfaces[node_id]
+            cond_node = index.cond_prob[node_id]
+            for cand_pat, slots in _PREMISES.get(node_pat, ()):
+                first_from, first_to = slots[0]
+                term = node_args[first_to]
+                hits: dict[str, None] = {}
+                for probe in (term, *rule_sources.get(term, ())):
+                    hits.update(dict.fromkeys(postings.get((cand_pat, first_from, probe), ())))
+                hits.pop(node_id, None)
+                for cand_id in hits:
+                    cand_args = index.arg_surfaces[cand_id]
+                    ok = True
+                    miss = 1.0
+                    for i, j in slots:
+                        t_from = cand_args[i]
+                        t_to = node_args[j]
+                        if t_from == t_to:
+                            miss = 0.0
+                            continue
+                        score = rule_by_pair.get((t_from, t_to), 0.0)
+                        if score <= 0.0:
+                            ok = False
+                            break
+                        miss *= 1.0 - score
+                    if not ok:
+                        continue
+                    edge = compose_edge(
+                        cand_id,
+                        node_id,
+                        cand_pat,
+                        node_pat,
+                        1.0,
+                        index.cond_prob[cand_id],
+                        cond_node,
+                        1.0 - miss,
+                        PROVENANCE_LOCAL,
+                    )
+                    if edge.local_score > tau_e:
+                        edges[(cand_id, node_id)] = edge
     return edges, checks
 
 
@@ -315,37 +371,46 @@ def run_global_stage(
 ) -> GlobalResult:
     """Run path inference plus expansion over every path and merge.
 
-    Paths are independent; merged edges are deduplicated by (from, to).
-    Duplicate keys always carry identical scores (pure functions of the
-    pair), so the merge is order-independent.
+    The edges of a path edge are a pure function of its predicate pair,
+    and a chain node's expansion of the node alone, so each distinct pair
+    and each distinct chain node is computed once however many paths
+    share it.  A path's chain nodes are the endpoints of its pairs' edges.
+    The check counts stay the dense per-path sums: |left| x |right| per
+    path edge, and the other eventualities of the node's predicate per
+    chain node of each path.
+
+    The stage runs in this process whatever `workers` says: once indexed,
+    it takes a fraction of a second even on wide predicates, and forking
+    workers for it made it slower, not faster.
     """
-
-    def run_one(i: int):
-        path = paths[i]
-        path_edges, checks = infer_path_edges(
-            index, path, rule_scores, store, tau_a, tau_e
-        )
-        node_ids = set()
-        for src, dst in path_edges:
-            node_ids.add(src)
-            node_ids.add(dst)
-        local_edges, exp_checks = expand_with_argument_rules(
-            index, node_ids, rule_by_pair, store, tau_e
-        )
-        return path_edges, local_edges, checks, exp_checks
-
+    pairs = sorted({pair for path in paths for pair in zip(path, path[1:])})
     merged: dict[tuple[str, str], ScoredEdge] = {}
+    pair_checks: dict[tuple[str, str], int] = {}
+    pair_nodes: dict[tuple[str, str], set[str]] = {}
+    for pair in pairs:
+        edges, pair_checks[pair] = infer_path_edges(
+            index, pair, rule_scores, store, tau_a, tau_e
+        )
+        merged.update(edges)
+        pair_nodes[pair] = {node for key in edges for node in key}
+
     total_checks = 0
     total_exp = 0
-    for path_edges, local_edges, checks, exp_checks in indexed_map(
-        run_one, len(paths), workers
-    ):
-        total_checks += checks
-        total_exp += exp_checks
-        for key, edge in path_edges.items():
-            merged[key] = edge
-        for key, edge in local_edges.items():
-            merged[key] = edge
+    chain_nodes: set[str] = set()
+    for path in paths:
+        nodes: set[str] = set()
+        for pair in zip(path, path[1:]):
+            total_checks += pair_checks[pair]
+            nodes |= pair_nodes[pair]
+        chain_nodes |= nodes
+        for node in nodes:
+            pred = index.decomposed[node].predicate.surface
+            total_exp += len(index.by_predicate[pred]) - 1
+
+    local_edges, _ = expand_with_argument_rules(
+        index, chain_nodes, rule_by_pair, store, tau_e
+    )
+    merged.update(local_edges)
     ordered = tuple(merged[k] for k in sorted(merged))
     return GlobalResult(
         edges=ordered, candidate_checks=total_checks, expansion_checks=total_exp

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import parse_corpus_line
@@ -75,6 +76,15 @@ class EntailmentGraph:
             by_type={k: tuple(v) for k, v in by_type.items()},
             by_provenance={k: tuple(v) for k, v in by_provenance.items()},
         )
+
+    @cached_property
+    def ids_by_text(self) -> dict[str, list[str]]:
+        """Display text -> the sorted ids of the nodes that read so; built
+        on the first text lookup, not when the graph is sealed."""
+        out: dict[str, list[str]] = {}
+        for node_id in sorted(self.nodes):
+            out.setdefault(self.nodes[node_id].text, []).append(node_id)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntailmentGraph):
@@ -233,7 +243,7 @@ def resolve_node(graph: EntailmentGraph, ref: str) -> str:
     """Resolve an id or a unique display text to a node id."""
     if ref in graph.nodes:
         return ref
-    matches = [nid for nid in sorted(graph.nodes) if graph.nodes[nid].text == ref]
+    matches = graph.ids_by_text.get(ref, [])
     if len(matches) == 1:
         return matches[0]
     if not matches:

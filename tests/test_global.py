@@ -3,9 +3,14 @@ edge, path inference against a brute-force oracle, and argument-rule
 expansion."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import evgraph.global_inference as gi
 from chains import iter_chains
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.global_inference import (
@@ -16,7 +21,14 @@ from evgraph.global_inference import (
     run_global_stage,
 )
 from evgraph.local import argument_score
-from evgraph.model import aligned_slots
+from evgraph.model import (
+    PATTERN_ROLES,
+    PATTERNS,
+    Eventuality,
+    ScoredEdge,
+    aligned_slots,
+    type_label,
+)
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 
@@ -181,12 +193,15 @@ def _term_prob(store, a, b):
 
 
 def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
-    """Independent re-derivation of the acceptance condition over all pairs."""
-    expected = set()
+    """Independent re-derivation of the accepted edges, with every score
+    factor, over all pairs."""
+    expected = {}
     for p_l, p_r in zip(path, path[1:]):
+        rule = rule_scores.get((p_l, p_r), 0.0)
         for lid in index.by_predicate.get(p_l, ()):
             for rid in index.by_predicate.get(p_r, ()):
-                slots = aligned_slots(index.by_id[lid].pattern, index.by_id[rid].pattern)
+                pat_l, pat_r = index.by_id[lid].pattern, index.by_id[rid].pattern
+                slots = aligned_slots(pat_l, pat_r)
                 if slots is None:
                     continue
                 args_l = index.arg_surfaces[lid]
@@ -198,9 +213,11 @@ def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
                     miss *= 1.0 - _term_prob(store, a, b)
                 l_a = 1.0 - miss
                 pen = min(1.0, index.cond_prob[lid] / index.cond_prob[rid])
-                l_e = math.sqrt(rule_scores[(p_l, p_r)] * pen * l_a)
+                l_e = math.sqrt(rule * pen * l_a)
                 if identical or (l_a > tau_a and l_e > tau_e):
-                    expected.add((lid, rid))
+                    expected[(lid, rid)] = ScoredEdge(
+                        lid, rid, l_a, rule, pen, l_e, "global", type_label(pat_l, pat_r)
+                    )
     return expected
 
 
@@ -224,7 +241,7 @@ def test_infer_matches_brute_force(tmp_path, tau_a, tau_e):
     path = ("chew", "eat")
     rule_scores = {("chew", "eat"): 0.7}
     edges, checks = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
-    assert set(edges) == brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e)
+    assert edges == brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e)
     assert checks == 4 * 4  # |U_chew| x |V_eat| (eat-at is its own predicate)
 
 
@@ -405,3 +422,220 @@ def test_run_global_stage_worker_invariance(tmp_path):
     parallel = run_global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2, workers=3)
     assert serial == parallel
     assert serial.candidate_checks == 16
+
+
+SHARED_CORPUS = [
+    "s-v-o\tn1=boy;v1=crunch;n2=apple\t2",
+    "s-v-o\tn1=girl;v1=crunch;n2=nut\t2",
+    "s-v-o\tn1=boy;v1=munch;n2=apple\t2",
+    "s-v-o\tn1=boy;v1=munch;n2=food\t2",
+    "s-v-o\tn1=boy;v1=chew;n2=apple\t2",
+    "s-v-o\tn1=boy;v1=chew;n2=food\t2",
+    "s-v-o\tn1=girl;v1=chew;n2=nut\t2",
+    "s-v-o\tn1=boy;v1=eat;n2=apple\t2",
+    "s-v-o\tn1=boy;v1=eat;n2=food\t2",
+    "s-v-o\tn1=girl;v1=eat;n2=food\t2",
+]
+SHARED_PATHS = (("crunch", "chew", "eat"), ("munch", "chew", "eat"))
+SHARED_RULES = {("crunch", "chew"): 0.8, ("munch", "chew"): 0.6, ("chew", "eat"): 0.7}
+SHARED_ARG_RULES = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
+
+
+def _per_path_reference(index, paths, rule_scores, store, rule_by_pair, tau_a, tau_e):
+    """The stage computed path by path, shared pairs and nodes again each
+    time: merged edges and the summed check counts."""
+    merged = {}
+    checks = exp_checks = 0
+    for path in paths:
+        edges, c = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
+        nodes = {node for key in edges for node in key}
+        local_edges, e = expand_with_argument_rules(index, nodes, rule_by_pair, store, tau_e)
+        merged.update(edges)
+        merged.update(local_edges)
+        checks += c
+        exp_checks += e
+    return tuple(merged[k] for k in sorted(merged)), checks, exp_checks
+
+
+def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monkeypatch):
+    # Both paths share chew -> eat; boy chew apple is a chain node of both.
+    index = _index(SHARED_CORPUS)
+    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    inferred, expanded = [], []
+
+    def count_infer(index, path, *args):
+        inferred.append(path)
+        return infer_path_edges(index, path, *args)
+
+    def count_expand(index, chain_node_ids, *args):
+        expanded.extend(chain_node_ids)
+        return expand_with_argument_rules(index, chain_node_ids, *args)
+
+    monkeypatch.setattr(gi, "infer_path_edges", count_infer)
+    monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
+    result = run_global_stage(
+        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+    )
+    assert inferred == [("chew", "eat"), ("crunch", "chew"), ("munch", "chew")]
+    assert len(expanded) == len(set(expanded))
+    endpoints = {
+        node
+        for edge in result.edges
+        if edge.provenance == "global"
+        for node in (edge.from_id, edge.to_id)
+    }
+    assert set(expanded) == endpoints
+    assert "s-v-o:boy|chew|apple" in endpoints
+
+
+def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):
+    index = _index(SHARED_CORPUS)
+    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    result = run_global_stage(
+        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+    )
+    edges, checks, exp_checks = _per_path_reference(
+        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+    )
+    # per path: 2x3 for crunch or munch -> chew, then 3x3 for the shared chew -> eat
+    assert result.candidate_checks == checks == 2 * (2 * 3 + 3 * 3)
+    assert result.expansion_checks == exp_checks
+    assert result.edges == edges
+
+
+# --- posting-list candidates vs dense references (properties) ----------------
+
+NOUNS = ("boy", "girl", "apple", "food", "nut")
+# Taxonomy concepts include terms that never occur in a corpus.
+CONCEPTS = NOUNS + ("at-food", "thing", "entity")
+INSTANCES = NOUNS + ("at-apple", "at-food", "on-nut")
+THRESHOLDS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _store(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load_taxonomy(path)
+
+
+@st.composite
+def corpora(draw):
+    """Small mixed-pattern corpora over few tokens, so that predicates,
+    terms and display texts collide often."""
+    merged = {}
+    for _ in range(draw(st.integers(1, 16))):
+        pattern = draw(st.sampled_from(PATTERNS))
+        tokens = {
+            "n1": draw(st.sampled_from(NOUNS)),
+            "n2": draw(st.sampled_from(NOUNS)),
+            "n3": draw(st.sampled_from(NOUNS)),
+            "v1": draw(st.sampled_from(("chew", "eat"))),
+            "a1": draw(st.sampled_from(("ripe", "red"))),
+            "p1": draw(st.sampled_from(("at", "on"))),
+        }
+        roles = {r: tokens[r] for r in PATTERN_ROLES[pattern]}
+        ev = Eventuality.create(pattern, roles, draw(st.integers(1, 5)))
+        prev = merged.get(ev.id)
+        if prev is not None:
+            ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
+        merged[ev.id] = ev
+    return CorpusIndex.build(merged.values())
+
+
+taxonomies = st.lists(
+    st.tuples(st.sampled_from(CONCEPTS), st.sampled_from(INSTANCES), st.integers(1, 4)),
+    max_size=12,
+).map(lambda rows: _store([f"{c}\t{i}\t{f}" for c, i, f in rows]))
+
+
+@given(corpora(), taxonomies, st.data(), THRESHOLDS, THRESHOLDS)
+def test_indexed_path_inference_equals_brute_force(index, store, data, tau_a, tau_e):
+    path = tuple(data.draw(st.permutations(sorted(index.by_predicate))))
+    rule_scores = {
+        pair: data.draw(st.floats(0.0, 1.0)) for pair in zip(path, path[1:])
+    }
+    edges, checks = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
+    assert edges == brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e)
+    assert checks == sum(
+        len(index.by_predicate[a]) * len(index.by_predicate[b])
+        for a, b in zip(path, path[1:])
+    )
+
+
+def dense_expansion(index, chain_node_ids, rule_by_pair, tau_e):
+    """Every other eventuality of the node's predicate, checked with the
+    stricter rule: each aligned slot identical or ruled (score > 0)."""
+    expected = {}
+    checks = 0
+    for node in chain_node_ids:
+        node_pat = index.by_id[node].pattern
+        node_args = index.arg_surfaces[node]
+        for cand in index.by_predicate[index.decomposed[node].predicate.surface]:
+            if cand == node:
+                continue
+            checks += 1
+            cand_pat = index.by_id[cand].pattern
+            slots = aligned_slots(cand_pat, node_pat)
+            if slots is None:
+                continue
+            cand_args = index.arg_surfaces[cand]
+            pairs = [(cand_args[i], node_args[j]) for i, j in slots]
+            if not all(a == b or rule_by_pair.get((a, b), 0.0) > 0.0 for a, b in pairs):
+                continue
+            miss = 1.0
+            for a, b in pairs:
+                miss *= 0.0 if a == b else 1.0 - rule_by_pair[(a, b)]
+            pen = min(1.0, index.cond_prob[cand] / index.cond_prob[node])
+            score = math.sqrt(1.0 * pen * (1.0 - miss))
+            if score > tau_e:
+                expected[(cand, node)] = ScoredEdge(
+                    cand, node, 1.0 - miss, 1.0, pen, score, "local",
+                    type_label(cand_pat, node_pat),
+                )
+    return expected, checks
+
+
+@given(corpora(), st.data(), THRESHOLDS)
+def test_indexed_expansion_equals_dense_reference(index, data, tau_e):
+    terms = sorted(index.terms)
+    rule_by_pair = data.draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(terms), st.sampled_from(terms)),
+            st.sampled_from([0.0]) | st.floats(0.01, 1.0),
+            max_size=10,
+        )
+    )
+    nodes = data.draw(st.sets(st.sampled_from(sorted(index.by_id))))
+    store = _store([])
+    assert expand_with_argument_rules(
+        index, nodes, rule_by_pair, store, tau_e
+    ) == dense_expansion(index, nodes, rule_by_pair, tau_e)
+
+
+@given(corpora(), taxonomies, st.data())
+def test_global_stage_equals_per_path_reference(index, store, data):
+    # Short paths over few predicates, so that paths share edges and nodes.
+    preds = sorted(index.by_predicate)
+    path = st.lists(st.sampled_from(preds), max_size=4, unique=True)
+    paths = tuple(
+        sorted({tuple(p) for p in data.draw(st.lists(path, max_size=4)) if len(p) >= 2})
+    )
+    rule_scores = {
+        pair: data.draw(st.floats(0.0, 1.0))
+        for path in paths
+        for pair in zip(path, path[1:])
+    }
+    terms = sorted(index.terms)
+    rule_by_pair = {
+        (a, b): data.draw(st.floats(0.01, 1.0))
+        for a, b in data.draw(
+            st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(terms)), max_size=6)
+        )
+    }
+    result = run_global_stage(index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2)
+    edges, checks, exp_checks = _per_path_reference(
+        index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2
+    )
+    assert result.edges == edges
+    assert (result.candidate_checks, result.expansion_checks) == (checks, exp_checks)

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from evgraph.model import Eventuality, ScoredEdge, type_label
+from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality, ScoredEdge, type_label
 from evgraph.store import (
     EntailmentGraph,
     GraphFormatError,
@@ -12,6 +14,7 @@ from evgraph.store import (
     format_stats,
     query_entails,
     read_graph,
+    resolve_node,
     sample_for_annotation,
     stats,
     write_graph,
@@ -214,3 +217,69 @@ def test_query_ambiguous_text_raises():
         query_entails(graph, "it smell nice", "it smell nice")
     # exact ids still resolve
     assert query_entails(graph, sva.id, svo.id).kind == "none"
+
+
+def test_resolve_id_takes_precedence_over_equal_text():
+    # The constructor takes tokens as given, so one node can read exactly
+    # like the other's id.
+    named = Eventuality("s-v", ("x y", "z"), 1)
+    reads_like_id = Eventuality("s-v", ("s-v:x", "y|z"), 1)
+    assert reads_like_id.text == named.id
+    graph = EntailmentGraph.from_parts([named, reads_like_id], [])
+    assert resolve_node(graph, named.id) == named.id
+    assert resolve_node(graph, named.text) == named.id
+    assert resolve_node(graph, reads_like_id.id) == reads_like_id.id
+
+
+def test_resolve_unknown_and_ambiguous_messages():
+    sva = Eventuality.create("s-v-a", {"n1": "it", "v1": "smell", "a1": "nice"}, 1)
+    svo = Eventuality.create("s-v-o", {"n1": "it", "v1": "smell", "n2": "nice"}, 1)
+    graph = EntailmentGraph.from_parts([svo, sva], [])
+    with pytest.raises(NodeLookupError) as unknown:
+        resolve_node(graph, "it smell bad")
+    assert unknown.value.args == ("unknown eventuality 'it smell bad'",)
+    with pytest.raises(NodeLookupError) as ambiguous:
+        resolve_node(graph, "it smell nice")
+    assert ambiguous.value.args == (
+        "ambiguous eventuality text 'it smell nice': "
+        "['s-v-a:it|smell|nice', 's-v-o:it|smell|nice']",
+    )
+
+
+def _scan(graph, ref):
+    """resolve_node as a linear scan over every node."""
+    if ref in graph.nodes:
+        return ref
+    matches = [nid for nid in sorted(graph.nodes) if graph.nodes[nid].text == ref]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise NodeLookupError(f"unknown eventuality {ref!r}")
+    raise NodeLookupError(f"ambiguous eventuality text {ref!r}: {matches}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except NodeLookupError as exc:
+        return "error", exc.args
+
+
+# Few tokens, with "be" as a verb too, so display texts collide across
+# patterns ("it be nice" reads the same as s-v-o and s-be-a).
+WORDS = ("it", "be", "nice", "at")
+eventualities = st.builds(
+    lambda pattern, words: Eventuality.create(
+        pattern, dict(zip(PATTERN_ROLES[pattern], words)), 1
+    ),
+    st.sampled_from(PATTERNS),
+    st.lists(st.sampled_from(WORDS), min_size=5, max_size=5),
+)
+
+
+@given(st.lists(eventualities, max_size=12), st.lists(st.sampled_from(WORDS), max_size=5))
+def test_resolve_index_equals_linear_scan(nodes, words):
+    graph = EntailmentGraph.from_parts({n.id: n for n in nodes}.values(), [])
+    refs = [n.text for n in nodes] + [n.id for n in nodes] + [" ".join(words)]
+    for ref in refs:
+        assert _outcome(resolve_node, graph, ref) == _outcome(_scan, graph, ref)
