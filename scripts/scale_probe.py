@@ -8,11 +8,9 @@ the predicate per chain node, summed over paths), not the pairs scored:
 the build only scores candidates found in its posting lists, so its
 time follows the edges it accepts rather than these counts.
 
-Run in a fresh process so ru_maxrss reflects this build alone.
-`max_rss_mb` is this process's peak RSS plus `--workers` times the
-largest peak of a forked worker: an upper bound on the build's combined
-peak, since not every worker peaks at once and pages a worker shares
-with this process count twice.  With one worker nothing is forked.
+Run in a fresh process so ru_maxrss reflects this build alone: the
+build forks nothing, so `max_rss_mb`, this process's peak RSS, is the
+build's whole peak.
 """
 
 import argparse
@@ -28,18 +26,11 @@ from evgraph.pipeline import run_build
 from evgraph.synth import write_layered_inputs
 
 
-def max_rss_kb(workers: int) -> int:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return own + workers * child
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eventualities", type=int, default=100_000)
     parser.add_argument("--paths", type=int, default=1000)
     parser.add_argument("--path-len", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dir", type=Path, default=None, help="work dir (default: temp)")
     args = parser.parse_args()
@@ -63,7 +54,6 @@ def main() -> int:
         verb_hierarchy=str(files["verb_hierarchy"]),
         output_dir=str(work / "out"),
         min_pred_freq=1,
-        workers=args.workers,
     )
     t0 = time.perf_counter()
     result = run_build(cfg)
@@ -80,7 +70,7 @@ def main() -> int:
             "expansion_checks": counts["expansion_checks"],
             "gen_seconds": round(gen_seconds, 3),
             "build_seconds": round(build_seconds, 3),
-            "max_rss_mb": max_rss_kb(args.workers) / 1024.0,
+            "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "work_dir": str(work),
         },
         sys.stdout,

@@ -84,6 +84,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 1
+    if args.command == "sample" and args.n < 0:
+        print(f"error[sample]: --n must be >= 0, got {args.n}", file=sys.stderr)
+        return 1
 
     try:
         if args.command == "build":

@@ -29,6 +29,8 @@ class PipelineConfig:
     min_pred_freq: int = 5
     general_roots: tuple[str, ...] = DEFAULT_GENERAL_ROOTS
     seed: int = 0
+    # Still accepted and validated, but changes nothing: every stage runs
+    # in one process.
     workers: int = 1
 
     def __post_init__(self) -> None:

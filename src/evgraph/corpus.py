@@ -9,6 +9,7 @@ Lines with identical pattern and tokens are merged by summing frequencies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,10 +77,8 @@ def write_corpus(eventualities, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Immutable decomposition + co-occurrence statistics over one corpus.
-
-    Built single-threaded, then shared freely across workers.
-    """
+    """Immutable decomposition + co-occurrence statistics over one corpus,
+    built once and then only read."""
 
     eventualities: tuple[Eventuality, ...]
     by_id: dict[str, Eventuality]
@@ -91,7 +90,6 @@ class CorpusIndex:
     signature_freq: dict[str, int]
     pair_freq: dict[tuple[str, str], int]
     pred_signatures: dict[str, dict[str, int]]
-    sig_patterns: dict[tuple[str, str], tuple[str, ...]]
     arg_surfaces: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
     cond_prob: dict[str, float] = field(repr=False, default_factory=dict)
     total_mass: int = 0
@@ -108,7 +106,6 @@ class CorpusIndex:
         signature_freq: dict[str, int] = {}
         pair_freq: dict[tuple[str, str], int] = {}
         pred_signatures: dict[str, dict[str, int]] = {}
-        sig_patterns: dict[tuple[str, str], set[str]] = {}
         arg_surfaces: dict[str, tuple[str, ...]] = {}
         total = 0
 
@@ -128,7 +125,6 @@ class CorpusIndex:
             pair_freq[(p, sig)] = pair_freq.get((p, sig), 0) + ev.frequency
             pred_signatures.setdefault(p, {})
             pred_signatures[p][sig] = pred_signatures[p].get(sig, 0) + ev.frequency
-            sig_patterns.setdefault((p, sig), set()).add(ev.pattern)
             arg_surfaces[ev.id] = d.args.surfaces
             total += ev.frequency
 
@@ -147,7 +143,6 @@ class CorpusIndex:
             signature_freq=signature_freq,
             pair_freq=pair_freq,
             pred_signatures=pred_signatures,
-            sig_patterns={k: tuple(sorted(v)) for k, v in sig_patterns.items()},
             arg_surfaces=arg_surfaces,
             cond_prob=cond_prob,
             total_mass=total,
@@ -156,3 +151,31 @@ class CorpusIndex:
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusIndex":
         return cls.build(read_corpus(path))
+
+
+Postings = dict[tuple[str, int, str], list[str]]
+
+
+def slot_postings(index: CorpusIndex, ids: Iterable[str]) -> Postings:
+    """(pattern, slot, term) -> the ids holding that term in that slot."""
+    postings: Postings = {}
+    for eid in ids:
+        pattern = index.by_id[eid].pattern
+        for slot, term in enumerate(index.arg_surfaces[eid]):
+            postings.setdefault((pattern, slot, term), []).append(eid)
+    return postings
+
+
+def probe_postings(
+    postings: Postings,
+    pattern: str,
+    slot_terms: Iterable[tuple[int, str]],
+    related: Mapping[str, Iterable[str]],
+) -> dict[str, None]:
+    """The ids of `pattern` holding, in one of the given slots, the given
+    term or one of its related terms, in first-found order."""
+    hits: dict[str, None] = {}
+    for slot, term in slot_terms:
+        for probe in (term, *related.get(term, ())):
+            hits.update(dict.fromkeys(postings.get((pattern, slot, probe), ())))
+    return hits

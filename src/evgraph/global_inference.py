@@ -20,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .corpus import CorpusIndex
+from .corpus import CorpusIndex, probe_postings, slot_postings
 from .local import argument_score, compose_edge
-from .model import (
-    ADMISSIBLE_TYPE_PAIRS,
-    PROVENANCE_GLOBAL,
-    PROVENANCE_LOCAL,
-    ScoredEdge,
-    aligned_slots,
-)
+from .model import HYPOTHESES, PREMISES, PROVENANCE_GLOBAL, PROVENANCE_LOCAL, ScoredEdge
 from .resources import TaxonomyStore
 from .rules import PredicateRule
 
@@ -186,33 +180,6 @@ def extract_paths(
     return tuple(sorted(paths))
 
 
-def _counterparts():
-    """Each pattern's admissible hypotheses, and each pattern's admissible
-    premises, as (other pattern, aligned slots) tuples."""
-    hypotheses: dict[str, list] = {}
-    premises: dict[str, list] = {}
-    for premise, hypothesis in ADMISSIBLE_TYPE_PAIRS:
-        slots = aligned_slots(premise, hypothesis)
-        hypotheses.setdefault(premise, []).append((hypothesis, slots))
-        premises.setdefault(hypothesis, []).append((premise, slots))
-    return hypotheses, premises
-
-
-_HYPOTHESES, _PREMISES = _counterparts()
-
-
-def _slot_postings(
-    index: CorpusIndex, ids: tuple[str, ...]
-) -> dict[tuple[str, int, str], list[str]]:
-    """(pattern, slot, term) -> the ids holding that term in that slot."""
-    postings: dict[tuple[str, int, str], list[str]] = {}
-    for eid in ids:
-        pattern = index.by_id[eid].pattern
-        for slot, term in enumerate(index.arg_surfaces[eid]):
-            postings.setdefault((pattern, slot, term), []).append(eid)
-    return postings
-
-
 def infer_path_edges(
     index: CorpusIndex,
     path: tuple[str, ...],
@@ -240,17 +207,15 @@ def infer_path_edges(
         left = index.by_predicate.get(pred_l, ())
         right = index.by_predicate.get(pred_r, ())
         checks += len(left) * len(right)
-        postings = _slot_postings(index, right)
+        postings = slot_postings(index, right)
         for lid in left:
             pat_l = index.by_id[lid].pattern
             args_l = index.arg_surfaces[lid]
             cond_l = index.cond_prob[lid]
-            for pat_r, slots in _HYPOTHESES.get(pat_l, ()):
-                hits: dict[str, None] = {}
-                for i, j in slots:
-                    term = args_l[i]
-                    for probe in (term, *probs.get(term, ())):
-                        hits.update(dict.fromkeys(postings.get((pat_r, j, probe), ())))
+            for pat_r, slots in HYPOTHESES.get(pat_l, ()):
+                hits = probe_postings(
+                    postings, pat_r, [(j, args_l[i]) for i, j in slots], probs
+                )
                 for rid in hits:
                     identical, arg_score = argument_score(
                         args_l, index.arg_surfaces[rid], slots, probs
@@ -306,18 +271,17 @@ def expand_with_argument_rules(
     checks = 0
     for pred in sorted(nodes_by_pred):
         same_pred = index.by_predicate[pred]
-        postings = _slot_postings(index, same_pred)
+        postings = slot_postings(index, same_pred)
         for node_id in sorted(nodes_by_pred[pred]):
             checks += len(same_pred) - 1
             node_pat = index.by_id[node_id].pattern
             node_args = index.arg_surfaces[node_id]
             cond_node = index.cond_prob[node_id]
-            for cand_pat, slots in _PREMISES.get(node_pat, ()):
+            for cand_pat, slots in PREMISES.get(node_pat, ()):
                 first_from, first_to = slots[0]
-                term = node_args[first_to]
-                hits: dict[str, None] = {}
-                for probe in (term, *rule_sources.get(term, ())):
-                    hits.update(dict.fromkeys(postings.get((cand_pat, first_from, probe), ())))
+                hits = probe_postings(
+                    postings, cand_pat, [(first_from, node_args[first_to])], rule_sources
+                )
                 hits.pop(node_id, None)
                 for cand_id in hits:
                     cand_args = index.arg_surfaces[cand_id]
@@ -367,7 +331,6 @@ def run_global_stage(
     rule_by_pair: dict[tuple[str, str], float],
     tau_a: float,
     tau_e: float,
-    workers: int = 1,
 ) -> GlobalResult:
     """Run path inference plus expansion over every path and merge.
 
@@ -378,10 +341,6 @@ def run_global_stage(
     The check counts stay the dense per-path sums: |left| x |right| per
     path edge, and the other eventualities of the node's predicate per
     chain node of each path.
-
-    The stage runs in this process whatever `workers` says: once indexed,
-    it takes a fraction of a second even on wide predicates, and forking
-    workers for it made it slower, not faster.
     """
     pairs = sorted({pair for path in paths for pair in zip(path, path[1:])})
     merged: dict[tuple[str, str], ScoredEdge] = {}

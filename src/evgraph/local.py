@@ -14,6 +14,10 @@ the extraction-frequency penalty min(1, P(a_i|p_i) / P(a_j|p_j)).
 inference and BInc's signature augmentation call it), and `compose_edge`
 the one penalty and geometric mean (path inference and expansion call
 it).  Expansion's stricter argument-rule check has its own slot loop.
+
+Signature augmentation looks its candidates up in the same
+(pattern, slot, term) posting lists as the global stage.  Rules are
+scored one after another in this process.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ._parallel import indexed_map
-from .corpus import CorpusIndex
-from .model import ScoredEdge, aligned_slots, type_label
+from .corpus import CorpusIndex, probe_postings, slot_postings
+from .model import HYPOTHESES, ScoredEdge, type_label
 from .resources import TaxonomyStore
 from .rules import PredicateRule, with_scores
 
@@ -113,29 +116,40 @@ class FeatureVector:
         return bool(self.weights)
 
 
-def _signature_entailment(
+def _entailed_signatures(
     index: CorpusIndex,
     predicate: str,
-    sig_from: str,
-    sig_to: str,
-    store: TaxonomyStore,
-) -> float:
-    """Noisy-OR entailment between two signatures of one predicate.
+    base: set[str],
+    aug_lambda: float,
+    probs: dict[str, dict[str, float]],
+) -> set[str]:
+    """The signatures of `predicate` outside `base` that some base
+    signature entails with probability > lambda, the best admissible
+    pattern pairing of the two counting.
 
-    Signatures can occur under several patterns; the best admissible
-    pattern pairing wins (iterated in sorted order for determinism).
+    Since lambda >= 0, an entailed signature has an aligned slot whose
+    terms are identical or have a nonzero taxonomy probability.  So only
+    the eventualities found under a base eventuality's aligned term, or
+    one of its taxonomy concepts, in the posting lists of the
+    predicate's other signatures are scored.
     """
-    terms_from = sig_from.split("|")
-    terms_to = sig_to.split("|")
-    best = 0.0
-    for pat_from in index.sig_patterns.get((predicate, sig_from), ()):
-        for pat_to in index.sig_patterns.get((predicate, sig_to), ()):
-            slots = aligned_slots(pat_from, pat_to)
-            if slots is None:
-                continue
-            _, score = argument_score(terms_from, terms_to, slots, store.probs)
-            best = max(best, score)
-    return best
+    ids = index.by_predicate.get(predicate, ())
+    signature = {eid: "|".join(index.arg_surfaces[eid]) for eid in ids}
+    postings = slot_postings(index, (eid for eid in ids if signature[eid] not in base))
+    entailed: set[str] = set()
+    for bid in ids:
+        if signature[bid] not in base:
+            continue
+        args_b = index.arg_surfaces[bid]
+        for pattern, slots in HYPOTHESES.get(index.by_id[bid].pattern, ()):
+            hits = probe_postings(postings, pattern, [(j, args_b[i]) for i, j in slots], probs)
+            for eid in hits:
+                if signature[eid] in entailed:
+                    continue
+                _, score = argument_score(args_b, index.arg_surfaces[eid], slots, probs)
+                if score > aug_lambda:
+                    entailed.add(signature[eid])
+    return entailed
 
 
 def build_feature_vector(
@@ -153,15 +167,9 @@ def build_feature_vector(
     Weights are positive PMI; zero-weight features are dropped.
     """
     sigs = index.pred_signatures.get(predicate, {})
-    sigs_other = index.pred_signatures.get(other, {})
-    base = sorted(set(sigs) & set(sigs_other))
-    features = set(base)
-    for sig_base in base:
-        for sig_k in sorted(sigs):
-            if sig_k in features:
-                continue
-            if _signature_entailment(index, predicate, sig_base, sig_k, store) > aug_lambda:
-                features.add(sig_k)
+    features = set(sigs) & set(index.pred_signatures.get(other, {}))
+    if features and len(features) < len(sigs):
+        features |= _entailed_signatures(index, predicate, features, aug_lambda, store.probs)
     weights = {}
     for sig in sorted(features):
         w = pmi(index, predicate, sig)
@@ -209,16 +217,14 @@ def score_predicate_rules(
     rules: tuple[PredicateRule, ...],
     aug_lambda: float,
     store: TaxonomyStore,
-    workers: int = 1,
 ) -> tuple[PredicateRule, ...]:
     """Fill every rule's score; pairs are independent, so order never matters."""
-
-    def score_one(i: int) -> float:
-        r = rules[i]
-        return predicate_score(index, r.from_pred, r.to_pred, aug_lambda, store)
-
-    scored = indexed_map(score_one, len(rules), workers)
     return with_scores(
         rules,
-        {(r.from_pred, r.to_pred): s for r, s in zip(rules, scored)},
+        {
+            (r.from_pred, r.to_pred): predicate_score(
+                index, r.from_pred, r.to_pred, aug_lambda, store
+            )
+            for r in rules
+        },
     )

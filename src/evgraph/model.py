@@ -300,6 +300,23 @@ def aligned_slots(
     return tuple(pairs)
 
 
+def _counterparts():
+    """Each pattern's admissible hypotheses, and each pattern's admissible
+    premises, as (other pattern, aligned slots) tuples."""
+    hypotheses: dict[str, list] = {}
+    premises: dict[str, list] = {}
+    for premise, hypothesis in ADMISSIBLE_TYPE_PAIRS:
+        slots = aligned_slots(premise, hypothesis)
+        hypotheses.setdefault(premise, []).append((hypothesis, slots))
+        premises.setdefault(hypothesis, []).append((premise, slots))
+    return hypotheses, premises
+
+
+# The one table of admissible pattern counterparts, read by every
+# candidate search: HYPOTHESES[premise] and PREMISES[hypothesis].
+HYPOTHESES, PREMISES = _counterparts()
+
+
 def align(
     args_i: ArgumentSet,
     pattern_i: str,

@@ -1,8 +1,8 @@
 """End-to-end build orchestration: ingest -> rule extraction -> local
 scoring -> global inference -> persistence.
 
-Every stage is deterministic (canonically sorted outputs, worker-count
-independent), so two builds from the same inputs are byte-identical.
+Every stage is deterministic (canonically sorted outputs) and runs in
+this process, so two builds from the same inputs are byte-identical.
 Output files land atomically: nothing is moved into the output directory
 until the whole build has succeeded.
 """
@@ -95,7 +95,6 @@ def build(cfg: PipelineConfig) -> BuildResult:
         pr,
         cfg.lambda_,
         taxonomy,
-        cfg.workers,
     )
 
     def _global_stage():
@@ -110,13 +109,12 @@ def build(cfg: PipelineConfig) -> BuildResult:
             rules.argument_rule_lookup(tr),
             cfg.tau_a,
             cfg.tau_e,
-            cfg.workers,
         )
         return forest, paths, result
 
     forest, paths, result = _staged("global", _global_stage)
 
-    graph = store.EntailmentGraph.from_parts(index.eventualities, [result.edges])
+    graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
     kind_counts: dict[str, int] = {}
     for kind in index.predicate_kind.values():
         kind_counts[kind] = kind_counts.get(kind, 0) + 1

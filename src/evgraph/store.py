@@ -10,6 +10,7 @@ decimals, so a write/read cycle is bit-exact.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,23 +44,24 @@ class EntailmentGraph:
     by_provenance: dict[str, tuple[tuple[str, str], ...]]
 
     @classmethod
-    def from_parts(cls, nodes, edge_batches) -> "EntailmentGraph":
-        """Merge edge batches into a sealed graph.
-
-        Duplicate (from, to) pairs keep the edge with the larger composed
-        score, so the merge result is independent of batch order.
-        """
-        node_map = {n.id: n for n in nodes}
+    def from_parts(cls, nodes, edges) -> "EntailmentGraph":
+        """Seal nodes and edges into a graph; a node id or an edge's
+        (from, to) pair given twice is rejected."""
+        node_map: dict[str, Eventuality] = {}
+        for node in nodes:
+            if node.id in node_map:
+                raise ValueError(f"duplicate node {node.id}")
+            node_map[node.id] = node
         merged: dict[tuple[str, str], ScoredEdge] = {}
-        for batch in edge_batches:
-            for edge in batch:
-                if edge.from_id not in node_map or edge.to_id not in node_map:
-                    raise ValueError(
-                        f"edge endpoint not among graph nodes: {edge.from_id} -> {edge.to_id}"
-                    )
-                prev = merged.get(edge.key)
-                if prev is None or edge.local_score > prev.local_score:
-                    merged[edge.key] = edge
+        for edge in edges:
+            if edge.from_id not in node_map or edge.to_id not in node_map:
+                raise ValueError(
+                    f"edge endpoint not among graph nodes: {edge.from_id} -> {edge.to_id}"
+                )
+            key = edge.key
+            if key in merged:
+                raise ValueError(f"duplicate edge {edge.from_id} -> {edge.to_id}")
+            merged[key] = edge
 
         by_source: dict[str, list[str]] = {}
         by_type: dict[str, list[tuple[str, str]]] = {}
@@ -110,8 +112,12 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
 
 
 def read_graph(directory: str | Path) -> EntailmentGraph:
+    """Read a written graph.  A malformed line, a node or an edge given
+    twice, or an edge to an unknown node raises GraphFormatError naming
+    the file and the line."""
     directory = Path(directory)
     nodes = []
+    node_lines = array("L")
     with open(directory / NODE_FILE, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -129,8 +135,10 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
                     f"{NODE_FILE} line {lineno}: id {node_id!r} does not match tokens"
                 )
             nodes.append(node)
+            node_lines.append(lineno)
 
     edges = []
+    edge_lines = array("L")
     with open(directory / EDGE_FILE, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -152,10 +160,24 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
             except ValueError as exc:
                 raise GraphFormatError(f"{EDGE_FILE} line {lineno}: {exc}") from exc
             edges.append(edge)
+            edge_lines.append(lineno)
+
+    # from_parts rejects a duplicate node or edge and a dangling edge;
+    # `where` follows the item it takes, so the error can name its line.
+    where = (NODE_FILE, 0)
+
+    def located(items, name, lines):
+        nonlocal where
+        for item, lineno in zip(items, lines):
+            where = (name, lineno)
+            yield item
+
     try:
-        return EntailmentGraph.from_parts(nodes, [edges])
+        return EntailmentGraph.from_parts(
+            located(nodes, NODE_FILE, node_lines), located(edges, EDGE_FILE, edge_lines)
+        )
     except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        raise GraphFormatError(f"{where[0]} line {where[1]}: {exc}") from exc
 
 
 @dataclass(frozen=True)

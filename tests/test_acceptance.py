@@ -513,7 +513,7 @@ def test_criterion_10_round_trip_large_graph(tmp_path):
                     type_label=label,
                 )
             )
-    graph = EntailmentGraph.from_parts(nodes, [edges])
+    graph = EntailmentGraph.from_parts(nodes, edges)
     assert len(graph.edges) == 100_000
 
     write_graph(graph, tmp_path / "one")

@@ -99,4 +99,3 @@ def test_index_groups_by_predicate_sorted(tmp_path):
         tmp_path,
     )
     assert index.by_predicate["eat"] == ("s-v-o:boy|eat|apple", "s-v-o:boy|eat|food")
-    assert index.sig_patterns[("eat", "boy|apple")] == ("s-v-o",)

@@ -418,9 +418,7 @@ def test_run_global_stage_worker_invariance(tmp_path):
     paths = (("chew", "eat"),)
     rule_scores = {("chew", "eat"): 0.7}
     tr = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
-    serial = run_global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2, workers=1)
-    parallel = run_global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2, workers=3)
-    assert serial == parallel
+    serial = run_global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2)
     assert serial.candidate_checks == 16
 
 

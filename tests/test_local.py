@@ -4,7 +4,9 @@ composed score."""
 
 import math
 import random
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from evgraph.local import (
     predicate_score,
     score_predicate_rules,
 )
+from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality, aligned_slots
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 
@@ -191,6 +194,94 @@ def test_zero_pmi_features_dropped(tmp_path):
     assert vec.weights == {}
 
 
+def dense_feature_vector(index, predicate, other, aug_lambda, store):
+    """The augmentation as a dense scan: every (base signature, signature)
+    pair of the predicate, under the best admissible pattern pairing."""
+    patterns = {}
+    for eid in index.by_predicate.get(predicate, ()):
+        sig = index.decomposed[eid].signature
+        patterns.setdefault(sig, set()).add(index.by_id[eid].pattern)
+    sigs = index.pred_signatures.get(predicate, {})
+    base = sorted(set(sigs) & set(index.pred_signatures.get(other, {})))
+    features = set(base)
+    for sig_base in base:
+        for sig_k in sorted(sigs):
+            if sig_k in features:
+                continue
+            best = 0.0
+            for pat_from in sorted(patterns[sig_base]):
+                for pat_to in sorted(patterns[sig_k]):
+                    slots = aligned_slots(pat_from, pat_to)
+                    if slots is not None:
+                        _, score = argument_score(
+                            sig_base.split("|"), sig_k.split("|"), slots, store.probs
+                        )
+                        best = max(best, score)
+            if best > aug_lambda:
+                features.add(sig_k)
+    weights = {sig: pmi(index, predicate, sig) for sig in sorted(features)}
+    return FeatureVector({sig: w for sig, w in weights.items() if w > 0.0})
+
+
+def _store(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load_taxonomy(path)
+
+
+# Adjectives that are also nouns, and verbs that spell a compound
+# predicate, put one signature under two patterns of one predicate:
+# "boy eat apple" is boy|apple under s-v-o and s-v-a, "boy eat-at apple"
+# (s-v-o) shares eat-at with "boy eat at apple" (s-v-p-o), and "boy
+# be-ripe food" (s-v-a) shares be-ripe with "boy be ripe" (s-be-a).
+FV_TOKENS = {
+    "n1": ("boy", "girl"),
+    "n2": ("apple", "food"),
+    "n3": ("apple", "food"),
+    "v1": ("eat", "eat-at", "be-ripe"),
+    "a1": ("ripe", "apple", "food"),
+    "p1": ("at",),
+}
+
+
+@st.composite
+def mixed_corpora(draw):
+    merged = {}
+    for _ in range(draw(st.integers(1, 24))):
+        pattern = draw(st.sampled_from(PATTERNS))
+        roles = {r: draw(st.sampled_from(FV_TOKENS[r])) for r in PATTERN_ROLES[pattern]}
+        ev = Eventuality.create(pattern, roles, draw(st.integers(1, 5)))
+        prev = merged.get(ev.id)
+        if prev is not None:
+            ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
+        merged[ev.id] = ev
+    return CorpusIndex.build(merged.values())
+
+
+# Concepts include a term no corpus holds ("thing").
+fv_taxonomies = st.lists(
+    st.tuples(
+        st.sampled_from(("food", "apple", "girl", "thing", "at-food")),
+        st.sampled_from(("apple", "food", "boy", "ripe", "at-apple")),
+        st.integers(1, 4),
+    ),
+    max_size=12,
+).map(lambda rows: _store([f"{c}\t{i}\t{f}" for c, i, f in rows]))
+
+
+@given(mixed_corpora(), fv_taxonomies, st.floats(0.0, 1.0))
+def test_feature_vector_equals_dense_reference(index, store, drawn_lambda):
+    # Every ordered pair, so pairs without a shared signature occur too.
+    preds = sorted(index.by_predicate) + ["unseen"]
+    for aug_lambda in (0.0, 0.5, 1.0, drawn_lambda):
+        for predicate in preds:
+            for other in preds:
+                assert build_feature_vector(
+                    index, predicate, other, aug_lambda, store
+                ) == dense_feature_vector(index, predicate, other, aug_lambda, store)
+
+
 # --- BInc ----------------------------------------------------------------------
 
 
@@ -264,10 +355,10 @@ def test_score_predicate_rules_fills_scores_and_is_worker_stable(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
     rules = (PredicateRule("chew", "eat"), PredicateRule("see", "eat"))
-    serial = score_predicate_rules(index, rules, 0.5, store, workers=1)
-    parallel = score_predicate_rules(index, rules, 0.5, store, workers=2)
-    assert serial == parallel
-    assert all(r.score is not None for r in serial)
+    serial = score_predicate_rules(index, rules, 0.5, store)
+    assert [r.score for r in serial] == [
+        predicate_score(index, r.from_pred, r.to_pred, 0.5, store) for r in rules
+    ]
 
 
 # --- penalty (edge composer) ---------------------------------------------------

@@ -335,6 +335,18 @@ def test_cli_stats_without_build(tmp_path, capsys):
     assert "error[graph]" in capsys.readouterr().err
 
 
+def test_cli_sample_rejects_negative_n(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "sample.tsv"
+    assert main(["sample", "--config", str(cfg_file), "--n", "-1", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error[sample]: --n must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_cli_bad_config_value(tmp_path, capsys):
     cfg_file = _toy_config_file(tmp_path, tau="2.0")
     assert main(["build", "--config", str(cfg_file)]) == 1

@@ -47,7 +47,7 @@ def small_graph():
         edge(b, c, arg=0.9, pred=1.0, provenance="local"),
         edge(a, c, arg=0.1, pred=0.7),
     ]
-    return EntailmentGraph.from_parts(nodes, [edges])
+    return EntailmentGraph.from_parts(nodes, edges)
 
 
 def test_round_trip_small_graph(small_graph, tmp_path):
@@ -104,25 +104,53 @@ def test_dangling_edge_endpoint_is_format_error(small_graph, tmp_path):
     nodes_file = tmp_path / "nodes.tsv"
     lines = nodes_file.read_text(encoding="utf-8").splitlines()
     nodes_file.write_text("".join(line + "\n" for line in lines[1:]), encoding="utf-8")
-    with pytest.raises(GraphFormatError, match="endpoint"):
+    with pytest.raises(GraphFormatError, match=r"^edges.tsv line \d+: edge endpoint"):
         read_graph(tmp_path)
 
 
-def test_dedup_keeps_max_score():
+def test_from_parts_rejects_duplicate_edge():
     a, b = node("boy", "chew", "apple"), node("boy", "eat", "apple")
-    weak = edge(a, b, arg=0.25, pred=1.0)  # 0.5
-    strong = edge(a, b, arg=0.81, pred=1.0)  # 0.9
-    graph = EntailmentGraph.from_parts([a, b], [[weak], [strong]])
-    assert graph.edges[(a.id, b.id)].local_score == pytest.approx(0.9)
-    # batch order does not matter
-    graph2 = EntailmentGraph.from_parts([a, b], [[strong], [weak]])
-    assert graph == graph2
+    weak = edge(a, b, arg=0.25, pred=1.0)
+    strong = edge(a, b, arg=0.81, pred=1.0)
+    for edges in ([weak, strong], [strong, weak], [weak, weak]):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            EntailmentGraph.from_parts([a, b], edges)
+
+
+def test_from_parts_rejects_duplicate_node():
+    a = node("boy", "chew", "apple")
+    with pytest.raises(ValueError, match="duplicate node"):
+        EntailmentGraph.from_parts([a, node("boy", "chew", "apple", freq=101)], [])
+
+
+def _append_copy(path, lineno, edit=lambda fields: fields):
+    """Append a copy of the given 1-based line, its fields passed through edit."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    copy = "\t".join(edit(lines[lineno - 1].split("\t")))
+    path.write_text("".join(line + "\n" for line in [*lines, copy]), encoding="utf-8")
+    return len(lines) + 1
+
+
+def test_read_graph_rejects_duplicate_node_line(small_graph, tmp_path):
+    write_graph(small_graph, tmp_path)
+    dup = _append_copy(
+        tmp_path / "nodes.tsv", 2, lambda f: [*f[:3], str(int(f[3]) + 100)]
+    )
+    with pytest.raises(GraphFormatError, match=rf"^nodes.tsv line {dup}: duplicate node "):
+        read_graph(tmp_path)
+
+
+def test_read_graph_rejects_duplicate_edge_line(small_graph, tmp_path):
+    write_graph(small_graph, tmp_path)
+    dup = _append_copy(tmp_path / "edges.tsv", 1)
+    with pytest.raises(GraphFormatError, match=rf"^edges.tsv line {dup}: duplicate edge "):
+        read_graph(tmp_path)
 
 
 def test_edge_endpoints_must_be_nodes():
     a, b = node("boy", "chew", "apple"), node("boy", "eat", "apple")
     with pytest.raises(ValueError, match="endpoint"):
-        EntailmentGraph.from_parts([a], [[edge(a, b)]])
+        EntailmentGraph.from_parts([a], [edge(a, b)])
 
 
 def test_stats_row_structure_and_counts(small_graph):
@@ -192,7 +220,7 @@ def test_query_chain(small_graph):
     a = node("boy", "chew", "apple")
     b = node("boy", "eat", "apple")
     c = node("boy", "eat", "food")
-    graph = EntailmentGraph.from_parts([a, b, c], [[edge(a, b), edge(b, c)]])
+    graph = EntailmentGraph.from_parts([a, b, c], [edge(a, b), edge(b, c)])
     result = query_entails(graph, a.id, c.id)
     assert result.kind == "chain"
     assert [e.from_id for e in result.trail] == [a.id, b.id]
