@@ -5,20 +5,19 @@ Corpus file format (UTF-8, no header), one eventuality per line:
     pattern_code<TAB>role=token;role=token;...<TAB>frequency
 
 Lines with identical pattern and tokens are merged by summing frequencies.
+The index keeps one `Row` of strings per eventuality id; the decomposed
+model objects live only while one record is indexed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
-from .model import (
-    DecomposedEventuality,
-    DecompositionError,
-    Eventuality,
-    decompose,
-)
+from .model import DecompositionError, Eventuality, decompose
 
 
 class CorpusError(ValueError):
@@ -69,82 +68,80 @@ def corpus_line(e: Eventuality) -> str:
     return f"{e.pattern}\t{roles}\t{e.frequency}"
 
 
-def write_corpus(eventualities, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in eventualities:
-            fh.write(corpus_line(e) + "\n")
+class Row(NamedTuple):
+    """One eventuality as the scoring stages read it: its pattern, its
+    predicate surface, its role-ordered argument surfaces and
+    P(eventuality | predicate), its frequency over the predicate's."""
+
+    pattern: str
+    predicate: str
+    args: tuple[str, ...]
+    cond_prob: float
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Immutable decomposition + co-occurrence statistics over one corpus,
-    built once and then only read."""
+    """Co-occurrence statistics over one corpus, built once and then only
+    read.  `rows` holds the one record kept per eventuality id; the
+    other maps are keyed by predicate or argument signature (the
+    role-ordered argument surfaces joined with "|")."""
 
     eventualities: tuple[Eventuality, ...]
-    by_id: dict[str, Eventuality]
-    decomposed: dict[str, DecomposedEventuality]
+    rows: dict[str, Row]
     by_predicate: dict[str, tuple[str, ...]]
     predicate_freq: dict[str, int]
     predicate_kind: dict[str, str]
     terms: frozenset[str]
     signature_freq: dict[str, int]
-    pair_freq: dict[tuple[str, str], int]
     pred_signatures: dict[str, dict[str, int]]
-    arg_surfaces: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-    cond_prob: dict[str, float] = field(repr=False, default_factory=dict)
-    total_mass: int = 0
+    total_mass: int
 
     @classmethod
     def build(cls, eventualities) -> "CorpusIndex":
-        eventualities = tuple(sorted(eventualities, key=lambda e: e.id))
-        by_id: dict[str, Eventuality] = {}
-        decomposed: dict[str, DecomposedEventuality] = {}
+        """Index the eventualities in id order; an id given twice raises
+        CorpusError."""
+        def parts(ev: Eventuality):
+            d = decompose(ev)
+            return d.source, ev, d.predicate.surface, d.predicate.kind, d.args.surfaces
+
+        # One decomposition per record, dropped once its strings are taken.
+        staged = sorted(map(parts, eventualities), key=itemgetter(0))
         by_predicate: dict[str, list[str]] = {}
         predicate_freq: dict[str, int] = {}
         predicate_kind: dict[str, str] = {}
         terms: set[str] = set()
         signature_freq: dict[str, int] = {}
-        pair_freq: dict[tuple[str, str], int] = {}
         pred_signatures: dict[str, dict[str, int]] = {}
-        arg_surfaces: dict[str, tuple[str, ...]] = {}
         total = 0
 
-        for ev in eventualities:
-            if ev.id in by_id:
-                raise CorpusError(f"duplicate eventuality id {ev.id!r}")
-            by_id[ev.id] = ev
-            d = decompose(ev)
-            decomposed[ev.id] = d
-            p = d.predicate.surface
-            sig = d.signature
-            by_predicate.setdefault(p, []).append(ev.id)
-            predicate_freq[p] = predicate_freq.get(p, 0) + ev.frequency
-            predicate_kind.setdefault(p, d.predicate.kind)
-            terms.update(d.args.surfaces)
-            signature_freq[sig] = signature_freq.get(sig, 0) + ev.frequency
-            pair_freq[(p, sig)] = pair_freq.get((p, sig), 0) + ev.frequency
-            pred_signatures.setdefault(p, {})
-            pred_signatures[p][sig] = pred_signatures[p].get(sig, 0) + ev.frequency
-            arg_surfaces[ev.id] = d.args.surfaces
-            total += ev.frequency
+        prev = None
+        for eid, ev, p, kind, args in staged:
+            if eid == prev:
+                raise CorpusError(f"duplicate eventuality id {eid!r}")
+            prev = eid
+            sig = "|".join(args)
+            freq = ev.frequency
+            by_predicate.setdefault(p, []).append(eid)
+            predicate_freq[p] = predicate_freq.get(p, 0) + freq
+            predicate_kind.setdefault(p, kind)
+            terms.update(args)
+            signature_freq[sig] = signature_freq.get(sig, 0) + freq
+            sigs = pred_signatures.setdefault(p, {})
+            sigs[sig] = sigs.get(sig, 0) + freq
+            total += freq
 
-        cond_prob = {
-            ev.id: ev.frequency / predicate_freq[decomposed[ev.id].predicate.surface]
-            for ev in eventualities
-        }
         return cls(
-            eventualities=eventualities,
-            by_id=by_id,
-            decomposed=decomposed,
+            eventualities=tuple(ev for _, ev, *_ in staged),
+            rows={
+                eid: Row(ev.pattern, p, args, ev.frequency / predicate_freq[p])
+                for eid, ev, p, _, args in staged
+            },
             by_predicate={p: tuple(ids) for p, ids in by_predicate.items()},
             predicate_freq=predicate_freq,
             predicate_kind=predicate_kind,
             terms=frozenset(terms),
             signature_freq=signature_freq,
-            pair_freq=pair_freq,
             pred_signatures=pred_signatures,
-            arg_surfaces=arg_surfaces,
-            cond_prob=cond_prob,
             total_mass=total,
         )
 
@@ -159,9 +156,10 @@ Postings = dict[tuple[str, int, str], list[str]]
 def slot_postings(index: CorpusIndex, ids: Iterable[str]) -> Postings:
     """(pattern, slot, term) -> the ids holding that term in that slot."""
     postings: Postings = {}
+    rows = index.rows
     for eid in ids:
-        pattern = index.by_id[eid].pattern
-        for slot, term in enumerate(index.arg_surfaces[eid]):
+        pattern, _, args, _ = rows[eid]
+        for slot, term in enumerate(args):
             postings.setdefault((pattern, slot, term), []).append(eid)
     return postings
 

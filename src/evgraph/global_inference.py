@@ -202,6 +202,7 @@ def infer_path_edges(
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
     probs = store.probs
+    rows = index.rows
     for pred_l, pred_r in zip(path, path[1:]):
         rule_score = rule_scores.get((pred_l, pred_r), 0.0)
         left = index.by_predicate.get(pred_l, ())
@@ -209,17 +210,14 @@ def infer_path_edges(
         checks += len(left) * len(right)
         postings = slot_postings(index, right)
         for lid in left:
-            pat_l = index.by_id[lid].pattern
-            args_l = index.arg_surfaces[lid]
-            cond_l = index.cond_prob[lid]
+            pat_l, _, args_l, cond_l = rows[lid]
             for pat_r, slots in HYPOTHESES.get(pat_l, ()):
                 hits = probe_postings(
                     postings, pat_r, [(j, args_l[i]) for i, j in slots], probs
                 )
                 for rid in hits:
-                    identical, arg_score = argument_score(
-                        args_l, index.arg_surfaces[rid], slots, probs
-                    )
+                    _, _, args_r, cond_r = rows[rid]
+                    identical, arg_score = argument_score(args_l, args_r, slots, probs)
                     if not identical and arg_score <= tau_a:
                         continue
                     edge = compose_edge(
@@ -229,7 +227,7 @@ def infer_path_edges(
                         pat_r,
                         rule_score,
                         cond_l,
-                        index.cond_prob[rid],
+                        cond_r,
                         arg_score,
                         PROVENANCE_GLOBAL,
                     )
@@ -262,10 +260,10 @@ def expand_with_argument_rules(
     for (t_from, t_to), score in rule_by_pair.items():
         if score > 0.0:
             rule_sources.setdefault(t_to, []).append(t_from)
+    rows = index.rows
     nodes_by_pred: dict[str, list[str]] = {}
     for node_id in chain_node_ids:
-        pred = index.decomposed[node_id].predicate.surface
-        nodes_by_pred.setdefault(pred, []).append(node_id)
+        nodes_by_pred.setdefault(rows[node_id].predicate, []).append(node_id)
 
     edges: dict[tuple[str, str], ScoredEdge] = {}
     checks = 0
@@ -274,9 +272,7 @@ def expand_with_argument_rules(
         postings = slot_postings(index, same_pred)
         for node_id in sorted(nodes_by_pred[pred]):
             checks += len(same_pred) - 1
-            node_pat = index.by_id[node_id].pattern
-            node_args = index.arg_surfaces[node_id]
-            cond_node = index.cond_prob[node_id]
+            node_pat, _, node_args, cond_node = rows[node_id]
             for cand_pat, slots in PREMISES.get(node_pat, ()):
                 first_from, first_to = slots[0]
                 hits = probe_postings(
@@ -284,7 +280,7 @@ def expand_with_argument_rules(
                 )
                 hits.pop(node_id, None)
                 for cand_id in hits:
-                    cand_args = index.arg_surfaces[cand_id]
+                    _, _, cand_args, cond_cand = rows[cand_id]
                     ok = True
                     miss = 1.0
                     for i, j in slots:
@@ -306,7 +302,7 @@ def expand_with_argument_rules(
                         cand_pat,
                         node_pat,
                         1.0,
-                        index.cond_prob[cand_id],
+                        cond_cand,
                         cond_node,
                         1.0 - miss,
                         PROVENANCE_LOCAL,
@@ -363,8 +359,7 @@ def run_global_stage(
             nodes |= pair_nodes[pair]
         chain_nodes |= nodes
         for node in nodes:
-            pred = index.decomposed[node].predicate.surface
-            total_exp += len(index.by_predicate[pred]) - 1
+            total_exp += len(index.by_predicate[index.rows[node].predicate]) - 1
 
     local_edges, _ = expand_with_argument_rules(
         index, chain_nodes, rule_by_pair, store, tau_e

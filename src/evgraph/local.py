@@ -96,7 +96,7 @@ def pmi_weight(total_mass: int, pair_count: int, pred_count: int, sig_count: int
 def pmi(index: CorpusIndex, predicate: str, signature: str) -> float:
     return pmi_weight(
         index.total_mass,
-        index.pair_freq.get((predicate, signature), 0),
+        index.pred_signatures.get(predicate, {}).get(signature, 0),
         index.predicate_freq.get(predicate, 0),
         index.signature_freq.get(signature, 0),
     )
@@ -133,20 +133,21 @@ def _entailed_signatures(
     one of its taxonomy concepts, in the posting lists of the
     predicate's other signatures are scored.
     """
+    rows = index.rows
     ids = index.by_predicate.get(predicate, ())
-    signature = {eid: "|".join(index.arg_surfaces[eid]) for eid in ids}
+    signature = {eid: "|".join(rows[eid].args) for eid in ids}
     postings = slot_postings(index, (eid for eid in ids if signature[eid] not in base))
     entailed: set[str] = set()
     for bid in ids:
         if signature[bid] not in base:
             continue
-        args_b = index.arg_surfaces[bid]
-        for pattern, slots in HYPOTHESES.get(index.by_id[bid].pattern, ()):
+        pattern_b, _, args_b, _ = rows[bid]
+        for pattern, slots in HYPOTHESES.get(pattern_b, ()):
             hits = probe_postings(postings, pattern, [(j, args_b[i]) for i, j in slots], probs)
             for eid in hits:
                 if signature[eid] in entailed:
                     continue
-                _, score = argument_score(args_b, index.arg_surfaces[eid], slots, probs)
+                _, score = argument_score(args_b, rows[eid].args, slots, probs)
                 if score > aug_lambda:
                     entailed.add(signature[eid])
     return entailed

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import parse_corpus_line
+from .corpus import corpus_line, parse_corpus_line
 from .model import PROVENANCE_LOCAL, TYPE_LABELS, Eventuality, ScoredEdge
 
 NODE_FILE = "nodes.tsv"
@@ -99,9 +99,7 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / NODE_FILE, "w", encoding="utf-8") as fh:
         for node_id in sorted(graph.nodes):
-            node = graph.nodes[node_id]
-            roles = ";".join(f"{r}={t}" for r, t in node.role_tokens.items())
-            fh.write(f"{node_id}\t{node.pattern}\t{roles}\t{node.frequency}\n")
+            fh.write(f"{node_id}\t{corpus_line(graph.nodes[node_id])}\n")
     with open(directory / EDGE_FILE, "w", encoding="utf-8") as fh:
         for key in sorted(graph.edges):
             e = graph.edges[key]
@@ -122,14 +120,14 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
+            if line.count("\t") != 3:
                 raise GraphFormatError(f"{NODE_FILE} line {lineno}: expected 4 fields")
-            node_id, pattern, roles, freq = parts
+            node_id, corpus_fields = line.split("\t", 1)
             try:
-                node = parse_corpus_line(f"{pattern}\t{roles}\t{freq}", lineno)
+                node = parse_corpus_line(corpus_fields, lineno)
             except ValueError as exc:
-                raise GraphFormatError(f"{NODE_FILE} line {lineno}: {exc}") from exc
+                # The corpus parser's message already starts "line N: ".
+                raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
             if node.id != node_id:
                 raise GraphFormatError(
                     f"{NODE_FILE} line {lineno}: id {node_id!r} does not match tokens"

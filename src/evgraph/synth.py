@@ -12,9 +12,6 @@ CORPUS_FILE = "corpus.tsv"
 TAXONOMY_FILE = "taxonomy.tsv"
 HIERARCHY_FILE = "hierarchy.tsv"
 
-_PREPOSITIONS = ("on", "in", "at")
-_ADJECTIVES = ("red", "big", "nice")
-
 
 def _write(path: Path, lines) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -89,68 +86,6 @@ def write_layered_inputs(
                     corpus.append(
                         f"s-v-o\tn1={subj};v1={pred};n2={concept}\t{rng.randint(1, 9)}"
                     )
-    paths = {
-        "corpus": directory / CORPUS_FILE,
-        "taxonomy": directory / TAXONOMY_FILE,
-        "verb_hierarchy": directory / HIERARCHY_FILE,
-    }
-    _write(paths["corpus"], corpus)
-    _write(paths["taxonomy"], taxonomy)
-    _write(paths["verb_hierarchy"], hierarchy)
-    return paths
-
-
-ALL_PATTERNS = ("s-v", "s-v-o", "s-v-p-o", "s-v-o-p-o", "s-v-a", "s-be-a", "s-be-a-p-o")
-
-
-def write_random_toy(
-    directory: str | Path, seed: int, patterns: tuple[str, ...] = ALL_PATTERNS
-) -> dict[str, Path]:
-    """Small random corpus over a handful of predicates, for
-    exhaustive-oracle comparisons.  Restrict `patterns` to verb-rooted
-    ones to keep the predicate alphabet at the bare verb list."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(seed)
-    n_preds = rng.randint(2, 5)
-    preds = [f"p{i}" for i in range(n_preds)]
-    subjects = [f"s{i}" for i in range(4)]
-    objects = [f"o{i}" for i in range(6)]
-    concepts = [f"c{i}" for i in range(3)]
-
-    hierarchy = []
-    for j in range(1, n_preds):
-        hierarchy.append(f"{preds[j]}\t{preds[rng.randrange(j)]}\thypernym")
-
-    taxonomy = []
-    for term in objects + subjects:
-        for concept in rng.sample(concepts, rng.randint(0, 2)):
-            taxonomy.append(f"{concept}\t{term}\t{rng.randint(1, 5)}")
-    if not taxonomy:
-        taxonomy.append(f"{concepts[0]}\t{objects[0]}\t1")
-
-    nouns = objects + concepts
-    corpus = []
-    for _ in range(rng.randint(10, 50)):
-        pattern = rng.choice(patterns)
-        roles = {"n1": rng.choice(subjects)}
-        if pattern in ("s-be-a", "s-be-a-p-o"):
-            roles["a1"] = rng.choice(_ADJECTIVES)
-        else:
-            roles["v1"] = rng.choice(preds)
-        if pattern == "s-v-a":
-            roles["a1"] = rng.choice(_ADJECTIVES)
-        if pattern in ("s-v-o", "s-v-o-p-o"):
-            roles["n2"] = rng.choice(nouns)
-        if pattern in ("s-v-p-o", "s-be-a-p-o"):
-            roles["p1"] = rng.choice(_PREPOSITIONS)
-            roles["n2"] = rng.choice(nouns)
-        if pattern == "s-v-o-p-o":
-            roles["p1"] = rng.choice(_PREPOSITIONS)
-            roles["n3"] = rng.choice(nouns)
-        chunk = ";".join(f"{r}={t}" for r, t in roles.items())
-        corpus.append(f"{pattern}\t{chunk}\t{rng.randint(1, 9)}")
-
     paths = {
         "corpus": directory / CORPUS_FILE,
         "taxonomy": directory / TAXONOMY_FILE,

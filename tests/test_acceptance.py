@@ -3,6 +3,7 @@ summary (conftest) prints one PASS/FAIL line per criterion."""
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -27,12 +28,8 @@ from evgraph.store import (
     stats,
     write_graph,
 )
-from evgraph.synth import (
-    write_config_file,
-    write_layered_inputs,
-    write_random_toy,
-    write_toy_inputs,
-)
+from evgraph.synth import write_config_file, write_layered_inputs, write_toy_inputs
+from randomtoy import write_random_toy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -402,6 +399,8 @@ def test_criterion_07_builds_are_byte_identical(tmp_path):
 
 
 def _probe(tmp_path, tag, eventualities, paths):
+    # The probe imports evgraph from this checkout, installed or not.
+    pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     run = subprocess.run(
         [
             sys.executable,
@@ -417,6 +416,7 @@ def _probe(tmp_path, tag, eventualities, paths):
         text=True,
         timeout=300,
         check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
     return json.loads(run.stdout)
 

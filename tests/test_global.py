@@ -200,19 +200,19 @@ def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
         rule = rule_scores.get((p_l, p_r), 0.0)
         for lid in index.by_predicate.get(p_l, ()):
             for rid in index.by_predicate.get(p_r, ()):
-                pat_l, pat_r = index.by_id[lid].pattern, index.by_id[rid].pattern
+                pat_l, pat_r = index.rows[lid].pattern, index.rows[rid].pattern
                 slots = aligned_slots(pat_l, pat_r)
                 if slots is None:
                     continue
-                args_l = index.arg_surfaces[lid]
-                args_r = index.arg_surfaces[rid]
+                args_l = index.rows[lid].args
+                args_r = index.rows[rid].args
                 pairs = [(args_l[i], args_r[j]) for i, j in slots]
                 identical = all(a == b for a, b in pairs)
                 miss = 1.0
                 for a, b in pairs:
                     miss *= 1.0 - _term_prob(store, a, b)
                 l_a = 1.0 - miss
-                pen = min(1.0, index.cond_prob[lid] / index.cond_prob[rid])
+                pen = min(1.0, index.rows[lid].cond_prob / index.rows[rid].cond_prob)
                 l_e = math.sqrt(rule * pen * l_a)
                 if identical or (l_a > tau_a and l_e > tau_e):
                     expected[(lid, rid)] = ScoredEdge(
@@ -253,9 +253,9 @@ def test_strict_thresholds_keep_only_identical_argument_pairs(tmp_path):
     )
     for key, edge in edges.items():
         assert edge.arg_score == 1.0
-        slots = aligned_slots(index.by_id[key[0]].pattern, index.by_id[key[1]].pattern)
-        args_l = index.arg_surfaces[key[0]]
-        args_r = index.arg_surfaces[key[1]]
+        slots = aligned_slots(index.rows[key[0]].pattern, index.rows[key[1]].pattern)
+        args_l = index.rows[key[0]].args
+        args_r = index.rows[key[1]].args
         assert all(args_l[i] == args_r[j] for i, j in slots)
     assert edges  # boy chew apple -> boy eat apple among others
 
@@ -272,14 +272,14 @@ def test_infer_consistent_with_bipartite_acceptance(tmp_path):
     loose, _ = infer_path_edges(index, ("chew", "eat"), rule_scores, store, 0.0, 0.0)
     accepted_from_bipartite = {}
     for (lid, rid), edge in loose.items():
-        slots = aligned_slots(index.by_id[lid].pattern, index.by_id[rid].pattern)
-        args_l, args_r = index.arg_surfaces[lid], index.arg_surfaces[rid]
+        slots = aligned_slots(index.rows[lid].pattern, index.rows[rid].pattern)
+        args_l, args_r = index.rows[lid].args, index.rows[rid].args
         identical = all(args_l[i] == args_r[j] for i, j in slots)
         miss = 1.0
         for i, j in slots:
             miss *= 1.0 - _term_prob(store, args_l[i], args_r[j])
         assert edge.arg_score == 1.0 - miss
-        assert edge.penalty == min(1.0, index.cond_prob[lid] / index.cond_prob[rid])
+        assert edge.penalty == min(1.0, index.rows[lid].cond_prob / index.rows[rid].cond_prob)
         assert edge.local_score == math.sqrt(0.7 * edge.penalty * edge.arg_score)
         if identical or (edge.arg_score > tau_a and edge.local_score > tau_e):
             accepted_from_bipartite[(lid, rid)] = edge
@@ -405,7 +405,7 @@ def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
     assert edges == {} and checks == 1
     slots = aligned_slots("s-v-o-p-o", "s-v-o-p-o")
     assert argument_score(
-        index.arg_surfaces[cand], index.arg_surfaces[node], slots, store.probs
+        index.rows[cand].args, index.rows[node].args, slots, store.probs
     ) == (False, 1.0)
 
 
@@ -567,24 +567,24 @@ def dense_expansion(index, chain_node_ids, rule_by_pair, tau_e):
     expected = {}
     checks = 0
     for node in chain_node_ids:
-        node_pat = index.by_id[node].pattern
-        node_args = index.arg_surfaces[node]
-        for cand in index.by_predicate[index.decomposed[node].predicate.surface]:
+        node_pat = index.rows[node].pattern
+        node_args = index.rows[node].args
+        for cand in index.by_predicate[index.rows[node].predicate]:
             if cand == node:
                 continue
             checks += 1
-            cand_pat = index.by_id[cand].pattern
+            cand_pat = index.rows[cand].pattern
             slots = aligned_slots(cand_pat, node_pat)
             if slots is None:
                 continue
-            cand_args = index.arg_surfaces[cand]
+            cand_args = index.rows[cand].args
             pairs = [(cand_args[i], node_args[j]) for i, j in slots]
             if not all(a == b or rule_by_pair.get((a, b), 0.0) > 0.0 for a, b in pairs):
                 continue
             miss = 1.0
             for a, b in pairs:
                 miss *= 0.0 if a == b else 1.0 - rule_by_pair[(a, b)]
-            pen = min(1.0, index.cond_prob[cand] / index.cond_prob[node])
+            pen = min(1.0, index.rows[cand].cond_prob / index.rows[node].cond_prob)
             score = math.sqrt(1.0 * pen * (1.0 - miss))
             if score > tau_e:
                 expected[(cand, node)] = ScoredEdge(
@@ -604,7 +604,7 @@ def test_indexed_expansion_equals_dense_reference(index, data, tau_e):
             max_size=10,
         )
     )
-    nodes = data.draw(st.sets(st.sampled_from(sorted(index.by_id))))
+    nodes = data.draw(st.sets(st.sampled_from(sorted(index.rows))))
     store = _store([])
     assert expand_with_argument_rules(
         index, nodes, rule_by_pair, store, tau_e

@@ -199,8 +199,8 @@ def dense_feature_vector(index, predicate, other, aug_lambda, store):
     pair of the predicate, under the best admissible pattern pairing."""
     patterns = {}
     for eid in index.by_predicate.get(predicate, ()):
-        sig = index.decomposed[eid].signature
-        patterns.setdefault(sig, set()).add(index.by_id[eid].pattern)
+        sig = "|".join(index.rows[eid].args)
+        patterns.setdefault(sig, set()).add(index.rows[eid].pattern)
     sigs = index.pred_signatures.get(predicate, {})
     base = sorted(set(sigs) & set(index.pred_signatures.get(other, {})))
     features = set(base)
@@ -376,11 +376,11 @@ def _penalty(index, id_from, id_to):
     edge = compose_edge(
         id_from,
         id_to,
-        index.by_id[id_from].pattern,
-        index.by_id[id_to].pattern,
+        index.rows[id_from].pattern,
+        index.rows[id_to].pattern,
         1.0,
-        index.cond_prob[id_from],
-        index.cond_prob[id_to],
+        index.rows[id_from].cond_prob,
+        index.rows[id_to].cond_prob,
         1.0,
         "global",
     )
@@ -392,7 +392,7 @@ def test_penalty_worked_example():
     see = "s-v-o:she|see|towel"
     think = "s-v-o:she|think|towel"
     # raw = (26/100)/(4/100) = 6.5, clamped
-    assert index.cond_prob[see] / index.cond_prob[think] == pytest.approx(6.5, rel=1e-12)
+    assert index.rows[see].cond_prob / index.rows[think].cond_prob == pytest.approx(6.5, rel=1e-12)
     assert _penalty(index, see, think) == 1.0
     assert _penalty(index, think, see) == pytest.approx(0.04 / 0.26, rel=1e-12)
 
@@ -422,7 +422,7 @@ def test_penalty_reciprocal_before_clamping():
     a, b = "s-v-o:she|see|towel", "s-v-o:she|think|towel"
     # the clamped direction is exactly the reciprocal of the unclamped one
     assert _penalty(index, a, b) == 1.0
-    raw_ab = index.cond_prob[a] / index.cond_prob[b]
+    raw_ab = index.rows[a].cond_prob / index.rows[b].cond_prob
     assert _penalty(index, b, a) * raw_ab == pytest.approx(1.0, rel=1e-12)
 
 

@@ -1,8 +1,12 @@
 """Configuration handling, staged builds, and the command-line surface."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evgraph.cli import main
 from evgraph.config import (
@@ -15,6 +19,7 @@ from evgraph.config import (
 from evgraph.pipeline import OUTPUT_FILES, StageError, build, run_build
 from evgraph.store import read_graph, stats
 from evgraph.synth import write_config_file, write_toy_inputs
+from randomtoy import write_random_toy
 
 
 @pytest.fixture
@@ -358,3 +363,54 @@ def test_cli_lambda_flag(tmp_path):
     assert main(["build", "--config", str(cfg_file), "--lambda", "0.9"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert report["config"]["lambda"] == 0.9
+
+
+# --- input-order independence ------------------------------------------------
+
+
+@st.composite
+def rewritten_corpus(draw, lines):
+    """The same records with each line's roles reordered, a record split
+    into up to three lines of the same summed frequency, and every line
+    moved."""
+    out = []
+    for line in lines:
+        pattern, roles, freq = line.split("\t")
+        freq = int(freq)
+        cuts = sorted(draw(st.sets(st.integers(1, freq - 1), max_size=2))) if freq > 1 else []
+        for lo, hi in zip([0, *cuts], [*cuts, freq]):
+            chunks = draw(st.permutations(roles.split(";")))
+            out.append(f"{pattern}\t{';'.join(chunks)}\t{hi - lo}")
+    return draw(st.permutations(out))
+
+
+def _build_outputs(files, corpus, out):
+    """The five TSVs' bytes and the report, less its echoed paths."""
+    run_build(
+        PipelineConfig(
+            corpus=str(corpus),
+            taxonomy=str(files["taxonomy"]),
+            verb_hierarchy=str(files["verb_hierarchy"]),
+            output_dir=str(out),
+            min_pred_freq=1,
+            tau=0.01,
+        )
+    )
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    del report["config"]["corpus"], report["config"]["output_dir"]
+    tsvs = {name: (out / name).read_bytes() for name in OUTPUT_FILES if name != "report.json"}
+    return tsvs, report
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_build_ignores_line_order_and_record_splitting(seed, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_random_toy(Path(tmp) / "inputs", seed)
+        lines = files["corpus"].read_text(encoding="utf-8").splitlines()
+        variant = Path(tmp) / "variant.tsv"
+        rewritten = data.draw(rewritten_corpus(lines))
+        variant.write_text("".join(line + "\n" for line in rewritten), encoding="utf-8")
+        reference = _build_outputs(files, files["corpus"], Path(tmp) / "ref")
+        assert len(reference[0]) == 5
+        assert _build_outputs(files, variant, Path(tmp) / "var") == reference

@@ -1,12 +1,15 @@
 """Graph persistence, statistics, sampling, and queries."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality, ScoredEdge, type_label
+from evgraph.local import compose_edge
+from evgraph.model import Eventuality, ScoredEdge, aligned_slots, type_label
 from evgraph.store import (
     EntailmentGraph,
     GraphFormatError,
@@ -19,6 +22,7 @@ from evgraph.store import (
     stats,
     write_graph,
 )
+from randomtoy import eventualities
 
 
 def node(n1, v1, n2, freq=1):
@@ -97,6 +101,32 @@ def test_node_id_token_mismatch_rejected(small_graph, tmp_path):
     nodes_file.write_text(content, encoding="utf-8")
     with pytest.raises(GraphFormatError, match="does not match"):
         read_graph(tmp_path)
+
+
+def test_bad_node_line_names_its_line_once(tmp_path):
+    (tmp_path / "nodes.tsv").write_text("s-v-o:boy|eat\ts-v-o\tn1=boy;v1=eat\t1\n", encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text("", encoding="utf-8")
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(tmp_path)
+    assert str(err.value) == (
+        "nodes.tsv line 1: pattern s-v-o: missing roles ['n2'], extra roles none"
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "s-v:dog|bark\ts-v\tn1=dog;v1=bark",
+        "s-v:dog|bark\ts-v\tn1=dog;v1=bark\t1\t1",
+    ],
+)
+def test_node_line_needs_four_fields(small_graph, tmp_path, line):
+    write_graph(small_graph, tmp_path)
+    nodes_file = tmp_path / "nodes.tsv"
+    nodes_file.write_text(nodes_file.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(tmp_path)
+    assert str(err.value) == "nodes.tsv line 4: expected 4 fields"
 
 
 def test_dangling_edge_endpoint_is_format_error(small_graph, tmp_path):
@@ -296,18 +326,67 @@ def _outcome(fn, *args):
 # Few tokens, with "be" as a verb too, so display texts collide across
 # patterns ("it be nice" reads the same as s-v-o and s-be-a).
 WORDS = ("it", "be", "nice", "at")
-eventualities = st.builds(
-    lambda pattern, words: Eventuality.create(
-        pattern, dict(zip(PATTERN_ROLES[pattern], words)), 1
-    ),
-    st.sampled_from(PATTERNS),
-    st.lists(st.sampled_from(WORDS), min_size=5, max_size=5),
-)
 
 
-@given(st.lists(eventualities, max_size=12), st.lists(st.sampled_from(WORDS), max_size=5))
+@given(st.lists(eventualities(WORDS), max_size=12), st.lists(st.sampled_from(WORDS), max_size=5))
 def test_resolve_index_equals_linear_scan(nodes, words):
     graph = EntailmentGraph.from_parts({n.id: n for n in nodes}.values(), [])
     refs = [n.text for n in nodes] + [n.id for n in nodes] + [" ".join(words)]
     for ref in refs:
         assert _outcome(resolve_node, graph, ref) == _outcome(_scan, graph, ref)
+
+
+# Multi-word and non-ASCII tokens, in every role of all seven patterns.
+ROUND_TRIP_WORDS = ("ice cream", "new york city", "crème brûlée", "it", "be", "at")
+unit_scores = st.floats(0.0, 1.0)
+conditionals = st.floats(1e-9, 1.0)
+
+
+@st.composite
+def scored_graphs(draw):
+    drawn = draw(
+        st.lists(eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)), max_size=10)
+    )
+    nodes = list({n.id: n for n in drawn}.values())
+    admissible = [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if a.id != b.id and aligned_slots(a.pattern, b.pattern) is not None
+    ]
+    pairs = draw(st.lists(st.sampled_from(admissible), unique=True)) if admissible else []
+    edges = [
+        compose_edge(
+            a.id,
+            b.id,
+            a.pattern,
+            b.pattern,
+            draw(unit_scores),
+            draw(conditionals),
+            draw(conditionals),
+            draw(unit_scores),
+            draw(st.sampled_from(("local", "global"))),
+        )
+        for a, b in pairs
+    ]
+    return EntailmentGraph.from_parts(nodes, edges)
+
+
+def _score_bits(graph):
+    return {
+        key: tuple(float.hex(x) for x in (e.arg_score, e.pred_score, e.penalty, e.local_score))
+        for key, e in graph.edges.items()
+    }
+
+
+@given(scored_graphs())
+def test_round_trip_is_bit_exact_on_random_graphs(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = Path(tmp) / "one", Path(tmp) / "two"
+        write_graph(graph, one)
+        again = read_graph(one)
+        assert again == graph
+        assert _score_bits(again) == _score_bits(graph)
+        write_graph(again, two)
+        for name in ("nodes.tsv", "edges.tsv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
