@@ -7,24 +7,63 @@ Corpus file format (UTF-8, no header), one eventuality per line:
 Lines with identical pattern and tokens are merged by summing frequencies.
 The index keeps one `Row` of strings per eventuality id; the decomposed
 model objects live only while one record is indexed.
+
+`parse_corpus_line` first tries one compiled regex per pattern that
+accepts only a canonical line: roles in `PATTERN_ROLES` order, tokens
+already normalized (lower case, single inner spaces, no reserved
+character) and a frequency without sign, leading zero or non-ASCII
+digit.  Such a line builds its `Eventuality` directly.  Every other line
+takes the general parser, which normalizes the tokens and is the only
+source of error messages, so both paths return the same result.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import DecompositionError, Eventuality, decompose
+from .model import PATTERN_ROLES, RESERVED_CHARS, DecompositionError, Eventuality, decompose
 
 
 class CorpusError(ValueError):
     """Malformed corpus input, with the offending line number."""
 
 
+# A normalized token: words of no whitespace or reserved character, joined
+# by single spaces.  Lower case is tested once per line, outside the regex.
+_WORD = r"[^\s" + re.escape("".join(RESERVED_CHARS)) + "]+"
+_TOKEN = f"{_WORD}(?: {_WORD})*"
+
+# Pattern -> the regex of its canonical lines.  Frequencies of more than 18
+# digits take the general path, which owns int()'s digit limit.
+_CANONICAL = {
+    pattern: re.compile(
+        re.escape(pattern)
+        + "\t"
+        + ";".join(f"{role}=({_TOKEN})" for role in roles)
+        + r"\t([1-9][0-9]{0,17})\n?"
+    )
+    for pattern, roles in PATTERN_ROLES.items()
+}
+
+
 def parse_corpus_line(line: str, lineno: int) -> Eventuality:
+    """One corpus line as an Eventuality; CorpusError names the line."""
+    pattern = line.partition("\t")[0]
+    canonical = _CANONICAL.get(pattern)
+    if canonical is not None and line == line.lower():
+        match = canonical.fullmatch(line)
+        if match is not None:
+            groups = match.groups()
+            return Eventuality(pattern, groups[:-1], int(groups[-1]))
+    return _parse_general(line, lineno)
+
+
+def _parse_general(line: str, lineno: int) -> Eventuality:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 3:
         raise CorpusError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")

@@ -8,6 +8,7 @@ eventualities role by role so that set-level entailment can be scored.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,13 +80,16 @@ _ADMISSIBLE_SET = frozenset(ADMISSIBLE_TYPE_PAIRS)
 TYPE_LABELS: tuple[str, ...] = tuple(
     f"{a} {ENTAILS} {b}" for a, b in ADMISSIBLE_TYPE_PAIRS
 )
+_TYPE_LABEL_SET = frozenset(TYPE_LABELS)
 
 # Characters that would collide with the corpus/rule/graph file formats or
 # with feature-signature separators; rejected at ingestion.
 RESERVED_CHARS = ("\t", ";", "=", "|", "\n")
+_RESERVED = re.compile("[" + re.escape("".join(RESERVED_CHARS)) + "]")
 
 PROVENANCE_LOCAL = "local"
 PROVENANCE_GLOBAL = "global"
+_PROVENANCES = frozenset((PROVENANCE_LOCAL, PROVENANCE_GLOBAL))
 
 SCORE_IDENTITY_TOL = 1e-12
 
@@ -157,26 +161,27 @@ class Eventuality:
         if roles is None:
             raise DecompositionError(f"unknown pattern {pattern!r}")
         missing = [r for r in roles if r not in role_tokens]
-        extra = [r for r in sorted(role_tokens) if r not in roles]
-        if missing or extra:
+        if missing or len(role_tokens) != len(roles):
+            extra = [r for r in sorted(role_tokens) if r not in roles]
             raise DecompositionError(
                 f"pattern {pattern}: missing roles {missing or 'none'}, "
                 f"extra roles {extra or 'none'}"
             )
         if not isinstance(frequency, int) or frequency < 1:
             raise DecompositionError(f"frequency must be a positive int, got {frequency!r}")
-        tokens = []
-        for role in roles:
-            tok = normalize_token(role_tokens[role])
-            if not tok:
-                raise DecompositionError(f"pattern {pattern}: empty token for role {role}")
-            if any(c in tok for c in RESERVED_CHARS):
-                raise DecompositionError(
-                    f"pattern {pattern}: token for role {role} contains a reserved "
-                    f"character ({tok!r})"
-                )
-            tokens.append(tok)
-        return cls(pattern=pattern, tokens=tuple(tokens), frequency=frequency)
+        tokens = tuple(normalize_token(role_tokens[role]) for role in roles)
+        # One test for the whole record; only a failing record is walked
+        # role by role, to name its first bad token.
+        if not all(tokens) or _RESERVED.search("".join(tokens)):
+            for role, tok in zip(roles, tokens):
+                if not tok:
+                    raise DecompositionError(f"pattern {pattern}: empty token for role {role}")
+                if _RESERVED.search(tok):
+                    raise DecompositionError(
+                        f"pattern {pattern}: token for role {role} contains a reserved "
+                        f"character ({tok!r})"
+                    )
+        return cls(pattern=pattern, tokens=tokens, frequency=frequency)
 
     @property
     def role_tokens(self) -> dict[str, str]:
@@ -356,23 +361,27 @@ class ScoredEdge:
     def __post_init__(self) -> None:
         if self.from_id == self.to_id:
             raise ValueError(f"self-entailment edge rejected: {self.from_id}")
-        if self.provenance not in (PROVENANCE_LOCAL, PROVENANCE_GLOBAL):
+        if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.type_label not in TYPE_LABELS:
+        if self.type_label not in _TYPE_LABEL_SET:
             raise ValueError(f"unknown type label {self.type_label!r}")
-        for name, value in (
-            ("arg_score", self.arg_score),
-            ("pred_score", self.pred_score),
-            ("penalty", self.penalty),
-            ("local_score", self.local_score),
+        arg, pred, pen, local = self.arg_score, self.pred_score, self.penalty, self.local_score
+        if not (
+            0.0 <= arg <= 1.0 and 0.0 <= pred <= 1.0 and 0.0 <= pen <= 1.0 and 0.0 <= local <= 1.0
         ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of [0,1]: {value!r}")
-        product = self.pred_score * self.penalty * self.arg_score
-        if abs(self.local_score * self.local_score - product) > SCORE_IDENTITY_TOL:
+            for name, value in (
+                ("arg_score", arg),
+                ("pred_score", pred),
+                ("penalty", pen),
+                ("local_score", local),
+            ):
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name} out of [0,1]: {value!r}")
+        product = pred * pen * arg
+        if abs(local * local - product) > SCORE_IDENTITY_TOL:
             raise ValueError(
                 "local_score does not satisfy the geometric-mean identity: "
-                f"{self.local_score}^2 != {product}"
+                f"{local}^2 != {product}"
             )
 
     @property

@@ -5,10 +5,19 @@ Edge file columns: from_id, to_id, type_label, provenance, arg_score,
 pred_score, penalty, local_score.  Node file columns: id, pattern,
 role=token pairs, frequency.  Scores serialize as shortest round-trip
 decimals, so a write/read cycle is bit-exact.
+
+`read_graph` streams both files one line at a time.  A node line is the
+node id followed by a corpus line, which `corpus.parse_corpus_line`
+reads: `write_graph` writes canonical lines, so they take its regex
+fast path.  Each edge is validated by the `ScoredEdge` constructor.  The
+cyclic garbage collector is paused while the graph is read.  A sealed
+graph holds `nodes`, `edges` and `by_source`; `by_type`,
+`by_provenance` and `ids_by_text` are built on first use.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from array import array
 from collections import deque
@@ -40,8 +49,6 @@ class EntailmentGraph:
     nodes: dict[str, Eventuality]
     edges: dict[tuple[str, str], ScoredEdge]
     by_source: dict[str, tuple[str, ...]]
-    by_type: dict[str, tuple[tuple[str, str], ...]]
-    by_provenance: dict[str, tuple[tuple[str, str], ...]]
 
     @classmethod
     def from_parts(cls, nodes, edges) -> "EntailmentGraph":
@@ -49,9 +56,10 @@ class EntailmentGraph:
         (from, to) pair given twice is rejected."""
         node_map: dict[str, Eventuality] = {}
         for node in nodes:
-            if node.id in node_map:
-                raise ValueError(f"duplicate node {node.id}")
-            node_map[node.id] = node
+            node_id = node.id
+            if node_id in node_map:
+                raise ValueError(f"duplicate node {node_id}")
+            node_map[node_id] = node
         merged: dict[tuple[str, str], ScoredEdge] = {}
         for edge in edges:
             if edge.from_id not in node_map or edge.to_id not in node_map:
@@ -64,20 +72,31 @@ class EntailmentGraph:
             merged[key] = edge
 
         by_source: dict[str, list[str]] = {}
-        by_type: dict[str, list[tuple[str, str]]] = {}
-        by_provenance: dict[str, list[tuple[str, str]]] = {}
-        for key in sorted(merged):
-            edge = merged[key]
-            by_source.setdefault(edge.from_id, []).append(edge.to_id)
-            by_type.setdefault(edge.type_label, []).append(key)
-            by_provenance.setdefault(edge.provenance, []).append(key)
+        for from_id, to_id in sorted(merged):
+            by_source.setdefault(from_id, []).append(to_id)
         return cls(
             nodes=node_map,
             edges=merged,
             by_source={k: tuple(v) for k, v in by_source.items()},
-            by_type={k: tuple(v) for k, v in by_type.items()},
-            by_provenance={k: tuple(v) for k, v in by_provenance.items()},
         )
+
+    @cached_property
+    def by_type(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Type label -> its edges' keys in sorted order; built on first
+        use, not when the graph is sealed."""
+        return self._edge_keys_by("type_label")
+
+    @cached_property
+    def by_provenance(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Provenance -> its edges' keys in sorted order; built on first
+        use, not when the graph is sealed."""
+        return self._edge_keys_by("provenance")
+
+    def _edge_keys_by(self, field: str) -> dict[str, tuple[tuple[str, str], ...]]:
+        out: dict[str, list[tuple[str, str]]] = {}
+        for key in sorted(self.edges):
+            out.setdefault(getattr(self.edges[key], field), []).append(key)
+        return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
     def ids_by_text(self) -> dict[str, list[str]]:
@@ -110,55 +129,71 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
 
 
 def read_graph(directory: str | Path) -> EntailmentGraph:
-    """Read a written graph.  A malformed line, a node or an edge given
-    twice, or an edge to an unknown node raises GraphFormatError naming
-    the file and the line."""
-    directory = Path(directory)
+    """Read a written graph.  A malformed line, a line that is not UTF-8,
+    a node or an edge given twice, or an edge to an unknown node raises
+    GraphFormatError naming the file and the line."""
+    # Nothing the read builds holds a reference cycle, so the cyclic
+    # collector would only rescan the growing graph; it is paused for the
+    # read and left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_graph(Path(directory))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _lines(path: Path):
+    """(line number, text) of each non-blank line of a UTF-8 file, read
+    one line at a time; blank lines still count in the numbering."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(
+                    f"{path.name} line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
+                ) from None
+            if line.strip():
+                yield lineno, line
+
+
+def _read_graph(directory: Path) -> EntailmentGraph:
     nodes = []
     node_lines = array("L")
-    with open(directory / NODE_FILE, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if line.count("\t") != 3:
-                raise GraphFormatError(f"{NODE_FILE} line {lineno}: expected 4 fields")
-            node_id, corpus_fields = line.split("\t", 1)
-            try:
-                node = parse_corpus_line(corpus_fields, lineno)
-            except ValueError as exc:
-                # The corpus parser's message already starts "line N: ".
-                raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
-            if node.id != node_id:
-                raise GraphFormatError(
-                    f"{NODE_FILE} line {lineno}: id {node_id!r} does not match tokens"
-                )
-            nodes.append(node)
-            node_lines.append(lineno)
+    for lineno, line in _lines(directory / NODE_FILE):
+        if line.count("\t") != 3:
+            raise GraphFormatError(f"{NODE_FILE} line {lineno}: expected 4 fields")
+        node_id, corpus_fields = line.split("\t", 1)
+        try:
+            node = parse_corpus_line(corpus_fields, lineno)
+        except ValueError as exc:
+            # The corpus parser's message already starts "line N: ".
+            raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
+        if node.id != node_id:
+            raise GraphFormatError(
+                f"{NODE_FILE} line {lineno}: id {node_id!r} does not match tokens"
+            )
+        nodes.append(node)
+        node_lines.append(lineno)
 
     edges = []
     edge_lines = array("L")
-    with open(directory / EDGE_FILE, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 8:
-                raise GraphFormatError(f"{EDGE_FILE} line {lineno}: expected 8 fields")
-            try:
-                edge = ScoredEdge(
-                    from_id=parts[0],
-                    to_id=parts[1],
-                    type_label=parts[2],
-                    provenance=parts[3],
-                    arg_score=float(parts[4]),
-                    pred_score=float(parts[5]),
-                    penalty=float(parts[6]),
-                    local_score=float(parts[7]),
-                )
-            except ValueError as exc:
-                raise GraphFormatError(f"{EDGE_FILE} line {lineno}: {exc}") from exc
-            edges.append(edge)
-            edge_lines.append(lineno)
+    for lineno, line in _lines(directory / EDGE_FILE):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 8:
+            raise GraphFormatError(f"{EDGE_FILE} line {lineno}: expected 8 fields")
+        from_id, to_id, label, provenance, arg, pred, penalty, local = parts
+        try:
+            edge = ScoredEdge(
+                from_id, to_id, float(arg), float(pred), float(penalty), float(local),
+                provenance, label,
+            )
+        except ValueError as exc:
+            raise GraphFormatError(f"{EDGE_FILE} line {lineno}: {exc}") from exc
+        edges.append(edge)
+        edge_lines.append(lineno)
 
     # from_parts rejects a duplicate node or edge and a dangling edge;
     # `where` follows the item it takes, so the error can name its line.

@@ -3,11 +3,12 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evgraph import corpus
 from evgraph.corpus import CorpusError, CorpusIndex, Row, corpus_line, parse_corpus_line, read_corpus
-from evgraph.model import Eventuality
+from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality
 from randomtoy import eventualities
 
 
@@ -43,6 +44,102 @@ def test_parse_errors_carry_line_number(line, match):
     with pytest.raises(ValueError, match=match) as err:
         parse_corpus_line(line, 7)
     assert "line 7" in str(err.value)
+
+
+def _outcome(parse, line):
+    try:
+        return "ok", parse(line, 7)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+# Canonical words (lower case, including a final sigma and the two-char
+# lower case of "İ"), and the defects a canonical line may not have:
+# upper case (also with a context-dependent or longer lower case),
+# leading, trailing, doubled or Unicode whitespace, reserved characters,
+# an empty token, a frequency that is not [1-9][0-9]*, a role order other
+# than PATTERN_ROLES', a missing role and a "\r\n" ending.
+WORDS = ("boy", "eat", "crème", "ας", "i̇")
+INSERTS = {
+    "upper": ("B", "É", "İ", "Σ"),
+    "space": (" ", "  ", "\u00a0", "\u2003", "\x1c"),
+    "reserved": (";", "=", "|", "\t"),
+}
+BAD_FREQUENCIES = ("0", "05", "+5", " 5", "5 ", "1_0", "٣", "x", "")
+DEFECTS = (*INSERTS, "order", "empty", "missing", "ending")
+
+
+@st.composite
+def corpus_lines(draw):
+    """Canonical corpus lines with up to two defects each, besides a
+    frequency that is not canonical in about half of them."""
+    pattern = draw(st.sampled_from(PATTERNS))
+    roles = list(PATTERN_ROLES[pattern])
+    words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    tokens = [draw(words) for _ in roles]
+    frequency = draw(st.sampled_from(("1", "3", "42")) | st.sampled_from(BAD_FREQUENCIES))
+    ending = "\n"
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2, unique=True)):
+        if defect == "order":
+            order = draw(st.permutations(range(len(roles))))
+            roles = [roles[i] for i in order]
+            tokens = [tokens[i] for i in order]
+        elif defect in INSERTS:
+            i = draw(st.integers(0, len(tokens) - 1))
+            at = draw(st.integers(0, len(tokens[i])))
+            tokens[i] = tokens[i][:at] + draw(st.sampled_from(INSERTS[defect])) + tokens[i][at:]
+        elif defect == "empty":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(("", " ", "\u2003")))
+        elif defect == "missing":
+            roles, tokens = roles[:-1], tokens[:-1]
+        else:
+            ending = draw(st.sampled_from(("", "\r\n")))
+    chunks = ";".join(f"{role}={token}" for role, token in zip(roles, tokens))
+    return f"{pattern}\t{chunks}\t{frequency}{ending}"
+
+
+@settings(max_examples=1000)
+@given(corpus_lines())
+def test_fast_path_equals_general_parser(line):
+    assert _outcome(parse_corpus_line, line) == _outcome(corpus._parse_general, line)
+
+
+# A canonical line, and the line with each defect alone.
+CANONICAL = "s-v-o-p-o\tn1=ice cream;v1=melt;n2=crème brûlée;p1=in;n3=σας\t12\n"
+ONE_DEFECT = [
+    *(
+        CANONICAL.replace(word, edit(piece), 1)
+        for pieces in INSERTS.values()
+        for piece in pieces
+        for word, edit in (
+            ("=crème", lambda piece: "=" + piece + "crème"),
+            ("crème ", lambda piece: "crème" + piece + " "),
+            ("brûlée", lambda piece: "brûlée" + piece),
+        )
+    ),
+    *(CANONICAL.replace("\t12\n", f"\t{f}\n") for f in BAD_FREQUENCIES),
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.rstrip("\n"),
+    CANONICAL.replace("n1=ice cream;v1=melt", "v1=melt;n1=ice cream"),
+    CANONICAL.replace(";p1=in", ""),
+    CANONICAL.replace("melt", ""),
+    CANONICAL.replace("s-v-o-p-o", "s-v-o"),
+]
+
+
+def test_fast_path_equals_general_parser_on_each_defect():
+    for line in ONE_DEFECT:
+        assert _outcome(parse_corpus_line, line) == _outcome(corpus._parse_general, line), line
+
+
+def test_canonical_line_skips_general_parser(monkeypatch):
+    def general(line, lineno):
+        raise AssertionError(f"general parser called on {line!r}")
+
+    monkeypatch.setattr(corpus, "_parse_general", general)
+    assert parse_corpus_line(CANONICAL, 1) == Eventuality(
+        "s-v-o-p-o", ("ice cream", "melt", "crème brûlée", "in", "σας"), 12
+    )
 
 
 def test_read_merges_duplicate_records(tmp_path):

@@ -340,6 +340,24 @@ def test_cli_stats_without_build(tmp_path, capsys):
     assert "error[graph]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv"])
+@pytest.mark.parametrize(
+    "command", [["stats"], ["sample", "--n", "1"], ["query", "boy crunch food", "boy eat food"]]
+)
+def test_cli_graph_file_not_utf8(tmp_path, capsys, name, command):
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    path = tmp_path / "out" / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main([command[0], "--config", str(cfg_file), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error[graph]: {name} line 3: not UTF-8: ")
+    assert captured.out == ""
+
+
 def test_cli_sample_rejects_negative_n(tmp_path, capsys):
     cfg_file = _toy_config_file(tmp_path)
     assert main(["build", "--config", str(cfg_file)]) == 0

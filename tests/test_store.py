@@ -1,5 +1,6 @@
 """Graph persistence, statistics, sampling, and queries."""
 
+import gc
 import math
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evgraph import store
 from evgraph.local import compose_edge
 from evgraph.model import Eventuality, ScoredEdge, aligned_slots, type_label
 from evgraph.store import (
@@ -127,6 +129,78 @@ def test_node_line_needs_four_fields(small_graph, tmp_path, line):
     with pytest.raises(GraphFormatError) as err:
         read_graph(tmp_path)
     assert str(err.value) == "nodes.tsv line 4: expected 4 fields"
+
+
+@pytest.mark.parametrize(
+    "column,value,message",
+    [
+        (4, "high", "could not convert string to float: 'high'"),
+        (5, "1.5", "pred_score out of [0,1]: 1.5"),
+        (2, "s-v ⊨ s-v-o", "unknown type label 's-v ⊨ s-v-o'"),
+        (3, "remote", "unknown provenance 'remote'"),
+        (1, "s-v-o:boy|chew|apple", "self-entailment edge rejected: s-v-o:boy|chew|apple"),
+    ],
+)
+def test_edge_line_checks_name_their_line(small_graph, tmp_path, column, value, message):
+    write_graph(small_graph, tmp_path)
+    edges_file = tmp_path / "edges.tsv"
+    lines = edges_file.read_text(encoding="utf-8").splitlines()
+    parts = lines[1].split("\t")
+    assert parts[0] == "s-v-o:boy|chew|apple"
+    parts[column] = value
+    lines[1] = "\t".join(parts)
+    edges_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(tmp_path)
+    assert str(err.value) == f"edges.tsv line 2: {message}"
+
+
+@pytest.mark.parametrize("name,fields", [("nodes.tsv", 4), ("edges.tsv", 8)])
+def test_blank_lines_are_skipped_but_counted(small_graph, tmp_path, name, fields):
+    write_graph(small_graph, tmp_path)
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    padded = ["", lines[0], " \t ", *lines[1:]]
+    path.write_text("".join(line + "\n" for line in padded), encoding="utf-8")
+    assert read_graph(tmp_path) == small_graph
+    path.write_text("".join(line + "\n" for line in [*padded, "cut"]), encoding="utf-8")
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(tmp_path)
+    assert str(err.value) == f"{name} line {len(padded) + 1}: expected {fields} fields"
+
+
+def test_crlf_line_endings_read_alike(small_graph, tmp_path):
+    write_graph(small_graph, tmp_path)
+    for name in ("nodes.tsv", "edges.tsv"):
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_graph(tmp_path) == small_graph
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_graph_pauses_and_restores_the_collector(small_graph, tmp_path, monkeypatch, enabled):
+    write_graph(small_graph, tmp_path / "good")
+    write_graph(small_graph, tmp_path / "bad")
+    (tmp_path / "bad" / "edges.tsv").write_text("cut\n", encoding="utf-8")
+    seen = []
+    parse = store.parse_corpus_line
+
+    def parse_and_see(line, lineno):
+        seen.append(gc.isenabled())
+        return parse(line, lineno)
+
+    monkeypatch.setattr(store, "parse_corpus_line", parse_and_see)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert read_graph(tmp_path / "good") == small_graph
+        assert gc.isenabled() is enabled
+        with pytest.raises(GraphFormatError):
+            read_graph(tmp_path / "bad")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen and not any(seen)
 
 
 def test_dangling_edge_endpoint_is_format_error(small_graph, tmp_path):
