@@ -8,6 +8,9 @@ the predicate per chain node, summed over paths), not the pairs scored:
 the build only scores candidates found in its posting lists, so its
 time follows the edges it accepts rather than these counts.
 
+`stage_seconds` splits `build_seconds` by pipeline stage; the rest of
+it is the graph seal and the report.
+
 Run in a fresh process so ru_maxrss reflects this build alone: the
 build forks nothing, so `max_rss_mb`, this process's peak RSS, is the
 build's whole peak.
@@ -70,6 +73,9 @@ def main() -> int:
             "expansion_checks": counts["expansion_checks"],
             "gen_seconds": round(gen_seconds, 3),
             "build_seconds": round(build_seconds, 3),
+            "stage_seconds": {
+                stage: round(seconds, 3) for stage, seconds in result.stage_seconds.items()
+            },
             "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "work_dir": str(work),
         },

@@ -5,8 +5,10 @@ Corpus file format (UTF-8, no header), one eventuality per line:
     pattern_code<TAB>role=token;role=token;...<TAB>frequency
 
 Lines with identical pattern and tokens are merged by summing frequencies.
-The index keeps one `Row` of strings per eventuality id; the decomposed
-model objects live only while one record is indexed.
+A file that is not UTF-8 raises `CorpusError` naming its first bad line.
+The index keeps one `Row` of strings per eventuality id, taken from
+`decompose_surfaces`; no decomposed model object is built.  Candidate
+searches read posting lists keyed by pattern, then by (slot, term).
 
 `parse_corpus_line` first tries one compiled regex per pattern that
 accepts only a canonical line: roles in `PATTERN_ROLES` order, tokens
@@ -26,7 +28,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import PATTERN_ROLES, RESERVED_CHARS, DecompositionError, Eventuality, decompose
+from .model import (
+    PATTERN_ROLES, RESERVED_CHARS, DecompositionError, Eventuality, decompose_surfaces
+)
 
 
 class CorpusError(ValueError):
@@ -89,21 +93,44 @@ def _parse_general(line: str, lineno: int) -> Eventuality:
 
 def read_corpus(path: str | Path) -> tuple[Eventuality, ...]:
     """Read and intern a corpus file; duplicates merge with summed frequency."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _merge(enumerate(fh, start=1))
+    except UnicodeDecodeError:
+        pass
+    # A file that is not UTF-8 is read again a line at a time, to name the line.
+    with open(path, "rb") as fh:
+        return _merge(decoded_lines(fh))
+
+
+def decoded_lines(fh):
+    """(line number, text) of each line of a binary file; a line that is
+    not UTF-8 raises CorpusError naming it."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from None
+
+
+def _merge(lines) -> tuple[Eventuality, ...]:
     merged: dict[str, Eventuality] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ev = parse_corpus_line(line, lineno)
-            prev = merged.get(ev.id)
-            if prev is not None:
-                ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
-            merged[ev.id] = ev
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        ev = parse_corpus_line(line, lineno)
+        eid = ev.id
+        prev = merged.get(eid)
+        if prev is not None:
+            ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
+        merged[eid] = ev
     return tuple(merged[k] for k in sorted(merged))
 
 
 def corpus_line(e: Eventuality) -> str:
-    roles = ";".join(f"{r}={t}" for r, t in e.role_tokens.items())
+    roles = ";".join(f"{r}={t}" for r, t in zip(PATTERN_ROLES[e.pattern], e.tokens))
     return f"{e.pattern}\t{roles}\t{e.frequency}"
 
 
@@ -139,12 +166,10 @@ class CorpusIndex:
     def build(cls, eventualities) -> "CorpusIndex":
         """Index the eventualities in id order; an id given twice raises
         CorpusError."""
-        def parts(ev: Eventuality):
-            d = decompose(ev)
-            return d.source, ev, d.predicate.surface, d.predicate.kind, d.args.surfaces
-
-        # One decomposition per record, dropped once its strings are taken.
-        staged = sorted(map(parts, eventualities), key=itemgetter(0))
+        # Only the decomposition's strings are taken; no model object is built.
+        staged = sorted(
+            ((ev.id, ev, *decompose_surfaces(ev)) for ev in eventualities), key=itemgetter(0)
+        )
         by_predicate: dict[str, list[str]] = {}
         predicate_freq: dict[str, int] = {}
         predicate_kind: dict[str, str] = {}
@@ -189,30 +214,33 @@ class CorpusIndex:
         return cls.build(read_corpus(path))
 
 
-Postings = dict[tuple[str, int, str], list[str]]
+Postings = dict[str, dict[tuple[int, str], list[str]]]
 
 
 def slot_postings(index: CorpusIndex, ids: Iterable[str]) -> Postings:
-    """(pattern, slot, term) -> the ids holding that term in that slot."""
+    """pattern -> (slot, term) -> the ids of that pattern holding that
+    term in that slot.  A pattern none of the ids has is absent, so a
+    search skips it before it builds a probe."""
     postings: Postings = {}
     rows = index.rows
     for eid in ids:
         pattern, _, args, _ = rows[eid]
+        by_slot = postings.setdefault(pattern, {})
         for slot, term in enumerate(args):
-            postings.setdefault((pattern, slot, term), []).append(eid)
+            by_slot.setdefault((slot, term), []).append(eid)
     return postings
 
 
 def probe_postings(
-    postings: Postings,
-    pattern: str,
+    by_slot: dict[tuple[int, str], list[str]],
     slot_terms: Iterable[tuple[int, str]],
     related: Mapping[str, Iterable[str]],
 ) -> dict[str, None]:
-    """The ids of `pattern` holding, in one of the given slots, the given
-    term or one of its related terms, in first-found order."""
+    """The ids in one pattern's postings holding, in one of the given
+    slots, the given term or one of its related terms, in first-found
+    order."""
     hits: dict[str, None] = {}
     for slot, term in slot_terms:
         for probe in (term, *related.get(term, ())):
-            hits.update(dict.fromkeys(postings.get((pattern, slot, probe), ())))
+            hits.update(dict.fromkeys(by_slot.get((slot, probe), ())))
     return hits

@@ -212,9 +212,9 @@ def infer_path_edges(
         for lid in left:
             pat_l, _, args_l, cond_l = rows[lid]
             for pat_r, slots in HYPOTHESES.get(pat_l, ()):
-                hits = probe_postings(
-                    postings, pat_r, [(j, args_l[i]) for i, j in slots], probs
-                )
+                if pat_r not in postings:
+                    continue
+                hits = probe_postings(postings[pat_r], [(j, args_l[i]) for i, j in slots], probs)
                 for rid in hits:
                     _, _, args_r, cond_r = rows[rid]
                     identical, arg_score = argument_score(args_l, args_r, slots, probs)
@@ -274,9 +274,11 @@ def expand_with_argument_rules(
             checks += len(same_pred) - 1
             node_pat, _, node_args, cond_node = rows[node_id]
             for cand_pat, slots in PREMISES.get(node_pat, ()):
+                if cand_pat not in postings:
+                    continue
                 first_from, first_to = slots[0]
                 hits = probe_postings(
-                    postings, cand_pat, [(first_from, node_args[first_to])], rule_sources
+                    postings[cand_pat], [(first_from, node_args[first_to])], rule_sources
                 )
                 hits.pop(node_id, None)
                 for cand_id in hits:

@@ -143,7 +143,9 @@ def _entailed_signatures(
             continue
         pattern_b, _, args_b, _ = rows[bid]
         for pattern, slots in HYPOTHESES.get(pattern_b, ()):
-            hits = probe_postings(postings, pattern, [(j, args_b[i]) for i, j in slots], probs)
+            if pattern not in postings:
+                continue
+            hits = probe_postings(postings[pattern], [(j, args_b[i]) for i, j in slots], probs)
             for eid in hits:
                 if signature[eid] in entailed:
                     continue

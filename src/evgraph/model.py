@@ -4,6 +4,10 @@ An eventuality is a pattern-coded record (e.g. ``s-v-o`` with tokens
 "boy eat apple").  Decomposition splits it into a predicate and a
 role-ordered argument set; alignment pairs the argument terms of two
 eventualities role by role so that set-level entailment can be scored.
+
+The seven pattern rules live in one table, read by `decompose_surfaces`
+(strings only) and `decompose` (model objects).  A `ScoredEdge` is a
+named tuple whose constructor checks every edge.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 ENTAILS = "⊨"
 
@@ -136,10 +141,6 @@ class ArgumentSet:
             raise ValueError(f"argument set size must be 1..3, got {len(self.terms)}")
 
     @property
-    def size(self) -> int:
-        return len(self.terms)
-
-    @property
     def surfaces(self) -> tuple[str, ...]:
         return tuple(t.surface for t in self.terms)
 
@@ -184,28 +185,11 @@ class Eventuality:
         return cls(pattern=pattern, tokens=tokens, frequency=frequency)
 
     @property
-    def role_tokens(self) -> dict[str, str]:
-        return dict(zip(PATTERN_ROLES[self.pattern], self.tokens))
-
-    @property
     def text(self) -> str:
-        """Natural reading order, with a literal "be" for the be-patterns."""
-        t = self.role_tokens
-        if self.pattern == "s-v":
-            parts = (t["n1"], t["v1"])
-        elif self.pattern == "s-v-o":
-            parts = (t["n1"], t["v1"], t["n2"])
-        elif self.pattern == "s-v-p-o":
-            parts = (t["n1"], t["v1"], t["p1"], t["n2"])
-        elif self.pattern == "s-v-o-p-o":
-            parts = (t["n1"], t["v1"], t["n2"], t["p1"], t["n3"])
-        elif self.pattern == "s-v-a":
-            parts = (t["n1"], t["v1"], t["a1"])
-        elif self.pattern == "s-be-a":
-            parts = (t["n1"], "be", t["a1"])
-        else:  # s-be-a-p-o
-            parts = (t["n1"], "be", t["a1"], t["p1"], t["n2"])
-        return " ".join(parts)
+        """Tokens in role order; the be-patterns read "be" after the subject."""
+        if self.pattern.startswith("s-be-"):
+            return " ".join((self.tokens[0], "be", *self.tokens[1:]))
+        return " ".join(self.tokens)
 
     @property
     def id(self) -> str:
@@ -229,7 +213,29 @@ class DecomposedEventuality:
         return "|".join(self.args.surfaces)
 
 
-def _check_role_arity(e: Eventuality) -> tuple[str, ...]:
+# Pattern -> the function of its token tuple (in `PATTERN_ROLES` order)
+# that gives (predicate surface, predicate kind, argument surfaces); the
+# argument surfaces are in `ARGUMENT_SLOTS` order.  Compounds are joined
+# with "-": v-p and be-a predicates, p-n prepositional argument terms.
+_SURFACES = {
+    "s-v": lambda t: (t[1], VERB, (t[0],)),
+    "s-v-o": lambda t: (t[1], VERB, (t[0], t[2])),
+    "s-v-p-o": lambda t: (f"{t[1]}{COMPOUND_SEP}{t[2]}", VERB_PREP, (t[0], t[3])),
+    "s-v-o-p-o": lambda t: (t[1], VERB, (t[0], t[2], f"{t[3]}{COMPOUND_SEP}{t[4]}")),
+    "s-v-a": lambda t: (t[1], VERB, (t[0], t[2])),
+    "s-be-a": lambda t: (f"be{COMPOUND_SEP}{t[1]}", BE_ADJ, (t[0],)),
+    "s-be-a-p-o": lambda t: (
+        f"be{COMPOUND_SEP}{t[1]}",
+        BE_ADJ,
+        (t[0], f"{t[2]}{COMPOUND_SEP}{t[3]}"),
+    ),
+}
+
+
+def decompose_surfaces(e: Eventuality) -> tuple[str, str, tuple[str, ...]]:
+    """(predicate surface, predicate kind, role-ordered argument surfaces)
+    of an eventuality, as strings only: the one place the seven pattern
+    rules live.  `decompose` builds its model objects from it."""
     roles = PATTERN_ROLES.get(e.pattern)
     if roles is None:
         raise DecompositionError(f"unknown pattern {e.pattern!r}")
@@ -237,7 +243,7 @@ def _check_role_arity(e: Eventuality) -> tuple[str, ...]:
         raise DecompositionError(
             f"pattern {e.pattern} requires roles {list(roles)}, got {len(e.tokens)} tokens"
         )
-    return roles
+    return _SURFACES[e.pattern](e.tokens)
 
 
 def decompose(e: Eventuality) -> DecomposedEventuality:
@@ -246,40 +252,11 @@ def decompose(e: Eventuality) -> DecomposedEventuality:
     Total and deterministic over the seven patterns; compounds are joined
     with "-" (v-p and be-a predicates, p-n prepositional argument terms).
     """
-    _check_role_arity(e)
-    t = e.role_tokens
-    if e.pattern == "s-v":
-        pred = Predicate(t["v1"], VERB)
-        terms = (ArgumentTerm(t["n1"], SUBJECT),)
-    elif e.pattern == "s-v-o":
-        pred = Predicate(t["v1"], VERB)
-        terms = (ArgumentTerm(t["n1"], SUBJECT), ArgumentTerm(t["n2"], OBJECT))
-    elif e.pattern == "s-v-p-o":
-        pred = Predicate(f"{t['v1']}{COMPOUND_SEP}{t['p1']}", VERB_PREP)
-        terms = (ArgumentTerm(t["n1"], SUBJECT), ArgumentTerm(t["n2"], OBJECT))
-    elif e.pattern == "s-v-o-p-o":
-        pred = Predicate(t["v1"], VERB)
-        terms = (
-            ArgumentTerm(t["n1"], SUBJECT),
-            ArgumentTerm(t["n2"], OBJECT),
-            ArgumentTerm(f"{t['p1']}{COMPOUND_SEP}{t['n3']}", PREP_OBJECT),
-        )
-    elif e.pattern == "s-v-a":
-        pred = Predicate(t["v1"], VERB)
-        terms = (ArgumentTerm(t["n1"], SUBJECT), ArgumentTerm(t["a1"], ADJECTIVE))
-    elif e.pattern == "s-be-a":
-        pred = Predicate(f"be{COMPOUND_SEP}{t['a1']}", BE_ADJ)
-        terms = (ArgumentTerm(t["n1"], SUBJECT),)
-    else:  # s-be-a-p-o
-        pred = Predicate(f"be{COMPOUND_SEP}{t['a1']}", BE_ADJ)
-        terms = (
-            ArgumentTerm(t["n1"], SUBJECT),
-            ArgumentTerm(f"{t['p1']}{COMPOUND_SEP}{t['n2']}", PREP_OBJECT),
-        )
+    surface, kind, args = decompose_surfaces(e)
     return DecomposedEventuality(
         pattern=e.pattern,
-        predicate=pred,
-        args=ArgumentSet(terms),
+        predicate=Predicate(surface, kind),
+        args=ArgumentSet(tuple(map(ArgumentTerm, args, ARGUMENT_SLOTS[e.pattern]))),
         source=e.id,
         frequency=e.frequency,
     )
@@ -345,10 +322,7 @@ def align(
     return tuple((args_i.terms[i], args_j.terms[j]) for i, j in slots)
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredEdge:
-    """Directed eventuality entailment edge with its component scores."""
-
+class _EdgeFields(NamedTuple):
     from_id: str
     to_id: str
     arg_score: float
@@ -358,14 +332,23 @@ class ScoredEdge:
     provenance: str
     type_label: str
 
-    def __post_init__(self) -> None:
-        if self.from_id == self.to_id:
-            raise ValueError(f"self-entailment edge rejected: {self.from_id}")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.type_label not in _TYPE_LABEL_SET:
-            raise ValueError(f"unknown type label {self.type_label!r}")
-        arg, pred, pen, local = self.arg_score, self.pred_score, self.penalty, self.local_score
+
+class ScoredEdge(_EdgeFields):
+    """Directed eventuality entailment edge with its component scores: an
+    immutable named tuple whose constructor checks every edge."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, from_id, to_id, arg_score, pred_score, penalty, local_score, provenance, type_label
+    ) -> "ScoredEdge":
+        if from_id == to_id:
+            raise ValueError(f"self-entailment edge rejected: {from_id}")
+        if provenance not in _PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if type_label not in _TYPE_LABEL_SET:
+            raise ValueError(f"unknown type label {type_label!r}")
+        arg, pred, pen, local = arg_score, pred_score, penalty, local_score
         if not (
             0.0 <= arg <= 1.0 and 0.0 <= pred <= 1.0 and 0.0 <= pen <= 1.0 and 0.0 <= local <= 1.0
         ):
@@ -383,6 +366,10 @@ class ScoredEdge:
                 "local_score does not satisfy the geometric-mean identity: "
                 f"{local}^2 != {product}"
             )
+        return tuple.__new__(cls, (from_id, to_id, arg, pred, pen, local, provenance, type_label))
+
+    # `_replace` builds through `_make`; both go through the checks.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def key(self) -> tuple[str, str]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import global_inference as gi
@@ -56,15 +57,20 @@ class BuildResult:
     predicate_rules: tuple[rules.PredicateRule, ...]
     paths: tuple[tuple[str, ...], ...]
     report: dict
+    # Wall seconds per stage; in no output file, so builds stay byte-identical.
+    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
 
-def _staged(stage: str, fn, *args, **kwargs):
+def _staged(seconds: dict[str, float], stage: str, fn, *args, **kwargs):
+    start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except StageError:
         raise
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
+    finally:
+        seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
 def build(cfg: PipelineConfig) -> BuildResult:
@@ -72,10 +78,11 @@ def build(cfg: PipelineConfig) -> BuildResult:
     for key in ("corpus", "taxonomy", "verb_hierarchy"):
         if not getattr(cfg, key):
             raise StageError("config", f"no {key} path configured")
-    index: CorpusIndex = _staged("ingest", CorpusIndex.from_file, cfg.corpus)
-    taxonomy: TaxonomyStore = _staged("resources", load_taxonomy, cfg.taxonomy)
+    seconds: dict[str, float] = {}
+    index: CorpusIndex = _staged(seconds, "ingest", CorpusIndex.from_file, cfg.corpus)
+    taxonomy: TaxonomyStore = _staged(seconds, "resources", load_taxonomy, cfg.taxonomy)
     hierarchy: VerbHierarchyStore = _staged(
-        "resources", load_verb_hierarchy, cfg.verb_hierarchy, cfg.light_verbs
+        seconds, "resources", load_verb_hierarchy, cfg.verb_hierarchy, cfg.light_verbs
     )
 
     def _rules_stage():
@@ -86,15 +93,10 @@ def build(cfg: PipelineConfig) -> BuildResult:
         )
         return tr, pr
 
-    tr, pr = _staged("rules", _rules_stage)
+    tr, pr = _staged(seconds, "rules", _rules_stage)
 
     pr_scored = _staged(
-        "local",
-        local.score_predicate_rules,
-        index,
-        pr,
-        cfg.lambda_,
-        taxonomy,
+        seconds, "local", local.score_predicate_rules, index, pr, cfg.lambda_, taxonomy
     )
 
     def _global_stage():
@@ -112,7 +114,7 @@ def build(cfg: PipelineConfig) -> BuildResult:
         )
         return forest, paths, result
 
-    forest, paths, result = _staged("global", _global_stage)
+    forest, paths, result = _staged(seconds, "global", _global_stage)
 
     graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
     kind_counts: dict[str, int] = {}
@@ -154,6 +156,7 @@ def build(cfg: PipelineConfig) -> BuildResult:
         predicate_rules=pr_scored,
         paths=paths,
         report=report,
+        stage_seconds=seconds,
     )
 
 
@@ -183,6 +186,6 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
 
 def run_build(cfg: PipelineConfig) -> BuildResult:
     result = build(cfg)
-    _staged("persist", write_outputs, result, cfg.output_dir)
+    _staged(result.stage_seconds, "persist", write_outputs, result, cfg.output_dir)
     return result
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import corpus_line, parse_corpus_line
+from .corpus import CorpusError, corpus_line, decoded_lines, parse_corpus_line
 from .model import PROVENANCE_LOCAL, TYPE_LABELS, Eventuality, ScoredEdge
 
 NODE_FILE = "nodes.tsv"
@@ -148,15 +148,13 @@ def _lines(path: Path):
     """(line number, text) of each non-blank line of a UTF-8 file, read
     one line at a time; blank lines still count in the numbering."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise GraphFormatError(
-                    f"{path.name} line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
-                ) from None
-            if line.strip():
-                yield lineno, line
+        try:
+            for lineno, line in decoded_lines(fh):
+                if line.strip():
+                    yield lineno, line
+        except CorpusError as exc:
+            # The message already starts "line N: ".
+            raise GraphFormatError(f"{path.name} {exc}") from None
 
 
 def _read_graph(directory: Path) -> EntailmentGraph:

@@ -156,6 +156,18 @@ def test_read_merges_duplicate_records(tmp_path):
     assert by_id["s-v:dog|bark"].frequency == 7
 
 
+def test_read_reports_the_first_bad_line_of_a_file_not_utf8(tmp_path):
+    path = tmp_path / "c.tsv"
+    good = b"s-v\tn1=dog;v1=bark\t2\n"
+    path.write_bytes(good + b"s-v\tn1=d\xffg;v1=bark\t2\n")
+    with pytest.raises(CorpusError, match=r"^line 2: not UTF-8: invalid start byte at byte 8$"):
+        read_corpus(path)
+    # A malformed line before the undecodable one is reported first.
+    path.write_bytes(b"s-v\tn1=dog\t2\n\n" + good + b"s-v\tn1=\xff;v1=bark\t2\n")
+    with pytest.raises(CorpusError, match=r"^line 1: pattern s-v: missing roles \['v1'\]"):
+        read_corpus(path)
+
+
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t4\n", encoding="utf-8")

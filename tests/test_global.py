@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import evgraph.global_inference as gi
 from chains import iter_chains
-from evgraph.corpus import CorpusIndex, parse_corpus_line
+from evgraph.corpus import CorpusIndex, parse_corpus_line, probe_postings
 from evgraph.global_inference import (
     build_forest,
     expand_with_argument_rules,
@@ -484,6 +484,31 @@ def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monke
     }
     assert set(expanded) == endpoints
     assert "s-v-o:boy|chew|apple" in endpoints
+
+
+def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypatch):
+    # An s-v-o corpus holds none of s-v-o's other counterparts (s-v-p-o as
+    # a hypothesis; s-v-p-o and s-v-o-p-o as premises), so only s-v-o is
+    # probed: once per left eventuality per path edge, once per chain node.
+    index = _index(SHARED_CORPUS)
+    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    probes = []
+
+    def count_probe(*args):
+        probes.append(args)
+        return probe_postings(*args)
+
+    monkeypatch.setattr(gi, "probe_postings", count_probe)
+    nodes = set()
+    for pair in (("chew", "eat"), ("crunch", "chew"), ("munch", "chew")):
+        probes.clear()
+        edges, _ = infer_path_edges(index, pair, SHARED_RULES, store, 0.3, 0.2)
+        assert len(probes) == len(index.by_predicate[pair[0]])
+        nodes |= {node for key in edges for node in key}
+    probes.clear()
+    edges, _ = expand_with_argument_rules(index, nodes, SHARED_ARG_RULES, store, 0.2)
+    assert nodes and edges
+    assert len(probes) == len(nodes)
 
 
 def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):

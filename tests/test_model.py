@@ -323,6 +323,34 @@ def test_edge_rejects_unknown_provenance_and_label():
         _edge(1.0, 1.0, 1.0, type_label="s-v => s-v")
 
 
+def test_edge_fields_cannot_be_assigned():
+    e = _edge(0.25, 0.64, 1.0)
+    with pytest.raises(AttributeError):
+        e.arg_score = 1.0
+    with pytest.raises(AttributeError):
+        e.note = "extra"
+
+
+def test_edge_keyword_and_positional_construction_agree():
+    e = _edge(0.25, 0.64, 1.0)
+    positional = ScoredEdge(
+        "s-v:a|b", "s-v:c|d", 0.25, 0.64, 1.0, e.local_score, "local", type_label("s-v", "s-v")
+    )
+    assert positional == e and hash(positional) == hash(e)
+    assert positional.key == e.key == ("s-v:a|b", "s-v:c|d")
+
+
+def test_edge_repr_names_its_fields():
+    assert repr(_edge(0.25, 0.64, 1.0)).startswith("ScoredEdge(from_id=")
+
+
+def test_edge_replace_runs_the_checks():
+    e = _edge(0.25, 0.64, 1.0)
+    assert e._replace(provenance="global").provenance == "global"
+    with pytest.raises(ValueError, match="geometric-mean"):
+        e._replace(local_score=0.5)
+
+
 @given(
     st.floats(min_value=0, max_value=1),
     st.floats(min_value=0, max_value=1),

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,17 @@ def test_empty_corpus_builds_empty_graph(tmp_path):
     assert read_graph(tmp_path / "out").edges == {}
 
 
+def test_build_times_each_stage_outside_the_outputs(toy):
+    _, cfg, out = toy
+    result = run_build(cfg)
+    assert list(result.stage_seconds) == [
+        "ingest", "resources", "rules", "local", "global", "persist"
+    ]
+    assert all(seconds >= 0.0 for seconds in result.stage_seconds.values())
+    assert replace(result, stage_seconds={}) == result
+    assert "stage_seconds" not in (out / "report.json").read_text(encoding="utf-8")
+
+
 def test_missing_corpus_is_stage_tagged(toy, tmp_path):
     files, cfg, out = toy
     broken = PipelineConfig(
@@ -356,6 +368,18 @@ def test_cli_graph_file_not_utf8(tmp_path, capsys, name, command):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error[graph]: {name} line 3: not UTF-8: ")
     assert captured.out == ""
+
+
+def test_cli_corpus_not_utf8_names_its_line(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    path = tmp_path / "inputs" / "corpus.tsv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"\t", b"\t\xff", 1)
+    path.write_bytes(b"".join(lines))
+    assert main(["build", "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[ingest]: line 2: not UTF-8: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sample_rejects_negative_n(tmp_path, capsys):
