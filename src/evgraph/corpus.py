@@ -5,7 +5,9 @@ Corpus file format (UTF-8, no header), one eventuality per line:
     pattern_code<TAB>role=token;role=token;...<TAB>frequency
 
 Lines with identical pattern and tokens are merged by summing frequencies.
-A file that is not UTF-8 raises `CorpusError` naming its first bad line.
+Lines end at a newline only, as in graph files; a carriage return before
+it is ignored.  A file that is not UTF-8 raises `CorpusError` naming its
+first bad line.
 The index keeps one `Row` of strings per eventuality id, taken from
 `decompose_surfaces`; no decomposed model object is built.  Candidate
 searches read posting lists keyed by pattern, then by (slot, term).
@@ -93,19 +95,13 @@ def _parse_general(line: str, lineno: int) -> Eventuality:
 
 def read_corpus(path: str | Path) -> tuple[Eventuality, ...]:
     """Read and intern a corpus file; duplicates merge with summed frequency."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _merge(enumerate(fh, start=1))
-    except UnicodeDecodeError:
-        pass
-    # A file that is not UTF-8 is read again a line at a time, to name the line.
     with open(path, "rb") as fh:
         return _merge(decoded_lines(fh))
 
 
 def decoded_lines(fh):
-    """(line number, text) of each line of a binary file; a line that is
-    not UTF-8 raises CorpusError naming it."""
+    """(line number, text) of each line of a binary file, split at
+    newlines only; a line that is not UTF-8 raises CorpusError naming it."""
     for lineno, raw in enumerate(fh, start=1):
         try:
             yield lineno, raw.decode("utf-8")

@@ -168,6 +168,20 @@ def test_read_reports_the_first_bad_line_of_a_file_not_utf8(tmp_path):
         read_corpus(path)
 
 
+def test_read_counts_lines_at_newline_only(tmp_path):
+    path = tmp_path / "c.tsv"
+    lines = [b"s-v\tn1=dog;v1=bark\t2", b"s-v\tn1=cat;v1=meow\t1"]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    plain = read_corpus(path)
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert read_corpus(path) == plain
+    # A lone "\r" does not end a line, so the error names the same line
+    # number as the undecodable-byte check would.
+    path.write_bytes(lines[0] + b"\n" + lines[1] + b"\r" + lines[0] + b"\n")
+    with pytest.raises(CorpusError, match=r"^line 2: "):
+        read_corpus(path)
+
+
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t4\n", encoding="utf-8")

@@ -138,6 +138,26 @@ def test_text_and_id():
     assert e.id == "s-be-a:sun|red"
 
 
+@pytest.mark.parametrize(
+    "pattern, roles, text",
+    [
+        ("s-v", dict(n1="dog", v1="bark"), "dog bark"),
+        ("s-v-o", dict(n1="boy", v1="eat", n2="apple"), "boy eat apple"),
+        ("s-v-p-o", dict(n1="he", v1="live", p1="in", n2="city"), "he live in city"),
+        (
+            "s-v-o-p-o",
+            dict(n1="he", v1="post", n2="it", p1="on", n3="youtube"),
+            "he post it on youtube",
+        ),
+        ("s-v-a", dict(n1="it", v1="look", a1="nice"), "it look nice"),
+        ("s-be-a", dict(n1="sun", a1="red"), "sun be red"),
+        ("s-be-a-p-o", dict(n1="he", a1="mad", p1="at", n2="dog"), "he be mad at dog"),
+    ],
+)
+def test_text_reads_each_pattern_in_natural_order(pattern, roles, text):
+    assert ev(pattern, **roles).text == text
+
+
 # --- round trip ---------------------------------------------------------------
 
 _lemma = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
@@ -338,6 +358,10 @@ def test_edge_keyword_and_positional_construction_agree():
     )
     assert positional == e and hash(positional) == hash(e)
     assert positional.key == e.key == ("s-v:a|b", "s-v:c|d")
+    # Tuple behaviour is part of the API: an edge equals the plain tuple
+    # of its fields and orders by them, from_id first.
+    assert e == tuple(e) and len(e) == 8 and hash(e) == hash(tuple(e))
+    assert e < e._replace(from_id="s-v:b|b") and e._replace(provenance="global") < e
 
 
 def test_edge_repr_names_its_fields():
