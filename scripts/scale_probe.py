@@ -8,8 +8,9 @@ the predicate per chain node, summed over paths), not the pairs scored:
 the build only scores candidates found in its posting lists, so its
 time follows the edges it accepts rather than these counts.
 
-`stage_seconds` splits `build_seconds` by pipeline stage; the rest of
-it is the graph seal and the report.
+`stage_seconds` splits `build_seconds` by pipeline stage, from ingest
+through the graph seal and report (`seal`) to writing the outputs
+(`persist`); the stages account for the whole build.
 
 Run in a fresh process so ru_maxrss reflects this build alone: the
 build forks nothing, so `max_rss_mb`, this process's peak RSS, is the

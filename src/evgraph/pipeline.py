@@ -1,10 +1,15 @@
 """End-to-end build orchestration: ingest -> rule extraction -> local
-scoring -> global inference -> persistence.
+scoring -> global inference -> seal -> persistence.
 
+The seal stage turns the eventualities and the accepted edges into an
+`EntailmentGraph`, in key order, and assembles the run report from it.
 Every stage is deterministic (canonically sorted outputs) and runs in
 this process, so two builds from the same inputs are byte-identical.
-Output files land atomically: nothing is moved into the output directory
-until the whole build has succeeded.
+`BuildResult.stage_seconds` times each stage, and a stage's failure is a
+`StageError` tagged with its name.  The cyclic garbage collector is
+paused from ingest through persist.  Output files land atomically:
+nothing is moved into the output directory until the whole build has
+succeeded.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +47,7 @@ OUTPUT_FILES = (
     REPORT_FILE,
 )
 
-STAGES = ("config", "ingest", "resources", "rules", "local", "global", "persist")
+STAGES = ("config", "ingest", "resources", "rules", "local", "global", "seal", "persist")
 
 
 class StageError(RuntimeError):
@@ -75,6 +81,11 @@ def _staged(seconds: dict[str, float], stage: str, fn, *args, **kwargs):
 
 def build(cfg: PipelineConfig) -> BuildResult:
     """Run the full pipeline in memory and assemble the run report."""
+    with store.paused_collector():
+        return _build(cfg)
+
+
+def _build(cfg: PipelineConfig) -> BuildResult:
     for key in ("corpus", "taxonomy", "verb_hierarchy"):
         if not getattr(cfg, key):
             raise StageError("config", f"no {key} path configured")
@@ -116,40 +127,42 @@ def build(cfg: PipelineConfig) -> BuildResult:
 
     forest, paths, result = _staged(seconds, "global", _global_stage)
 
-    graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
-    kind_counts: dict[str, int] = {}
-    for kind in index.predicate_kind.values():
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-    by_prov = {
-        prov: len(keys) for prov, keys in sorted(graph.by_provenance.items())
-    }
-    report = {
-        "config": config_report(cfg),
-        "counts": {
-            "eventualities": len(index.eventualities),
-            "terms": len(index.terms),
-            "predicates": len(index.predicate_freq),
-            "predicates_by_kind": kind_counts,
-            "argument_rules": len(tr),
-            "predicate_rules": len(pr),
-            "trees": forest.n_trees,
-            "dropped_forest_edges": len(forest.dropped_edges),
-            "paths": len(paths),
-            "edges_total": len(graph.edges),
-            "edges_by_provenance": by_prov,
-            "candidate_checks": result.candidate_checks,
-            "expansion_checks": result.expansion_checks,
-        },
-        "per_type": [
-            {
-                "type": row.label,
-                "n_eventualities": row.n_eventualities,
-                "n_er_local": row.n_er_local,
-                "n_er_global": row.n_er_global,
-            }
-            for row in store.stats(graph)
-        ],
-    }
+    def _seal_stage():
+        graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
+        kind_counts: dict[str, int] = {}
+        for kind in index.predicate_kind.values():
+            kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        by_prov = Counter(edge.provenance for edge in graph.edges.values())
+        report = {
+            "config": config_report(cfg),
+            "counts": {
+                "eventualities": len(index.eventualities),
+                "terms": len(index.terms),
+                "predicates": len(index.predicate_freq),
+                "predicates_by_kind": kind_counts,
+                "argument_rules": len(tr),
+                "predicate_rules": len(pr),
+                "trees": forest.n_trees,
+                "dropped_forest_edges": len(forest.dropped_edges),
+                "paths": len(paths),
+                "edges_total": len(graph.edges),
+                "edges_by_provenance": dict(sorted(by_prov.items())),
+                "candidate_checks": result.candidate_checks,
+                "expansion_checks": result.expansion_checks,
+            },
+            "per_type": [
+                {
+                    "type": row.label,
+                    "n_eventualities": row.n_eventualities,
+                    "n_er_local": row.n_er_local,
+                    "n_er_global": row.n_er_global,
+                }
+                for row in store.stats(graph)
+            ],
+        }
+        return graph, report
+
+    graph, report = _staged(seconds, "seal", _seal_stage)
     return BuildResult(
         graph=graph,
         argument_rules=tr,
@@ -185,7 +198,8 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
 
 
 def run_build(cfg: PipelineConfig) -> BuildResult:
-    result = build(cfg)
-    _staged(result.stage_seconds, "persist", write_outputs, result, cfg.output_dir)
+    with store.paused_collector():
+        result = build(cfg)
+        _staged(result.stage_seconds, "persist", write_outputs, result, cfg.output_dir)
     return result
 

@@ -9,10 +9,16 @@ decimals, so a write/read cycle is bit-exact.
 `read_graph` streams both files one line at a time.  A node line is the
 node id followed by a corpus line, which `corpus.parse_corpus_line`
 reads: `write_graph` writes canonical lines, so they take its regex
-fast path.  Each edge is validated by the `ScoredEdge` constructor.  The
-cyclic garbage collector is paused while the graph is read.  A sealed
-graph holds `nodes`, `edges` and `by_source`; `by_type`,
-`by_provenance` and `ids_by_text` are built on first use.
+fast path.  Each edge is validated by the `ScoredEdge` constructor.
+
+A sealed graph holds `nodes` and `edges` as dicts in key order, and
+`by_source` read off the edge keys in that order;
+`EntailmentGraph.from_parts` sorts only input that comes out of order,
+and the build and `read_graph` both deliver it in order.  `by_type`,
+`by_provenance` and `ids_by_text` are built on first use, and they and
+`write_graph` reuse the stored order rather than sorting again.  The
+cyclic garbage collector is paused (`paused_collector`) for a whole
+build as well as for a read.
 """
 
 from __future__ import annotations
@@ -52,27 +58,47 @@ class EntailmentGraph:
 
     @classmethod
     def from_parts(cls, nodes, edges) -> "EntailmentGraph":
-        """Seal nodes and edges into a graph; a node id or an edge's
-        (from, to) pair given twice is rejected."""
+        """Seal nodes and edges into a graph, kept in key order; a node id
+        or an edge's (from, to) pair given twice is rejected, as is an
+        edge whose endpoint is not a node.  Input already in key order is
+        not sorted again."""
         node_map: dict[str, Eventuality] = {}
+        nodes_in_order = True
+        last_id = ""
         for node in nodes:
             node_id = node.id
             if node_id in node_map:
                 raise ValueError(f"duplicate node {node_id}")
+            if node_id < last_id:
+                nodes_in_order = False
             node_map[node_id] = node
-        merged: dict[tuple[str, str], ScoredEdge] = {}
-        for edge in edges:
-            if edge.from_id not in node_map or edge.to_id not in node_map:
-                raise ValueError(
-                    f"edge endpoint not among graph nodes: {edge.from_id} -> {edge.to_id}"
-                )
-            key = edge.key
-            if key in merged:
-                raise ValueError(f"duplicate edge {edge.from_id} -> {edge.to_id}")
-            merged[key] = edge
+            last_id = node_id
+        if not nodes_in_order:
+            node_map = dict(sorted(node_map.items()))
 
+        merged: dict[tuple[str, str], ScoredEdge] = {}
+        edges_in_order = True
+        last_key = ("", "")
+        for edge in edges:
+            from_id, to_id = key = edge.key
+            if from_id not in node_map or to_id not in node_map:
+                raise ValueError(
+                    f"edge endpoint not among graph nodes: {from_id} -> {to_id}"
+                )
+            if key in merged:
+                raise ValueError(f"duplicate edge {from_id} -> {to_id}")
+            if key < last_key:
+                edges_in_order = False
+            merged[key] = edge
+            last_key = key
+        if not edges_in_order:
+            merged = dict(sorted(merged.items()))
+
+        # Filled after the edge map, not alongside it: built in the same
+        # loop, the source lists interleave with the map's allocations,
+        # and later lookups in the read graph got slower.
         by_source: dict[str, list[str]] = {}
-        for from_id, to_id in sorted(merged):
+        for from_id, to_id in merged:
             by_source.setdefault(from_id, []).append(to_id)
         return cls(
             nodes=node_map,
@@ -94,8 +120,8 @@ class EntailmentGraph:
 
     def _edge_keys_by(self, field: str) -> dict[str, tuple[tuple[str, str], ...]]:
         out: dict[str, list[tuple[str, str]]] = {}
-        for key in sorted(self.edges):
-            out.setdefault(getattr(self.edges[key], field), []).append(key)
+        for key, edge in self.edges.items():
+            out.setdefault(getattr(edge, field), []).append(key)
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
@@ -103,8 +129,8 @@ class EntailmentGraph:
         """Display text -> the sorted ids of the nodes that read so; built
         on the first text lookup, not when the graph is sealed."""
         out: dict[str, list[str]] = {}
-        for node_id in sorted(self.nodes):
-            out.setdefault(self.nodes[node_id].text, []).append(node_id)
+        for node_id, node in self.nodes.items():
+            out.setdefault(node.text, []).append(node_id)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -114,34 +140,47 @@ class EntailmentGraph:
 
 
 def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
+    """Write nodes and edges in the graph's key order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / NODE_FILE, "w", encoding="utf-8") as fh:
-        for node_id in sorted(graph.nodes):
-            fh.write(f"{node_id}\t{corpus_line(graph.nodes[node_id])}\n")
+        for node_id, node in graph.nodes.items():
+            fh.write(f"{node_id}\t{corpus_line(node)}\n")
     with open(directory / EDGE_FILE, "w", encoding="utf-8") as fh:
-        for key in sorted(graph.edges):
-            e = graph.edges[key]
+        for e in graph.edges.values():
             fh.write(
                 f"{e.from_id}\t{e.to_id}\t{e.type_label}\t{e.provenance}\t"
                 f"{e.arg_score!r}\t{e.pred_score!r}\t{e.penalty!r}\t{e.local_score!r}\n"
             )
 
 
+class paused_collector:
+    """Context manager that pauses the cyclic garbage collector for its
+    block and leaves it as the caller had it, also when the block raises.
+    A build or a read makes millions of objects and next to no reference
+    cycles, so the collector would only rescan the growing heap.  Nested
+    pauses are harmless: an inner one finds the collector off and leaves
+    it off.  `__exit__` allocates nothing after it turns the collector
+    back on, so the collector's first pass over the objects the block
+    made runs at the caller's next allocation, not within the block; a
+    `contextlib.contextmanager` generator would raise `StopIteration`
+    there and run that pass at once."""
+
+    def __enter__(self) -> None:
+        self._collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._collecting:
+            gc.enable()
+
+
 def read_graph(directory: str | Path) -> EntailmentGraph:
     """Read a written graph.  A malformed line, a line that is not UTF-8,
     a node or an edge given twice, or an edge to an unknown node raises
     GraphFormatError naming the file and the line."""
-    # Nothing the read builds holds a reference cycle, so the cyclic
-    # collector would only rescan the growing graph; it is paused for the
-    # read and left as the caller had it.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_collector():
         return _read_graph(Path(directory))
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _lines(path: Path):

@@ -1,5 +1,6 @@
 """Configuration handling, staged builds, and the command-line surface."""
 
+import gc
 import json
 import tempfile
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evgraph import pipeline
 from evgraph.cli import main
 from evgraph.config import (
     ConfigError,
@@ -17,7 +19,7 @@ from evgraph.config import (
     make_config,
     parse_config_file,
 )
-from evgraph.pipeline import OUTPUT_FILES, StageError, build, run_build
+from evgraph.pipeline import OUTPUT_FILES, STAGES, StageError, build, run_build
 from evgraph.store import read_graph, stats
 from evgraph.synth import write_config_file, write_toy_inputs
 from randomtoy import write_random_toy
@@ -186,11 +188,60 @@ def test_build_times_each_stage_outside_the_outputs(toy):
     _, cfg, out = toy
     result = run_build(cfg)
     assert list(result.stage_seconds) == [
-        "ingest", "resources", "rules", "local", "global", "persist"
+        "ingest", "resources", "rules", "local", "global", "seal", "persist"
     ]
     assert all(seconds >= 0.0 for seconds in result.stage_seconds.values())
     assert replace(result, stage_seconds={}) == result
     assert "stage_seconds" not in (out / "report.json").read_text(encoding="utf-8")
+
+
+def test_every_timed_stage_is_declared(toy):
+    # STAGES names every tag a StageError can carry, in build order.
+    _, cfg, _ = toy
+    timed = list(run_build(cfg).stage_seconds)
+    assert set(timed) <= set(STAGES)
+    assert timed == sorted(timed, key=STAGES.index)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_pauses_and_restores_the_collector(toy, tmp_path, monkeypatch, enabled):
+    _, cfg, _ = toy
+    broken = replace(cfg, corpus=str(tmp_path / "nope.tsv"))
+    seen = []
+    score = pipeline.local.score_predicate_rules
+
+    def score_and_see(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.local, "score_predicate_rules", score_and_see)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        run_build(cfg)
+        assert gc.isenabled() is enabled
+        build(cfg)
+        assert gc.isenabled() is enabled
+        with pytest.raises(StageError):
+            run_build(broken)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False, False]
+
+
+def test_seal_failure_is_stage_tagged(tmp_path, capsys, monkeypatch):
+    stage = pipeline.gi.run_global_stage
+
+    def stage_with_a_repeat(*args, **kwargs):
+        result = stage(*args, **kwargs)
+        return replace(result, edges=result.edges + result.edges[:1])
+
+    monkeypatch.setattr(pipeline.gi, "run_global_stage", stage_with_a_repeat)
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith("error[seal]: duplicate edge ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_corpus_is_stage_tagged(toy, tmp_path):

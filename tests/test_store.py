@@ -417,7 +417,8 @@ conditionals = st.floats(1e-9, 1.0)
 
 
 @st.composite
-def scored_graphs(draw):
+def graph_parts(draw):
+    """The nodes and edges of a random graph, each list in key order."""
     drawn = draw(
         st.lists(eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)), max_size=10)
     )
@@ -443,7 +444,10 @@ def scored_graphs(draw):
         )
         for a, b in pairs
     ]
-    return EntailmentGraph.from_parts(nodes, edges)
+    return sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: e.key)
+
+
+scored_graphs = graph_parts().map(lambda parts: EntailmentGraph.from_parts(*parts))
 
 
 def _score_bits(graph):
@@ -453,7 +457,7 @@ def _score_bits(graph):
     }
 
 
-@given(scored_graphs())
+@given(scored_graphs)
 def test_round_trip_is_bit_exact_on_random_graphs(graph):
     with tempfile.TemporaryDirectory() as tmp:
         one, two = Path(tmp) / "one", Path(tmp) / "two"
@@ -464,3 +468,62 @@ def test_round_trip_is_bit_exact_on_random_graphs(graph):
         write_graph(again, two)
         for name in ("nodes.tsv", "edges.tsv"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def _in_order(keys):
+    keys = list(keys)
+    return keys == sorted(keys)
+
+
+@given(graph_parts(), st.data())
+def test_seal_orders_shuffled_input(parts, data):
+    nodes, edges = parts
+    ordered = EntailmentGraph.from_parts(nodes, edges)
+    shuffled = EntailmentGraph.from_parts(
+        data.draw(st.permutations(nodes)), data.draw(st.permutations(edges))
+    )
+    assert shuffled == ordered
+    for graph in (ordered, shuffled):
+        assert list(graph.nodes) == [n.id for n in nodes]
+        assert list(graph.edges) == [e.key for e in edges]
+        assert _in_order(graph.by_source)
+        for index in (graph.by_source, graph.by_type, graph.by_provenance):
+            assert all(_in_order(keys) for keys in index.values())
+    assert list(shuffled.by_source.items()) == list(ordered.by_source.items())
+    assert shuffled.by_type == ordered.by_type
+    assert shuffled.by_provenance == ordered.by_provenance
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = Path(tmp) / "one", Path(tmp) / "two"
+        write_graph(ordered, one)
+        write_graph(shuffled, two)
+        for name in ("nodes.tsv", "edges.tsv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+    for n in (1, 2):
+        assert sample_for_annotation(shuffled, n, 7) == sample_for_annotation(ordered, n, 7)
+
+
+@given(graph_parts(), st.sampled_from(("node", "edge", "endpoint")), st.data())
+def test_seal_errors_read_alike_in_shuffled_input(parts, defect, data):
+    nodes, edges = parts
+    if defect == "node":
+        if not nodes:
+            return
+        twice = data.draw(st.sampled_from(nodes))
+        nodes = [*nodes, twice]
+        message = f"duplicate node {twice.id}"
+    elif not edges:
+        return
+    elif defect == "edge":
+        twice = data.draw(st.sampled_from(edges))
+        edges = [*edges, twice]
+        message = f"duplicate edge {twice.from_id} -> {twice.to_id}"
+    nodes = data.draw(st.permutations(nodes))
+    edges = data.draw(st.permutations(edges))
+    if defect == "endpoint":
+        gone = data.draw(st.sampled_from(edges)).from_id
+        nodes = [n for n in nodes if n.id != gone]
+        first = next(e for e in edges if gone in e.key)
+        message = f"edge endpoint not among graph nodes: {first.from_id} -> {first.to_id}"
+    with pytest.raises(ValueError) as err:
+        EntailmentGraph.from_parts(nodes, edges)
+    assert str(err.value) == message
