@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import ConfigError, config_keys, make_config, parse_config_file
+from .config import (
+    INT_FIELDS,
+    PATH_FIELDS,
+    UNIT_FIELDS,
+    ConfigError,
+    PipelineConfig,
+    external_key,
+    make_config,
+    parse_config_file,
+)
 from .pipeline import REPORT_FILE, StageError, run_build
 from .store import (
     GraphFormatError,
@@ -18,21 +28,16 @@ from .store import (
     stats,
 )
 
-_INT_KEYS = {"k", "min_pred_freq", "seed", "workers"}
-_FLOAT_KEYS = {"tau", "lambda", "tau_a", "tau_e"}
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    for key in config_keys():
-        kwargs: dict = {"default": None}
-        if key in _INT_KEYS:
+    for f in fields(PipelineConfig):
+        kwargs: dict = {"default": None, "dest": f.name}
+        if f.name in INT_FIELDS:
             kwargs["type"] = int
-        elif key in _FLOAT_KEYS:
+        elif f.name in UNIT_FIELDS:
             kwargs["type"] = float
-        if key == "lambda":
-            kwargs["dest"] = "lambda_flag"
-        parser.add_argument(f"--{key}", **kwargs)
+        parser.add_argument(f"--{external_key(f.name)}", **kwargs)
 
 
 def _effective_config(args: argparse.Namespace):
@@ -41,14 +46,13 @@ def _effective_config(args: argparse.Namespace):
     if args.config:
         raw.update(parse_config_file(args.config))
         base_dir = Path(args.config).resolve().parent
-    for key in config_keys():
-        attr = "lambda_flag" if key == "lambda" else key
-        value = getattr(args, attr, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            raw[key] = str(value)
-            if key in ("corpus", "taxonomy", "verb_hierarchy", "light_verbs", "output_dir"):
-                # Flags are interpreted relative to the caller, not the config file.
-                raw[key] = str(Path(str(value)).resolve())
+            # Path flags are interpreted relative to the caller, not the config file.
+            raw[external_key(f.name)] = str(
+                Path(value).resolve() if f.name in PATH_FIELDS else value
+            )
     return make_config(raw, base_dir, require_inputs=args.command == "build")
 
 

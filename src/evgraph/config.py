@@ -13,6 +13,15 @@ class ConfigError(ValueError):
 
 DEFAULT_GENERAL_ROOTS = ("change", "act", "move")
 
+# The kind of each field, one table per kind, read by
+# `PipelineConfig.__post_init__`, `make_config` and the CLI flags.
+# Integer fields, each with its least allowed value (None: any integer).
+INT_FIELDS = {"k": 0, "min_pred_freq": 1, "seed": None, "workers": 1}
+# Float fields, each in [0, 1].
+UNIT_FIELDS = ("tau", "lambda_", "tau_a", "tau_e")
+# Path fields; relative paths resolve against the config file's directory.
+PATH_FIELDS = ("corpus", "taxonomy", "verb_hierarchy", "light_verbs", "output_dir")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -34,23 +43,18 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("tau", "lambda_", "tau_a", "tau_e"):
+        for name in UNIT_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{external_key(name)} must be in [0,1], got {value}")
-        if self.k < 0:
-            raise ConfigError(f"k must be >= 0, got {self.k}")
-        if self.min_pred_freq < 1:
-            raise ConfigError(f"min_pred_freq must be >= 1, got {self.min_pred_freq}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for name, least in INT_FIELDS.items():
+            value = getattr(self, name)
+            if least is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 # Config-file/CLI key for each dataclass field ("lambda" is a Python keyword).
 _FIELD_TO_KEY = {"lambda_": "lambda"}
-_KEY_TO_FIELD = {v: k for k, v in _FIELD_TO_KEY.items()}
-
-_PATH_FIELDS = ("corpus", "taxonomy", "verb_hierarchy", "light_verbs", "output_dir")
 
 
 def external_key(field_name: str) -> str:
@@ -95,12 +99,12 @@ def make_config(
         if key not in raw or raw[key] == "":
             continue
         value = raw[key]
-        if f.name in ("k", "min_pred_freq", "seed", "workers"):
+        if f.name in INT_FIELDS:
             try:
                 kwargs[f.name] = int(value)
             except ValueError:
                 raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        elif f.name in ("tau", "lambda_", "tau_a", "tau_e"):
+        elif f.name in UNIT_FIELDS:
             try:
                 kwargs[f.name] = float(value)
             except ValueError:
@@ -109,7 +113,7 @@ def make_config(
             kwargs[f.name] = tuple(
                 v.strip() for v in value.split(",") if v.strip()
             )
-        elif f.name in _PATH_FIELDS:
+        elif f.name in PATH_FIELDS:
             kwargs[f.name] = str((base / value).resolve()) if value else value
         else:
             kwargs[f.name] = value

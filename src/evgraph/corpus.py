@@ -9,8 +9,7 @@ Lines end at a newline only, as in graph files; a carriage return before
 it is ignored.  A file that is not UTF-8 raises `CorpusError` naming its
 first bad line.
 The index keeps one `Row` of strings per eventuality id, taken from
-`decompose_surfaces`; no decomposed model object is built.  Candidate
-searches read posting lists keyed by pattern, then by (slot, term).
+`decompose_surfaces`.  Candidate searches read posting lists keyed by pattern, then by (slot, term).
 
 `parse_corpus_line` first tries one compiled regex per pattern that
 accepts only a canonical line: roles in `PATTERN_ROLES` order, tokens
@@ -162,7 +161,6 @@ class CorpusIndex:
     def build(cls, eventualities) -> "CorpusIndex":
         """Index the eventualities in id order; an id given twice raises
         CorpusError."""
-        # Only the decomposition's strings are taken; no model object is built.
         staged = sorted(
             ((ev.id, ev, *decompose_surfaces(ev)) for ev in eventualities), key=itemgetter(0)
         )

@@ -1,12 +1,13 @@
 """Transitive inference along predicate entailment paths.
 
-The scored predicate rules are organized into a forest (specific ->
-general, cycles broken on the weakest edge), maximal root-to-leaf
-chains become predicate paths, and each distinct path edge relates the
-eventualities of its two predicates: pairs whose arguments pass the
-argument filter are composed into scored edges, and those that clear
-the acceptance test become global edges.  Chain nodes are then expanded
-with same-predicate argument-generalization edges, which stay local.
+The scored predicate rules are organized into a forest, kept as parent
+and child adjacency (specific -> general, cycles broken on the weakest
+edge); maximal root-to-leaf chains become predicate paths, and each
+distinct path edge relates the eventualities of its two predicates:
+pairs whose arguments pass the argument filter are composed into scored
+edges, and those that clear the acceptance test become global edges.
+Chain nodes are then expanded with same-predicate
+argument-generalization edges, which stay local.
 
 Neither step checks every eventuality pair.  Both look candidates up in
 (pattern, slot, term) posting lists of one predicate, probing with a
@@ -29,12 +30,11 @@ from .rules import PredicateRule
 
 @dataclass(frozen=True)
 class PredicateForest:
-    """Acyclic specific->general predicate graph plus its roots."""
+    """Acyclic specific->general predicate graph as adjacency in both
+    directions, with its tree count and the edges dropped to break cycles."""
 
-    edges: dict[tuple[str, str], float]
     children: dict[str, tuple[str, ...]]  # general -> more-specific predicates
     parents: dict[str, tuple[str, ...]]  # specific -> more-general predicates
-    roots: tuple[str, ...]  # no outgoing edge (most general)
     n_trees: int
     dropped_edges: tuple[tuple[str, str], ...]
 
@@ -109,7 +109,6 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
         nodes.add(s)
         nodes.add(g)
         children.setdefault(g, []).append(s)
-    roots = tuple(sorted(n for n in nodes if not parents.get(n)))
 
     # Count weakly connected components (the "trees" of the forest).
     component: dict[str, int] = {}
@@ -132,10 +131,8 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
                     frontier.append(nxt)
 
     return PredicateForest(
-        edges=edges,
         children={g: tuple(sorted(c)) for g, c in children.items()},
         parents={s: tuple(sorted(p)) for s, p in parents.items() if p},
-        roots=roots,
         n_trees=n_trees,
         dropped_edges=tuple(sorted(dropped)),
     )
@@ -147,23 +144,20 @@ def extract_paths(
     """Maximal specific-first predicate chains, with edges touching the
     listed overly-general roots removed before emission."""
     removed = set(general_roots)
-    sources = sorted(
-        s for s in forest.parents if s not in forest.children
-    )
+    parents = forest.parents
+    sources = sorted(s for s in parents if s not in forest.children)
+    # Depth-first over root-ward chains with an explicit stack of partial
+    # chains, in the order a recursive walk would emit them.  A recursive
+    # closure would hold the forest in a reference cycle past the return.
     chains: list[tuple[str, ...]] = []
-
-    def walk(node: str, trail: list[str]) -> None:
-        trail.append(node)
-        nexts = forest.parents.get(node, ())
-        if not nexts:
-            chains.append(tuple(trail))
+    stack = [(source,) for source in reversed(sources)]
+    while stack:
+        trail = stack.pop()
+        nexts = parents.get(trail[-1])
+        if nexts:
+            stack.extend([trail + (nxt,) for nxt in reversed(nexts)])
         else:
-            for nxt in nexts:
-                walk(nxt, trail)
-        trail.pop()
-
-    for source in sources:
-        walk(source, [])
+            chains.append(trail)
 
     paths: set[tuple[str, ...]] = set()
     for chain in chains:

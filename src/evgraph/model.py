@@ -1,13 +1,13 @@
 """Core domain model: eventuality patterns, decomposition, and argument alignment.
 
 An eventuality is a pattern-coded record (e.g. ``s-v-o`` with tokens
-"boy eat apple").  Decomposition splits it into a predicate and a
-role-ordered argument set; alignment pairs the argument terms of two
-eventualities role by role so that set-level entailment can be scored.
+"boy eat apple").  Decomposition splits it into a predicate surface and
+role-ordered argument surfaces; alignment pairs the argument slots of
+two patterns role by role so that set-level entailment can be scored.
 
 The seven pattern rules live in one table, read by `decompose_surfaces`
-(strings only) and `decompose` (model objects).  A `ScoredEdge` is a
-named tuple whose constructor checks every edge.
+alone.  A `ScoredEdge` is a named tuple whose constructor checks every
+edge.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ class DecompositionError(ValueError):
     """Raised for an eventuality whose role set does not match its pattern."""
 
 
-class AlignmentError(ValueError):
-    """Raised for a pattern pair outside the ten admissible types."""
-
-
 def normalize_token(token: str) -> str:
     """Lowercase, trim, and collapse internal whitespace to single spaces."""
     return " ".join(token.lower().split())
@@ -114,35 +110,6 @@ def normalize_token(token: str) -> str:
 
 def type_label(premise_pattern: str, hypothesis_pattern: str) -> str:
     return f"{premise_pattern} {ENTAILS} {hypothesis_pattern}"
-
-
-@dataclass(frozen=True, slots=True)
-class Predicate:
-    """Verb core of an eventuality; possibly a v-p or be-a compound."""
-
-    surface: str
-    kind: str  # VERB | VERB_PREP | BE_ADJ
-
-
-@dataclass(frozen=True, slots=True)
-class ArgumentTerm:
-    surface: str
-    role: str
-
-
-@dataclass(frozen=True, slots=True)
-class ArgumentSet:
-    """Role-ordered argument terms, 1 <= L <= 3."""
-
-    terms: tuple[ArgumentTerm, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.terms) <= 3:
-            raise ValueError(f"argument set size must be 1..3, got {len(self.terms)}")
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.terms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,22 +164,6 @@ class Eventuality:
         return f"{self.pattern}:{'|'.join(self.tokens)}"
 
 
-@dataclass(frozen=True, slots=True)
-class DecomposedEventuality:
-    """(predicate, argument set) form of an eventuality."""
-
-    pattern: str
-    predicate: Predicate
-    args: ArgumentSet
-    source: str
-    frequency: int
-
-    @property
-    def signature(self) -> str:
-        """Role-ordered argument surfaces joined with the reserved separator."""
-        return "|".join(self.args.surfaces)
-
-
 # Pattern -> the function of its token tuple (in `PATTERN_ROLES` order)
 # that gives (predicate surface, predicate kind, argument surfaces); the
 # argument surfaces are in `ARGUMENT_SLOTS` order.  Compounds are joined
@@ -234,8 +185,7 @@ _SURFACES = {
 
 def decompose_surfaces(e: Eventuality) -> tuple[str, str, tuple[str, ...]]:
     """(predicate surface, predicate kind, role-ordered argument surfaces)
-    of an eventuality, as strings only: the one place the seven pattern
-    rules live.  `decompose` builds its model objects from it."""
+    of an eventuality: the one place the seven pattern rules live."""
     roles = PATTERN_ROLES.get(e.pattern)
     if roles is None:
         raise DecompositionError(f"unknown pattern {e.pattern!r}")
@@ -244,22 +194,6 @@ def decompose_surfaces(e: Eventuality) -> tuple[str, str, tuple[str, ...]]:
             f"pattern {e.pattern} requires roles {list(roles)}, got {len(e.tokens)} tokens"
         )
     return _SURFACES[e.pattern](e.tokens)
-
-
-def decompose(e: Eventuality) -> DecomposedEventuality:
-    """Split an eventuality into its predicate and role-ordered argument set.
-
-    Total and deterministic over the seven patterns; compounds are joined
-    with "-" (v-p and be-a predicates, p-n prepositional argument terms).
-    """
-    surface, kind, args = decompose_surfaces(e)
-    return DecomposedEventuality(
-        pattern=e.pattern,
-        predicate=Predicate(surface, kind),
-        args=ArgumentSet(tuple(map(ArgumentTerm, args, ARGUMENT_SLOTS[e.pattern]))),
-        source=e.id,
-        frequency=e.frequency,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -297,29 +231,6 @@ def _counterparts():
 # The one table of admissible pattern counterparts, read by every
 # candidate search: HYPOTHESES[premise] and PREMISES[hypothesis].
 HYPOTHESES, PREMISES = _counterparts()
-
-
-def align(
-    args_i: ArgumentSet,
-    pattern_i: str,
-    args_j: ArgumentSet,
-    pattern_j: str,
-) -> tuple[tuple[ArgumentTerm, ArgumentTerm], ...]:
-    """Pair the two argument sets role by role (premise first).
-
-    Raises AlignmentError when (pattern_i, pattern_j) is not one of the
-    ten admissible type pairs.
-    """
-    slots = aligned_slots(pattern_i, pattern_j)
-    if slots is None:
-        raise AlignmentError(
-            f"pattern pair ({pattern_i}, {pattern_j}) is not an admissible entailment type"
-        )
-    if len(args_i.terms) != len(ARGUMENT_SLOTS[pattern_i]) or len(args_j.terms) != len(
-        ARGUMENT_SLOTS[pattern_j]
-    ):
-        raise AlignmentError("argument set size does not match its pattern")
-    return tuple((args_i.terms[i], args_j.terms[j]) for i, j in slots)
 
 
 class _EdgeFields(NamedTuple):

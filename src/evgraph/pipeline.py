@@ -123,9 +123,9 @@ def _build(cfg: PipelineConfig) -> BuildResult:
             cfg.tau_a,
             cfg.tau_e,
         )
-        return forest, paths, result
+        return forest.n_trees, len(forest.dropped_edges), paths, result
 
-    forest, paths, result = _staged(seconds, "global", _global_stage)
+    n_trees, n_dropped, paths, result = _staged(seconds, "global", _global_stage)
 
     def _seal_stage():
         graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
@@ -142,8 +142,8 @@ def _build(cfg: PipelineConfig) -> BuildResult:
                 "predicates_by_kind": kind_counts,
                 "argument_rules": len(tr),
                 "predicate_rules": len(pr),
-                "trees": forest.n_trees,
-                "dropped_forest_edges": len(forest.dropped_edges),
+                "trees": n_trees,
+                "dropped_forest_edges": n_dropped,
                 "paths": len(paths),
                 "edges_total": len(graph.edges),
                 "edges_by_provenance": dict(sorted(by_prov.items())),

@@ -1,5 +1,6 @@
-"""Immutable lexical resource stores: an is-a taxonomy with co-occurrence
-frequencies and a verb hierarchy with a light-verb list.
+"""Immutable lexical resource stores, one representation each: an is-a
+taxonomy as per-instance concept probabilities, and a verb hierarchy as
+per-verb general verbs with a light-verb list.
 
 Taxonomy file: concept<TAB>instance<TAB>frequency, no header.
 Verb hierarchy file: specific<TAB>general<TAB>{entail|hypernym}.
@@ -24,14 +25,10 @@ class ResourceError(ValueError):
 
 @dataclass(frozen=True)
 class TaxonomyStore:
-    """instance -> (concept, frequency) entries plus derived probabilities."""
+    """instance -> {concept: co-occurrence probability}, each inner dict in
+    (-frequency, concept) order, so its first k items are the top k."""
 
-    entries: dict[str, tuple[tuple[str, int], ...]]
-    totals: dict[str, int]
     probs: dict[str, dict[str, float]]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def load_taxonomy(path: str | Path) -> TaxonomyStore:
@@ -59,18 +56,12 @@ def load_taxonomy(path: str | Path) -> TaxonomyStore:
             counts.setdefault(instance, {})
             counts[instance][concept] = counts[instance].get(concept, 0) + freq
 
-    entries: dict[str, tuple[tuple[str, int], ...]] = {}
-    totals: dict[str, int] = {}
     probs: dict[str, dict[str, float]] = {}
     for instance, concept_counts in counts.items():
-        ordered = tuple(
-            sorted(concept_counts.items(), key=lambda cf: (-cf[1], cf[0]))
-        )
+        ordered = sorted(concept_counts.items(), key=lambda cf: (-cf[1], cf[0]))
         total = sum(concept_counts.values())
-        entries[instance] = ordered
-        totals[instance] = total
         probs[instance] = {c: f / total for c, f in ordered}
-    return TaxonomyStore(entries=entries, totals=totals, probs=probs)
+    return TaxonomyStore(probs=probs)
 
 
 def conceptualize(store: TaxonomyStore, term: str, k: int) -> list[tuple[str, float]]:
@@ -80,19 +71,16 @@ def conceptualize(store: TaxonomyStore, term: str, k: int) -> list[tuple[str, fl
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    term = normalize_token(term)
-    ordered = store.entries.get(term)
-    if not ordered or k == 0:
+    concepts = store.probs.get(normalize_token(term))
+    if not concepts:
         return []
-    total = store.totals[term]
-    return [(concept, freq / total) for concept, freq in ordered[:k]]
+    return list(concepts.items())[:k]
 
 
 @dataclass(frozen=True)
 class VerbHierarchyStore:
-    """Directed specific -> general verb edges plus the light-verb list."""
+    """specific verb -> its general verbs (sorted), plus the light-verb list."""
 
-    edges: frozenset[tuple[str, str]]
     edges_from: dict[str, tuple[str, ...]]
     light_verbs: frozenset[str]
 
@@ -141,7 +129,6 @@ def load_verb_hierarchy(
     for specific, general in sorted(edges):
         edges_from.setdefault(specific, []).append(general)
     return VerbHierarchyStore(
-        edges=frozenset(edges),
         edges_from={s: tuple(g) for s, g in edges_from.items()},
         light_verbs=light,
     )

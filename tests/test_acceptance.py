@@ -18,7 +18,7 @@ from evgraph.cli import main as cli_main
 from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
 from evgraph.local import FeatureVector, argument_score, binc, compose_edge
-from evgraph.model import Eventuality, ScoredEdge, decompose, type_label
+from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces, type_label
 from evgraph.pipeline import OUTPUT_FILES, build
 from evgraph.resources import load_taxonomy
 from evgraph.store import (
@@ -135,33 +135,35 @@ def test_criterion_03_binc_suite():
 
 def test_criterion_04_decomposition_rows():
     rows = [
-        ("s-v", {"n1": "dog", "v1": "bark"}, "bark", ("dog",)),
-        ("s-v-o", {"n1": "boy", "v1": "eat", "n2": "apple"}, "eat", ("boy", "apple")),
+        ("s-v", {"n1": "dog", "v1": "bark"}, "bark", "verb", ("dog",)),
+        ("s-v-o", {"n1": "boy", "v1": "eat", "n2": "apple"}, "eat", "verb", ("boy", "apple")),
         (
             "s-v-p-o",
             {"n1": "he", "v1": "take", "p1": "over", "n2": "company"},
             "take-over",
+            "verb-prep",
             ("he", "company"),
         ),
         (
             "s-v-o-p-o",
             {"n1": "he", "v1": "post", "n2": "it", "p1": "on", "n3": "youtube"},
             "post",
+            "verb",
             ("he", "it", "on-youtube"),
         ),
-        ("s-v-a", {"n1": "it", "v1": "smell", "a1": "nice"}, "smell", ("it", "nice")),
-        ("s-be-a", {"n1": "sun", "a1": "red"}, "be-red", ("sun",)),
+        ("s-v-a", {"n1": "it", "v1": "smell", "a1": "nice"}, "smell", "verb", ("it", "nice")),
+        ("s-be-a", {"n1": "sun", "a1": "red"}, "be-red", "be-adj", ("sun",)),
         (
             "s-be-a-p-o",
             {"n1": "he", "a1": "mad", "p1": "at", "n2": "dog"},
             "be-mad",
+            "be-adj",
             ("he", "at-dog"),
         ),
     ]
-    for pattern, roles, predicate, args in rows:
-        d = decompose(Eventuality.create(pattern, roles, 1))
-        assert d.predicate.surface == predicate, pattern
-        assert d.args.surfaces == args, pattern
+    for pattern, roles, predicate, kind, args in rows:
+        e = Eventuality.create(pattern, roles, 1)
+        assert decompose_surfaces(e) == (predicate, kind, args), pattern
 
 
 # --- criterion 5: demo corpus end to end ---------------------------------------

@@ -2,8 +2,10 @@
 edge, path inference against a brute-force oracle, and argument-rule
 expansion."""
 
+import gc
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -61,7 +63,18 @@ def test_forest_groups_one_tree():
     )
     forest = build_forest(rules)
     assert forest.n_trees == 1
-    assert forest.roots == ("perceive",)
+    # "perceive" is the one root: it has children and no parent.
+    assert forest.parents == {
+        "glimpse": ("see",),
+        "see": ("perceive",),
+        "smell": ("perceive",),
+        "sniff": ("smell",),
+    }
+    assert forest.children == {
+        "perceive": ("see", "smell"),
+        "see": ("glimpse",),
+        "smell": ("sniff",),
+    }
     assert extract_paths(forest) == (
         ("glimpse", "see", "perceive"),
         ("sniff", "smell", "perceive"),
@@ -70,20 +83,22 @@ def test_forest_groups_one_tree():
 
 def test_forest_empty():
     forest = build_forest(())
-    assert forest.edges == {} and forest.roots == ()
+    assert forest.parents == {} and forest.children == {}
+    assert forest.n_trees == 0 and forest.dropped_edges == ()
     assert extract_paths(forest) == ()
 
 
 def test_forest_breaks_two_cycle_on_lowest_score():
     forest = build_forest(_scored(("a", "b", 0.3), ("b", "a", 0.6)))
-    assert set(forest.edges) == {("b", "a")}
+    assert forest.parents == {"b": ("a",)} and forest.children == {"a": ("b",)}
     assert forest.dropped_edges == (("a", "b"),)
 
 
 def test_forest_cycle_tie_breaks_lexicographically():
     forest = build_forest(_scored(("a", "b", 0.4), ("b", "c", 0.4), ("c", "a", 0.4)))
-    assert ("a", "b") not in forest.edges
-    assert set(forest.edges) == {("b", "c"), ("c", "a")}
+    assert forest.dropped_edges == (("a", "b"),)
+    assert forest.parents == {"b": ("c",), "c": ("a",)}
+    assert forest.children == {"a": ("c",), "c": ("b",)}
 
 
 def test_forest_counts_components():
@@ -92,6 +107,22 @@ def test_forest_counts_components():
 
 
 # --- path extraction -----------------------------------------------------------
+
+
+def test_extract_paths_frees_the_forest_without_the_collector():
+    forest = build_forest(
+        _scored(("crunch", "chew", 0.9), ("chew", "eat", 0.9), ("sip", "eat", 0.5))
+    )
+    ref = weakref.ref(forest)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert extract_paths(forest) == (("crunch", "chew", "eat"), ("sip", "eat"))
+        del forest
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_paths_specific_first_chain():

@@ -6,23 +6,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evgraph.corpus import CorpusIndex
 from evgraph.model import (
     ADJECTIVE,
     ADMISSIBLE_TYPE_PAIRS,
+    ARGUMENT_SLOTS,
+    BE_ADJ,
     COMPOUND_SEP,
     OBJECT,
     PATTERNS,
     PREP_OBJECT,
     SUBJECT,
     TYPE_LABELS,
-    AlignmentError,
-    DecomposedEventuality,
+    VERB,
+    VERB_PREP,
     DecompositionError,
     Eventuality,
     ScoredEdge,
-    align,
     aligned_slots,
-    decompose,
+    decompose_surfaces,
     normalize_token,
     type_label,
 )
@@ -33,64 +35,69 @@ def ev(pattern, frequency=1, **roles):
 
 
 # --- decomposition: one case per pattern row ---------------------------------
+# `decompose_surfaces` gives (predicate surface, kind, argument surfaces);
+# the argument slots' roles are `ARGUMENT_SLOTS[pattern]`.
 
 
 def test_decompose_s_v():
-    d = decompose(ev("s-v", n1="dog", v1="bark"))
-    assert d.predicate.surface == "bark" and d.predicate.kind == "verb"
-    assert d.args.surfaces == ("dog",)
-    assert [t.role for t in d.args.terms] == [SUBJECT]
+    assert decompose_surfaces(ev("s-v", n1="dog", v1="bark")) == ("bark", VERB, ("dog",))
+    assert ARGUMENT_SLOTS["s-v"] == (SUBJECT,)
 
 
 def test_decompose_s_v_o():
-    d = decompose(ev("s-v-o", n1="boy", v1="eat", n2="apple"))
-    assert d.predicate.surface == "eat"
-    assert d.args.surfaces == ("boy", "apple")
-    assert [t.role for t in d.args.terms] == [SUBJECT, OBJECT]
+    d = decompose_surfaces(ev("s-v-o", n1="boy", v1="eat", n2="apple"))
+    assert d == ("eat", VERB, ("boy", "apple"))
+    assert ARGUMENT_SLOTS["s-v-o"] == (SUBJECT, OBJECT)
 
 
 def test_decompose_s_v_p_o_compounds_predicate():
-    d = decompose(ev("s-v-p-o", n1="he", v1="take", p1="over", n2="company"))
-    assert d.predicate.surface == "take-over" and d.predicate.kind == "verb-prep"
-    assert d.args.surfaces == ("he", "company")
-    assert [t.role for t in d.args.terms] == [SUBJECT, OBJECT]
+    d = decompose_surfaces(ev("s-v-p-o", n1="he", v1="take", p1="over", n2="company"))
+    assert d == ("take-over", VERB_PREP, ("he", "company"))
+    assert ARGUMENT_SLOTS["s-v-p-o"] == (SUBJECT, OBJECT)
 
 
 def test_decompose_s_v_o_p_o_compounds_prep_argument():
-    d = decompose(ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube"))
-    assert d.predicate.surface == "post"
-    assert d.args.surfaces == ("he", "it", "on-youtube")
-    assert [t.role for t in d.args.terms] == [SUBJECT, OBJECT, PREP_OBJECT]
+    d = decompose_surfaces(ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube"))
+    assert d == ("post", VERB, ("he", "it", "on-youtube"))
+    assert ARGUMENT_SLOTS["s-v-o-p-o"] == (SUBJECT, OBJECT, PREP_OBJECT)
 
 
 def test_decompose_s_v_a():
-    d = decompose(ev("s-v-a", n1="it", v1="smell", a1="nice"))
-    assert d.predicate.surface == "smell"
-    assert d.args.surfaces == ("it", "nice")
-    assert [t.role for t in d.args.terms] == [SUBJECT, ADJECTIVE]
+    d = decompose_surfaces(ev("s-v-a", n1="it", v1="smell", a1="nice"))
+    assert d == ("smell", VERB, ("it", "nice"))
+    assert ARGUMENT_SLOTS["s-v-a"] == (SUBJECT, ADJECTIVE)
 
 
 def test_decompose_s_be_a():
-    d = decompose(ev("s-be-a", n1="sun", a1="red"))
-    assert d.predicate.surface == "be-red" and d.predicate.kind == "be-adj"
-    assert d.args.surfaces == ("sun",)
+    d = decompose_surfaces(ev("s-be-a", n1="sun", a1="red"))
+    assert d == ("be-red", BE_ADJ, ("sun",))
+    assert ARGUMENT_SLOTS["s-be-a"] == (SUBJECT,)
 
 
 def test_decompose_s_be_a_p_o():
-    d = decompose(ev("s-be-a-p-o", n1="he", a1="mad", p1="at", n2="dog"))
-    assert d.predicate.surface == "be-mad"
-    assert d.args.surfaces == ("he", "at-dog")
-    assert [t.role for t in d.args.terms] == [SUBJECT, PREP_OBJECT]
+    d = decompose_surfaces(ev("s-be-a-p-o", n1="he", a1="mad", p1="at", n2="dog"))
+    assert d == ("be-mad", BE_ADJ, ("he", "at-dog"))
+    assert ARGUMENT_SLOTS["s-be-a-p-o"] == (SUBJECT, PREP_OBJECT)
 
 
 def test_decompose_is_deterministic():
     e = ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube")
-    assert decompose(e) == decompose(e)
+    assert decompose_surfaces(e) == decompose_surfaces(e)
+
+
+def test_decompose_surfaces_checks_pattern_and_arity():
+    # Records built without `Eventuality.create` (the corpus fast path)
+    # still meet these checks.
+    with pytest.raises(DecompositionError, match="unknown pattern"):
+        decompose_surfaces(Eventuality("s-v-v", ("a", "b"), 1))
+    with pytest.raises(DecompositionError, match="requires roles"):
+        decompose_surfaces(Eventuality("s-v-o", ("boy", "eat"), 1))
 
 
 def test_signature_joins_surfaces():
-    d = decompose(ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube"))
-    assert d.signature == "he|it|on-youtube"
+    e = ev("s-v-o-p-o", frequency=3, n1="he", v1="post", n2="it", p1="on", n3="youtube")
+    index = CorpusIndex.build([e])
+    assert index.pred_signatures == {"post": {"he|it|on-youtube": 3}}
 
 
 # --- creation / validation ----------------------------------------------------
@@ -182,107 +189,86 @@ def eventualities(draw):
     return Eventuality.create(pattern, wanted, freq)
 
 
-def recompose(d: DecomposedEventuality) -> Eventuality:
-    """Inverse of decompose.  Compounds split once from the left, which is
-    exact as long as verb/preposition lemmas carry no hyphen themselves."""
-    surfaces = d.args.surfaces
-    pat = d.pattern
-    if pat == "s-v":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface}
-    elif pat == "s-v-o":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "n2": surfaces[1]}
-    elif pat == "s-v-p-o":
-        v, p = d.predicate.surface.split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "v1": v, "p1": p, "n2": surfaces[1]}
-    elif pat == "s-v-o-p-o":
-        p, n3 = surfaces[2].split(COMPOUND_SEP, 1)
-        roles = {
-            "n1": surfaces[0],
-            "v1": d.predicate.surface,
-            "n2": surfaces[1],
-            "p1": p,
-            "n3": n3,
-        }
-    elif pat == "s-v-a":
-        roles = {"n1": surfaces[0], "v1": d.predicate.surface, "a1": surfaces[1]}
-    elif pat == "s-be-a":
-        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "a1": a}
-    elif pat == "s-be-a-p-o":
-        _, a = d.predicate.surface.split(COMPOUND_SEP, 1)
-        p, n2 = surfaces[1].split(COMPOUND_SEP, 1)
-        roles = {"n1": surfaces[0], "a1": a, "p1": p, "n2": n2}
+def recompose(pattern, surface, args, frequency) -> Eventuality:
+    """Inverse of decompose_surfaces.  Compounds split once from the left,
+    which is exact as long as verb/preposition lemmas carry no hyphen
+    themselves."""
+    if pattern == "s-v":
+        roles = {"n1": args[0], "v1": surface}
+    elif pattern == "s-v-o":
+        roles = {"n1": args[0], "v1": surface, "n2": args[1]}
+    elif pattern == "s-v-p-o":
+        v, p = surface.split(COMPOUND_SEP, 1)
+        roles = {"n1": args[0], "v1": v, "p1": p, "n2": args[1]}
+    elif pattern == "s-v-o-p-o":
+        p, n3 = args[2].split(COMPOUND_SEP, 1)
+        roles = {"n1": args[0], "v1": surface, "n2": args[1], "p1": p, "n3": n3}
+    elif pattern == "s-v-a":
+        roles = {"n1": args[0], "v1": surface, "a1": args[1]}
+    elif pattern == "s-be-a":
+        _, a = surface.split(COMPOUND_SEP, 1)
+        roles = {"n1": args[0], "a1": a}
+    elif pattern == "s-be-a-p-o":
+        _, a = surface.split(COMPOUND_SEP, 1)
+        p, n2 = args[1].split(COMPOUND_SEP, 1)
+        roles = {"n1": args[0], "a1": a, "p1": p, "n2": n2}
     else:
-        raise DecompositionError(f"unknown pattern {pat!r}")
-    return Eventuality.create(pat, roles, d.frequency)
+        raise DecompositionError(f"unknown pattern {pattern!r}")
+    return Eventuality.create(pattern, roles, frequency)
 
 
 @given(eventualities())
 def test_decompose_recompose_round_trip(e):
-    assert recompose(decompose(e)) == e
+    surface, _, args = decompose_surfaces(e)
+    assert recompose(e.pattern, surface, args, e.frequency) == e
 
 
 @given(eventualities())
 def test_decompose_recompose_is_fixed_point(e):
-    d = decompose(e)
-    assert decompose(recompose(d)) == d
+    d = decompose_surfaces(e)
+    surface, _, args = d
+    assert decompose_surfaces(recompose(e.pattern, surface, args, e.frequency)) == d
 
 
 # --- alignment ----------------------------------------------------------------
-
-
-def _args(pattern, **roles):
-    return decompose(ev(pattern, **roles)).args
+# `aligned_slots` gives (premise slot, hypothesis slot) index pairs into the
+# argument surfaces, or None for a pattern pair outside the ten types.
 
 
 def test_align_identity_same_pattern():
-    a = _args("s-v-o", n1="boy", v1="eat", n2="apple")
-    pairs = align(a, "s-v-o", a, "s-v-o")
-    assert [(x.surface, y.surface) for x, y in pairs] == [
-        ("boy", "boy"),
-        ("apple", "apple"),
-    ]
+    assert aligned_slots("s-v-o", "s-v-o") == ((0, 0), (1, 1))
 
 
 def test_align_drops_premise_prep_object():
-    a_i = _args("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube")
-    a_j = _args("s-v-o", n1="he", v1="share", n2="it")
-    pairs = align(a_i, "s-v-o-p-o", a_j, "s-v-o")
-    assert [(x.surface, y.surface) for x, y in pairs] == [("he", "he"), ("it", "it")]
+    # he post it on-youtube -> he share it: the p-o term has no counterpart.
+    assert aligned_slots("s-v-o-p-o", "s-v-o") == ((0, 0), (1, 1))
 
 
 def test_align_s_v_p_o_object_matches_s_v_o_object():
-    a_i = _args("s-v-p-o", n1="he", v1="take", p1="over", n2="company")
-    a_j = _args("s-v-o", n1="he", v1="acquire", n2="company")
-    pairs = align(a_i, "s-v-p-o", a_j, "s-v-o")
-    assert [(x.surface, y.surface) for x, y in pairs] == [
-        ("he", "he"),
-        ("company", "company"),
-    ]
-    # and the reverse direction is also admissible
-    assert len(align(a_j, "s-v-o", a_i, "s-v-p-o")) == 2
+    # he take-over company <-> he acquire company, in both directions.
+    assert aligned_slots("s-v-p-o", "s-v-o") == ((0, 0), (1, 1))
+    assert aligned_slots("s-v-o", "s-v-p-o") == ((0, 0), (1, 1))
 
 
 def test_align_drops_premise_adjective_against_be_pattern():
-    a_i = _args("s-v-a", n1="it", v1="smell", a1="nice")
-    a_j = _args("s-be-a", n1="it", a1="nice")
-    pairs = align(a_i, "s-v-a", a_j, "s-be-a")
-    assert [(x.surface, y.surface) for x, y in pairs] == [("it", "it")]
+    # it smell nice -> it be-nice: only the subject aligns.
+    assert aligned_slots("s-v-a", "s-be-a") == ((0, 0),)
 
 
 def test_align_rejects_inadmissible_pair():
-    a_i = _args("s-v-o", n1="boy", v1="eat", n2="apple")
-    a_j = _args("s-v", n1="sun", v1="shine")
-    with pytest.raises(AlignmentError):
-        align(a_i, "s-v-o", a_j, "s-v")
+    assert aligned_slots("s-v-o", "s-v") is None
+    assert aligned_slots("s-be-a", "s-v-a") is None
 
 
 @pytest.mark.parametrize("premise,hypothesis", ADMISSIBLE_TYPE_PAIRS)
 def test_aligned_slots_cover_all_admissible_pairs(premise, hypothesis):
     slots = aligned_slots(premise, hypothesis)
     assert slots is not None and len(slots) >= 1
-    # subject always aligns with subject
+    # subject always aligns with subject, and every pair matches by role
     assert slots[0] == (0, 0)
+    assert all(ARGUMENT_SLOTS[premise][i] == ARGUMENT_SLOTS[hypothesis][j] for i, j in slots)
+    # every hypothesis slot is covered once
+    assert [j for _, j in slots] == list(range(len(ARGUMENT_SLOTS[hypothesis])))
 
 
 def test_same_pattern_alignment_is_positional():

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evgraph import pipeline
-from evgraph.cli import main
+from evgraph.cli import _effective_config, build_parser, main
 from evgraph.config import (
+    INT_FIELDS,
+    UNIT_FIELDS,
     ConfigError,
     PipelineConfig,
     config_keys,
+    external_key,
     make_config,
     parse_config_file,
 )
@@ -380,6 +383,23 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     # strict thresholds keep only identical-argument pairs: 6 per consecutive
     # predicate pair (3 objects x 2 pairs... all argument sets shared), no locals
     assert report["counts"]["edges_by_provenance"].get("local", 0) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value", [(f, "7") for f in INT_FIELDS] + [(f, "0.75") for f in UNIT_FIELDS]
+)
+def test_cli_flag_and_config_line_give_the_same_config(tmp_path, field, value):
+    key = external_key(field)
+    base = _toy_config_file(tmp_path)
+    with_line = tmp_path / "with_line.txt"
+    with_line.write_text(f"{base.read_text(encoding='utf-8')}{key}={value}\n", encoding="utf-8")
+
+    def effective(*argv):
+        return _effective_config(build_parser().parse_args(["build", *argv]))
+
+    from_flag = effective("--config", str(base), f"--{key}", value)
+    assert getattr(from_flag, field) != getattr(PipelineConfig(output_dir="o"), field)
+    assert from_flag == effective("--config", str(with_line))
 
 
 def test_cli_stage_tagged_error_and_exit_code(tmp_path, capsys):

@@ -35,19 +35,25 @@ APPLE_LINES = ["fruit\tapple\t3", "company\tapple\t1"]
 
 
 def test_totals_sum_entry_frequencies(tmp_path):
-    store = _taxonomy(APPLE_LINES, tmp_path)
-    assert store.totals["apple"] == 4
+    store = _taxonomy(APPLE_LINES + ["food\tapple\t4"], tmp_path)
+    # Each probability is its frequency over the instance's total of 8,
+    # listed by descending frequency.
+    assert list(store.probs["apple"].items()) == [
+        ("food", 0.5),
+        ("fruit", 0.375),
+        ("company", 0.125),
+    ]
 
 
 def test_duplicate_pairs_sum(tmp_path):
-    store = _taxonomy(["fruit\tapple\t3", "fruit\tapple\t2"], tmp_path)
-    assert store.totals["apple"] == 5
-    assert store.probs["apple"]["fruit"] == 1.0
+    store = _taxonomy(["fruit\tapple\t3", "fruit\tapple\t2", "company\tapple\t5"], tmp_path)
+    # The summed tie orders by concept.
+    assert list(store.probs["apple"].items()) == [("company", 0.5), ("fruit", 0.5)]
 
 
 def test_empty_taxonomy(tmp_path):
     store = _taxonomy([], tmp_path)
-    assert len(store) == 0
+    assert store.probs == {}
     assert conceptualize(store, "anything", 5) == []
 
 
@@ -144,8 +150,7 @@ def test_term_entailment_prob_in_unit_interval(tmp_path):
 
 def test_hierarchy_edges(tmp_path):
     store = _hierarchy(["sniff\tsmell\thypernym", "know\tremember\tentail"], tmp_path)
-    assert ("sniff", "smell") in store.edges
-    assert store.edges_from["know"] == ("remember",)
+    assert store.edges_from == {"know": ("remember",), "sniff": ("smell",)}
 
 
 def test_hierarchy_rejects_self_loop(tmp_path):
@@ -161,7 +166,7 @@ def test_hierarchy_rejects_unknown_kind(tmp_path):
 
 def test_empty_hierarchy(tmp_path):
     store = _hierarchy([], tmp_path)
-    assert store.edges == frozenset()
+    assert store.edges_from == {}
 
 
 def test_default_light_verbs(tmp_path):
