@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .corpus import decoded_lines
+
 
 class ConfigError(ValueError):
     pass
@@ -66,17 +68,17 @@ def config_keys() -> tuple[str, ...]:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; blank lines ignored."""
+    """key=value lines of a UTF-8 file, read by `corpus.decoded_lines`;
+    '#' starts a comment; blank lines ignored."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for lineno, line in decoded_lines(path, ConfigError):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -114,9 +116,7 @@ def make_config(
                 v.strip() for v in value.split(",") if v.strip()
             )
         elif f.name in PATH_FIELDS:
-            kwargs[f.name] = str((base / value).resolve()) if value else value
-        else:
-            kwargs[f.name] = value
+            kwargs[f.name] = str((base / value).resolve())
     required = ("corpus", "taxonomy", "verb_hierarchy", "output_dir") if require_inputs else ("output_dir",)
     for key in required:
         if key not in kwargs:

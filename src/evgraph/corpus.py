@@ -5,9 +5,11 @@ Corpus file format (UTF-8, no header), one eventuality per line:
     pattern_code<TAB>role=token;role=token;...<TAB>frequency
 
 Lines with identical pattern and tokens are merged by summing frequencies.
-Lines end at a newline only, as in graph files; a carriage return before
-it is ignored.  A file that is not UTF-8 raises `CorpusError` naming its
-first bad line.
+Every input file (corpus, taxonomy, verb hierarchy, light verbs, config,
+graph) is read by `decoded_lines`: lines end at a newline only, blank
+lines are skipped but counted, and a line that is not UTF-8 raises the
+reader's own error naming it.  A carriage return before the newline is
+ignored.
 The index keeps one `Row` of strings per eventuality id, taken from
 `decompose_surfaces`.  Candidate searches read posting lists keyed by pattern, then by (slot, term).
 
@@ -23,7 +25,7 @@ source of error messages, so both paths return the same result.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -94,27 +96,29 @@ def _parse_general(line: str, lineno: int) -> Eventuality:
 
 def read_corpus(path: str | Path) -> tuple[Eventuality, ...]:
     """Read and intern a corpus file; duplicates merge with summed frequency."""
+    return _merge(decoded_lines(path, CorpusError))
+
+
+def decoded_lines(path: str | Path, error: Callable[[str], Exception]):
+    """(line number, text) of each non-blank line of a UTF-8 file, read in
+    binary one line at a time and split at newlines only; blank lines
+    still count in the numbering.  A line that is not UTF-8 raises
+    `error(message)`, the message naming the line."""
     with open(path, "rb") as fh:
-        return _merge(decoded_lines(fh))
-
-
-def decoded_lines(fh):
-    """(line number, text) of each line of a binary file, split at
-    newlines only; a line that is not UTF-8 raises CorpusError naming it."""
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            yield lineno, raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
-            ) from None
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(
+                    f"line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
+                ) from None
+            if not line.isspace():
+                yield lineno, line
 
 
 def _merge(lines) -> tuple[Eventuality, ...]:
     merged: dict[str, Eventuality] = {}
     for lineno, line in lines:
-        if not line.strip():
-            continue
         ev = parse_corpus_line(line, lineno)
         eid = ev.id
         prev = merged.get(eid)

@@ -112,9 +112,6 @@ class FeatureVector:
     def total(self) -> float:
         return sum(self.weights.values())
 
-    def __bool__(self) -> bool:
-        return bool(self.weights)
-
 
 def _entailed_signatures(
     index: CorpusIndex,

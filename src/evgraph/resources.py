@@ -5,6 +5,11 @@ per-verb general verbs with a light-verb list.
 Taxonomy file: concept<TAB>instance<TAB>frequency, no header.
 Verb hierarchy file: specific<TAB>general<TAB>{entail|hypernym}.
 Light-verb file: one lemma per line.
+
+All three are UTF-8 and read by `corpus.decoded_lines`: lines end at a
+newline only, blank lines are skipped but counted, and a malformed line
+or one that is not UTF-8 raises `ResourceError` naming it.  Concepts,
+instances and verbs are normalized as corpus tokens are.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import decoded_lines
 from .model import normalize_token
 
 DEFAULT_LIGHT_VERBS = frozenset({"do", "give", "have", "make", "take"})
@@ -34,27 +40,24 @@ class TaxonomyStore:
 def load_taxonomy(path: str | Path) -> TaxonomyStore:
     """Load a concept/instance/frequency file; duplicate pairs sum."""
     counts: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ResourceError(
-                    f"line {lineno}: expected concept/instance/frequency, got {len(parts)} fields"
-                )
-            concept = normalize_token(parts[0])
-            instance = normalize_token(parts[1])
-            if not concept or not instance:
-                raise ResourceError(f"line {lineno}: empty concept or instance")
-            try:
-                freq = int(parts[2])
-            except ValueError:
-                raise ResourceError(f"line {lineno}: bad frequency {parts[2]!r}") from None
-            if freq <= 0:
-                raise ResourceError(f"line {lineno}: non-positive frequency {freq}")
-            counts.setdefault(instance, {})
-            counts[instance][concept] = counts[instance].get(concept, 0) + freq
+    for lineno, line in decoded_lines(path, ResourceError):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ResourceError(
+                f"line {lineno}: expected concept/instance/frequency, got {len(parts)} fields"
+            )
+        concept = normalize_token(parts[0])
+        instance = normalize_token(parts[1])
+        if not concept or not instance:
+            raise ResourceError(f"line {lineno}: empty concept or instance")
+        try:
+            freq = int(parts[2])
+        except ValueError:
+            raise ResourceError(f"line {lineno}: bad frequency {parts[2]!r}") from None
+        if freq <= 0:
+            raise ResourceError(f"line {lineno}: non-positive frequency {freq}")
+        concept_counts = counts.setdefault(instance, {})
+        concept_counts[concept] = concept_counts.get(concept, 0) + freq
 
     probs: dict[str, dict[str, float]] = {}
     for instance, concept_counts in counts.items():
@@ -86,13 +89,7 @@ class VerbHierarchyStore:
 
 
 def load_light_verbs(path: str | Path) -> frozenset[str]:
-    lemmas = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            lemma = normalize_token(line)
-            if lemma:
-                lemmas.add(lemma)
-    return frozenset(lemmas)
+    return frozenset(normalize_token(line) for _, line in decoded_lines(path, ResourceError))
 
 
 def load_verb_hierarchy(
@@ -100,25 +97,22 @@ def load_verb_hierarchy(
 ) -> VerbHierarchyStore:
     """Load specific/general/kind edges; self-loops are rejected."""
     edges: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ResourceError(
-                    f"line {lineno}: expected specific/general/kind, got {len(parts)} fields"
-                )
-            specific = normalize_token(parts[0])
-            general = normalize_token(parts[1])
-            kind = parts[2].strip()
-            if kind not in HIERARCHY_KINDS:
-                raise ResourceError(f"line {lineno}: unknown edge kind {kind!r}")
-            if not specific or not general:
-                raise ResourceError(f"line {lineno}: empty verb lemma")
-            if specific == general:
-                raise ResourceError(f"line {lineno}: self-loop {specific!r} rejected")
-            edges.add((specific, general))
+    for lineno, line in decoded_lines(path, ResourceError):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ResourceError(
+                f"line {lineno}: expected specific/general/kind, got {len(parts)} fields"
+            )
+        specific = normalize_token(parts[0])
+        general = normalize_token(parts[1])
+        kind = parts[2].strip()
+        if kind not in HIERARCHY_KINDS:
+            raise ResourceError(f"line {lineno}: unknown edge kind {kind!r}")
+        if not specific or not general:
+            raise ResourceError(f"line {lineno}: empty verb lemma")
+        if specific == general:
+            raise ResourceError(f"line {lineno}: self-loop {specific!r} rejected")
+        edges.add((specific, general))
 
     light = (
         load_light_verbs(light_verb_path)

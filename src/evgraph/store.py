@@ -6,17 +6,19 @@ pred_score, penalty, local_score.  Node file columns: id, pattern,
 role=token pairs, frequency.  Scores serialize as shortest round-trip
 decimals, so a write/read cycle is bit-exact.
 
-`read_graph` streams both files one line at a time.  A node line is the
-node id followed by a corpus line, which `corpus.parse_corpus_line`
-reads: `write_graph` writes canonical lines, so they take its regex
-fast path.  Each edge is validated by the `ScoredEdge` constructor.
+`read_graph` streams both files through `corpus.decoded_lines`, the
+reader of every input file.  A node line is the node id followed by a
+corpus line, which `corpus.parse_corpus_line` reads: `write_graph`
+writes canonical lines, so they take its regex fast path.  Each edge is
+validated by the `ScoredEdge` constructor.
 
 A sealed graph holds `nodes` and `edges` as dicts in key order, and
 `by_source` read off the edge keys in that order;
 `EntailmentGraph.from_parts` sorts only input that comes out of order,
-and the build and `read_graph` both deliver it in order.  `by_type`,
-`by_provenance` and `ids_by_text` are built on first use, and they and
-`write_graph` reuse the stored order rather than sorting again.  The
+and the build and `read_graph` both deliver it in order.  `ids_by_text`
+is built on first use.  `stats` and `sample_for_annotation` group the
+edges by type in one pass of their own, and they and `write_graph`
+reuse the stored order rather than sorting again.  The
 cyclic garbage collector is paused (`paused_collector`) for a whole
 build as well as for a read.
 """
@@ -29,9 +31,10 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
-from .corpus import CorpusError, corpus_line, decoded_lines, parse_corpus_line
+from .corpus import corpus_line, decoded_lines, parse_corpus_line
 from .model import PROVENANCE_LOCAL, TYPE_LABELS, Eventuality, ScoredEdge
 
 NODE_FILE = "nodes.tsv"
@@ -107,24 +110,6 @@ class EntailmentGraph:
         )
 
     @cached_property
-    def by_type(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Type label -> its edges' keys in sorted order; built on first
-        use, not when the graph is sealed."""
-        return self._edge_keys_by("type_label")
-
-    @cached_property
-    def by_provenance(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Provenance -> its edges' keys in sorted order; built on first
-        use, not when the graph is sealed."""
-        return self._edge_keys_by("provenance")
-
-    def _edge_keys_by(self, field: str) -> dict[str, tuple[tuple[str, str], ...]]:
-        out: dict[str, list[tuple[str, str]]] = {}
-        for key, edge in self.edges.items():
-            out.setdefault(getattr(edge, field), []).append(key)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def ids_by_text(self) -> dict[str, list[str]]:
         """Display text -> the sorted ids of the nodes that read so; built
         on the first text lookup, not when the graph is sealed."""
@@ -183,23 +168,16 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
         return _read_graph(Path(directory))
 
 
-def _lines(path: Path):
-    """(line number, text) of each non-blank line of a UTF-8 file, read
-    one line at a time; blank lines still count in the numbering."""
-    with open(path, "rb") as fh:
-        try:
-            for lineno, line in decoded_lines(fh):
-                if line.strip():
-                    yield lineno, line
-        except CorpusError as exc:
-            # The message already starts "line N: ".
-            raise GraphFormatError(f"{path.name} {exc}") from None
+def _file_lines(directory: Path, name: str):
+    """`decoded_lines` of one graph file; a line that is not UTF-8 raises
+    GraphFormatError naming the file."""
+    return decoded_lines(directory / name, lambda message: GraphFormatError(f"{name} {message}"))
 
 
 def _read_graph(directory: Path) -> EntailmentGraph:
     nodes = []
     node_lines = array("L")
-    for lineno, line in _lines(directory / NODE_FILE):
+    for lineno, line in _file_lines(directory, NODE_FILE):
         if line.count("\t") != 3:
             raise GraphFormatError(f"{NODE_FILE} line {lineno}: expected 4 fields")
         node_id, corpus_fields = line.split("\t", 1)
@@ -217,7 +195,7 @@ def _read_graph(directory: Path) -> EntailmentGraph:
 
     edges = []
     edge_lines = array("L")
-    for lineno, line in _lines(directory / EDGE_FILE):
+    for lineno, line in _file_lines(directory, EDGE_FILE):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 8:
             raise GraphFormatError(f"{EDGE_FILE} line {lineno}: expected 8 fields")
@@ -266,23 +244,24 @@ def stats(graph: EntailmentGraph) -> list[StatsRow]:
     Eventuality counts are unique edge endpoints; the Overall row counts
     unique items, not column sums.
     """
+    keys_by_type: dict[str, list[tuple[str, str]]] = {label: [] for label in TYPE_LABELS}
+    n_local = dict.fromkeys(TYPE_LABELS, 0)
+    for key, edge in graph.edges.items():
+        label = edge.type_label
+        keys_by_type[label].append(key)
+        if edge.provenance == PROVENANCE_LOCAL:
+            n_local[label] += 1
+    # One type's endpoint set at a time keeps the peak memory low.
     rows = []
     all_endpoints: set[str] = set()
-    total_local = 0
-    total_edges = 0
     for label in TYPE_LABELS:
-        keys = graph.by_type.get(label, ())
-        endpoints: set[str] = set()
-        local = 0
-        for key in keys:
-            endpoints.update(key)
-            if graph.edges[key].provenance == PROVENANCE_LOCAL:
-                local += 1
-        rows.append(StatsRow(label, len(endpoints), local, len(keys)))
-        all_endpoints.update(endpoints)
-        total_local += local
-        total_edges += len(keys)
-    rows.append(StatsRow(OVERALL_LABEL, len(all_endpoints), total_local, total_edges))
+        keys = keys_by_type[label]
+        endpoints = set(chain.from_iterable(keys))
+        rows.append(StatsRow(label, len(endpoints), n_local[label], len(keys)))
+        all_endpoints |= endpoints
+    rows.append(
+        StatsRow(OVERALL_LABEL, len(all_endpoints), sum(n_local.values()), len(graph.edges))
+    )
     return rows
 
 
@@ -310,8 +289,11 @@ def sample_for_annotation(
     lines: list[str] = []
     if n_per_type == 0:
         return lines
+    keys_by_type: dict[str, list[tuple[str, str]]] = {}
+    for key, edge in graph.edges.items():
+        keys_by_type.setdefault(edge.type_label, []).append(key)
     for label in TYPE_LABELS:
-        keys = list(graph.by_type.get(label, ()))
+        keys = keys_by_type.get(label)
         if not keys:
             continue
         if len(keys) <= n_per_type:

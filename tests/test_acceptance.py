@@ -348,7 +348,7 @@ def test_criterion_06_global_edges_equal_exhaustive_oracle(tmp_path):
         result = build(cfg)
         index = CorpusIndex.from_file(files["corpus"])
         assert len(index.eventualities) <= 50
-        got = set(result.graph.by_provenance.get("global", ()))
+        got = {key for key, e in result.graph.edges.items() if e.provenance == "global"}
         expected = _oracle_global_edges(files, result, tau_a, tau_e)
         assert got == expected, f"case {case}"
         nonempty += bool(expected)

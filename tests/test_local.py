@@ -182,7 +182,7 @@ def test_disjoint_contexts_give_empty_vector(tmp_path):
     )
     store = _taxonomy([], tmp_path)
     vec = build_feature_vector(index, "chew", "eat", 1.0, store)
-    assert not vec
+    assert vec.weights == {}
 
 
 def test_zero_pmi_features_dropped(tmp_path):

@@ -3,7 +3,7 @@
 import gc
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from evgraph import pipeline
 from evgraph.cli import _effective_config, build_parser, main
 from evgraph.config import (
     INT_FIELDS,
+    PATH_FIELDS,
     UNIT_FIELDS,
     ConfigError,
     PipelineConfig,
@@ -51,6 +52,16 @@ def test_parse_config_file(tmp_path):
     )
     raw = parse_config_file(path)
     assert raw == {"corpus": "c.tsv", "tau_e": "0.4", "lambda": "0.6"}
+
+
+def test_every_config_field_has_one_kind():
+    # make_config coerces a field by its kind; a field of no kind would
+    # have no coercion at all.
+    kinds = (set(INT_FIELDS), set(UNIT_FIELDS), set(PATH_FIELDS), {"general_roots"})
+    names = {f.name for f in fields(PipelineConfig)}
+    for name in names:
+        assert sum(name in kind for kind in kinds) == 1, name
+    assert set().union(*kinds) == names
 
 
 def test_make_config_resolves_relative_paths(tmp_path):
@@ -471,6 +482,17 @@ def test_cli_bad_config_value(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_cli_config_not_utf8_names_its_line(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    lines = cfg_file.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xff" + lines[1]
+    cfg_file.write_bytes(b"".join(lines))
+    assert main(["build", "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error[config]: line 2: not UTF-8: invalid start byte at byte 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_lambda_flag(tmp_path):
     cfg_file = _toy_config_file(tmp_path)
     assert main(["build", "--config", str(cfg_file), "--lambda", "0.9"]) == 0
@@ -527,3 +549,44 @@ def test_build_ignores_line_order_and_record_splitting(seed, data):
         reference = _build_outputs(files, files["corpus"], Path(tmp) / "ref")
         assert len(reference[0]) == 5
         assert _build_outputs(files, variant, Path(tmp) / "var") == reference
+
+
+def _crlf_copy(src: Path, dst: Path) -> Path:
+    dst.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    return dst
+
+
+def test_build_from_crlf_inputs_matches_lf(tmp_path):
+    """CRLF copies of all five inputs (corpus, taxonomy, hierarchy, light
+    verbs, config) build the same outputs as the LF originals."""
+    lf = tmp_path / "lf"
+    files = write_toy_inputs(lf)
+    (lf / "light.txt").write_text("make\ncrunch\n", encoding="utf-8")
+    settings = {
+        "corpus": files["corpus"].name,
+        "taxonomy": files["taxonomy"].name,
+        "verb_hierarchy": files["verb_hierarchy"].name,
+        "light_verbs": "light.txt",
+        "output_dir": "out",
+    }
+    write_config_file(lf / "config.txt", settings)
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for name in (*settings.values(), "config.txt"):
+        if name != "out":
+            assert b"\r" not in (lf / name).read_bytes()
+            _crlf_copy(lf / name, crlf / name)
+
+    outputs = []
+    for directory in (lf, crlf):
+        assert main(["build", "--config", str(directory / "config.txt")]) == 0
+        out = directory / "out"
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for name in PATH_FIELDS:
+            assert report["config"].pop(external_key(name)).startswith(str(directory.resolve()))
+        tsvs = {name: (out / name).read_bytes() for name in OUTPUT_FILES if name != "report.json"}
+        outputs.append((tsvs, report))
+    assert outputs[0] == outputs[1]
+    # The light-verb file was read: crunch, now a light verb, has no rule.
+    rules = outputs[0][0]["predicate_rules.tsv"]
+    assert b"chew" in rules and b"crunch" not in rules

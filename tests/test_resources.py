@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evgraph.corpus import parse_corpus_line
 from evgraph.local import argument_score
 from evgraph.resources import (
     DEFAULT_LIGHT_VERBS,
@@ -71,6 +72,34 @@ def test_taxonomy_load_errors_carry_line_number(line, match, tmp_path):
     with pytest.raises(ResourceError, match=match) as err:
         _taxonomy(["fruit\tpear\t1", line], tmp_path)
     assert "line 2" in str(err.value)
+
+
+def test_lone_carriage_return_stays_inside_a_taxonomy_line(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_bytes(b"fruit\tapple\t3\ncompany\tapp\rle\t1\n")
+    store = load_taxonomy(path)
+    # Only "\n" ends a line; the "\r" is whitespace inside the instance,
+    # normalized as in a corpus token.
+    instance = parse_corpus_line("s-v\tn1=app\rle;v1=grow\t1", 1).tokens[0]
+    assert instance == "app le"
+    assert store.probs == {"apple": {"fruit": 1.0}, instance: {"company": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "load,line",
+    [
+        (load_taxonomy, b"fruit\tapple\t3\n"),
+        (load_verb_hierarchy, b"sniff\tsmell\thypernym\n"),
+        (load_light_verbs, b"make\n"),
+    ],
+)
+def test_resource_not_utf8_names_its_line(load, line, tmp_path):
+    path = tmp_path / "resource.tsv"
+    path.write_bytes(line + line[:2] + b"\xff" + line[2:])
+    with pytest.raises(
+        ResourceError, match=r"^line 2: not UTF-8: invalid start byte at byte 2$"
+    ):
+        load(path)
 
 
 def test_conceptualize_orders_by_probability(tmp_path):
