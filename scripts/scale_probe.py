@@ -12,14 +12,18 @@ time follows the edges it accepts rather than these counts.
 through the graph seal and report (`seal`) to writing the outputs
 (`persist`); the stages account for the whole build.
 
-Run in a fresh process so ru_maxrss reflects this build alone: the
-build forks nothing, so `max_rss_mb`, this process's peak RSS, is the
-build's whole peak.
+The inputs are generated in this process, and the build runs in a fresh
+child process (this script with `--build-from`).  `max_rss_mb` is the
+build's own peak resident memory: the child's high-water mark (VmHWM)
+of the memory it maps after it starts, so the generation's peak, which
+Linux carries into a child's `ru_maxrss`, is not part of it.  The
+build forks nothing.  `gen_max_rss_mb` is the generating process's peak.
 """
 
 import argparse
 import json
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -30,6 +34,45 @@ from evgraph.pipeline import run_build
 from evgraph.synth import write_layered_inputs
 
 
+def peak_rss_mb() -> float:
+    """This process's resident high-water mark since it started."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def build(work: Path) -> dict:
+    """Build the inputs under `work` and report the build's own costs."""
+    cfg = PipelineConfig(
+        corpus=str(work / "inputs" / "corpus.tsv"),
+        taxonomy=str(work / "inputs" / "taxonomy.tsv"),
+        verb_hierarchy=str(work / "inputs" / "hierarchy.tsv"),
+        output_dir=str(work / "out"),
+        min_pred_freq=1,
+    )
+    t0 = time.perf_counter()
+    result = run_build(cfg)
+    build_seconds = time.perf_counter() - t0
+    counts = result.report["counts"]
+    return {
+        "eventualities": counts["eventualities"],
+        "paths": counts["paths"],
+        "edges_total": counts["edges_total"],
+        "candidate_checks": counts["candidate_checks"],
+        "expansion_checks": counts["expansion_checks"],
+        "build_seconds": round(build_seconds, 3),
+        "stage_seconds": {
+            stage: round(seconds, 3) for stage, seconds in result.stage_seconds.items()
+        },
+        "max_rss_mb": peak_rss_mb(),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eventualities", type=int, default=100_000)
@@ -37,7 +80,11 @@ def main() -> int:
     parser.add_argument("--path-len", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dir", type=Path, default=None, help="work dir (default: temp)")
+    parser.add_argument("--build-from", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.build_from is not None:
+        json.dump(build(args.build_from), sys.stdout)
+        return 0
 
     per_predicate = max(1, args.eventualities // (args.paths * args.path_len))
     work = args.dir or Path(tempfile.mkdtemp(prefix="evgraph-scale-"))
@@ -50,34 +97,20 @@ def main() -> int:
         seed=args.seed,
     )
     gen_seconds = time.perf_counter() - t0
-    n_records = sum(1 for _ in open(files["corpus"], encoding="utf-8"))
-
-    cfg = PipelineConfig(
-        corpus=str(files["corpus"]),
-        taxonomy=str(files["taxonomy"]),
-        verb_hierarchy=str(files["verb_hierarchy"]),
-        output_dir=str(work / "out"),
-        min_pred_freq=1,
+    with open(files["corpus"], encoding="utf-8") as fh:
+        n_records = sum(1 for _ in fh)
+    child = subprocess.run(
+        [sys.executable, __file__, "--build-from", str(work)], capture_output=True, text=True
     )
-    t0 = time.perf_counter()
-    result = run_build(cfg)
-    build_seconds = time.perf_counter() - t0
-
-    counts = result.report["counts"]
+    if child.returncode != 0:
+        sys.stderr.write(child.stderr)
+        return child.returncode
     json.dump(
         {
             "corpus_records": n_records,
-            "eventualities": counts["eventualities"],
-            "paths": counts["paths"],
-            "edges_total": counts["edges_total"],
-            "candidate_checks": counts["candidate_checks"],
-            "expansion_checks": counts["expansion_checks"],
+            **json.loads(child.stdout),
             "gen_seconds": round(gen_seconds, 3),
-            "build_seconds": round(build_seconds, 3),
-            "stage_seconds": {
-                stage: round(seconds, 3) for stage, seconds in result.stage_seconds.items()
-            },
-            "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "gen_max_rss_mb": peak_rss_mb(),
             "work_dir": str(work),
         },
         sys.stdout,

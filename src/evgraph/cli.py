@@ -32,12 +32,8 @@ from .store import (
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
     for f in fields(PipelineConfig):
-        kwargs: dict = {"default": None, "dest": f.name}
-        if f.name in INT_FIELDS:
-            kwargs["type"] = int
-        elif f.name in UNIT_FIELDS:
-            kwargs["type"] = float
-        parser.add_argument(f"--{external_key(f.name)}", **kwargs)
+        kind = int if f.name in INT_FIELDS else float if f.name in UNIT_FIELDS else None
+        parser.add_argument(f"--{external_key(f.name)}", default=None, dest=f.name, type=kind)
 
 
 def _effective_config(args: argparse.Namespace):
@@ -62,20 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build and query an eventuality entailment graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="run the full construction pipeline")
-    _add_config_flags(p_build)
-
-    p_stats = sub.add_parser("stats", help="per-type edge counts of a built graph")
-    _add_config_flags(p_stats)
-
-    p_sample = sub.add_parser("sample", help="sample edges for annotation")
-    _add_config_flags(p_sample)
+    commands = {
+        "build": "run the full construction pipeline",
+        "stats": "per-type edge counts of a built graph",
+        "sample": "sample edges for annotation",
+        "query": "does one eventuality entail another?",
+    }
+    for name, text in commands.items():
+        _add_config_flags(sub.add_parser(name, help=text))
+    p_sample, p_query = sub.choices["sample"], sub.choices["query"]
     p_sample.add_argument("--n", type=int, default=100, help="pairs per type")
     p_sample.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    p_query = sub.add_parser("query", help="does one eventuality entail another?")
-    _add_config_flags(p_query)
     p_query.add_argument("premise")
     p_query.add_argument("hypothesis")
     return parser

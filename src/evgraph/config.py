@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import decoded_lines
+from .model import normalize_token
 
 
 class ConfigError(ValueError):
@@ -19,8 +20,9 @@ DEFAULT_GENERAL_ROOTS = ("change", "act", "move")
 # `PipelineConfig.__post_init__`, `make_config` and the CLI flags.
 # Integer fields, each with its least allowed value (None: any integer).
 INT_FIELDS = {"k": 0, "min_pred_freq": 1, "seed": None, "workers": 1}
-# Float fields, each in [0, 1].
+# Float fields, each in [0, 1]; those named here must stay below 1.
 UNIT_FIELDS = ("tau", "lambda_", "tau_a", "tau_e")
+BELOW_ONE = ("tau",)
 # Path fields; relative paths resolve against the config file's directory.
 PATH_FIELDS = ("corpus", "taxonomy", "verb_hierarchy", "light_verbs", "output_dir")
 
@@ -47,6 +49,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name in UNIT_FIELDS:
             value = getattr(self, name)
+            if name in BELOW_ONE and not 0.0 <= value < 1.0:
+                raise ConfigError(f"{external_key(name)} must be in [0,1), got {value}")
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{external_key(name)} must be in [0,1], got {value}")
         for name, least in INT_FIELDS.items():
@@ -101,20 +105,15 @@ def make_config(
         if key not in raw or raw[key] == "":
             continue
         value = raw[key]
-        if f.name in INT_FIELDS:
+        if f.name in INT_FIELDS or f.name in UNIT_FIELDS:
+            kind, what = (int, "an integer") if f.name in INT_FIELDS else (float, "a number")
             try:
-                kwargs[f.name] = int(value)
+                kwargs[f.name] = kind(value)
             except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        elif f.name in UNIT_FIELDS:
-            try:
-                kwargs[f.name] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+                raise ConfigError(f"{key} must be {what}, got {value!r}") from None
         elif f.name == "general_roots":
-            kwargs[f.name] = tuple(
-                v.strip() for v in value.split(",") if v.strip()
-            )
+            roots = (normalize_token(v) for v in value.split(","))
+            kwargs[f.name] = tuple(root for root in roots if root)
         elif f.name in PATH_FIELDS:
             kwargs[f.name] = str((base / value).resolve())
     required = ("corpus", "taxonomy", "verb_hierarchy", "output_dir") if require_inputs else ("output_dir",)
@@ -126,10 +125,5 @@ def make_config(
 
 def config_report(cfg: PipelineConfig) -> dict[str, object]:
     """The full effective configuration, echoed into every run report."""
-    out: dict[str, object] = {}
-    for f in fields(PipelineConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[external_key(f.name)] = value
-    return out
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(PipelineConfig))
+    return {external_key(n): list(v) if isinstance(v, tuple) else v for n, v in values}

@@ -1,38 +1,43 @@
-"""Corpus ingestion and the frozen statistics the scoring stages read.
+"""Corpus ingestion and the frozen, columnar statistics the scoring
+stages read.
 
 Corpus file format (UTF-8, no header), one eventuality per line:
 
     pattern_code<TAB>role=token;role=token;...<TAB>frequency
 
 Lines with identical pattern and tokens are merged by summing frequencies.
-Every input file (corpus, taxonomy, verb hierarchy, light verbs, config,
-graph) is read by `decoded_lines`: lines end at a newline only, blank
-lines are skipped but counted, and a line that is not UTF-8 raises the
-reader's own error naming it.  A carriage return before the newline is
-ignored.
-The index keeps one `Row` of strings per eventuality id, taken from
-`decompose_surfaces`.  Candidate searches read posting lists keyed by pattern, then by (slot, term).
+Every input file is read by `decoded_lines`: lines end at a newline only
+(a carriage return before it is ignored), blank lines are skipped but
+counted, a byte-order mark before the first line is dropped, and a line
+that is not UTF-8 raises the reader's own error naming it.
 
-`parse_corpus_line` first tries one compiled regex per pattern that
-accepts only a canonical line: roles in `PATTERN_ROLES` order, tokens
-already normalized (lower case, single inner spaces, no reserved
-character) and a frequency without sign, leading zero or non-ASCII
-digit.  Such a line builds its `Eventuality` directly.  Every other line
-takes the general parser, which normalizes the tokens and is the only
-source of error messages, so both paths return the same result.
+`read_corpus` keeps one id string and summed frequency per eventuality.
+`CorpusIndex.build` sorts the ids once, so row order is id order, and
+interns predicates and argument terms to ints: a row is a pattern code,
+a predicate id, up to three term ids, a signature id, a frequency and
+P(eventuality | predicate), each in an `array` column.  Candidate
+searches bisect one posting index over all rows.
+
+`parse_corpus_line` first tries one regex per pattern that accepts only
+a canonical line: roles in `PATTERN_ROLES` order, tokens normalized and
+a plain frequency.  Every other line takes the general parser, which
+normalizes the tokens and is the only source of error messages, so both
+paths return the same result.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from .model import (
-    PATTERN_ROLES, RESERVED_CHARS, DecompositionError, Eventuality, decompose_surfaces
+    ARGUMENT_SLOTS, PATTERN_CODE, PATTERN_ROLES, PATTERNS, RESERVED_CHARS, DecompositionError,
+    Eventuality, decompose_surfaces, split_id,
 )
 
 
@@ -49,28 +54,27 @@ _TOKEN = f"{_WORD}(?: {_WORD})*"
 # digits take the general path, which owns int()'s digit limit.
 _CANONICAL = {
     pattern: re.compile(
-        re.escape(pattern)
-        + "\t"
-        + ";".join(f"{role}=({_TOKEN})" for role in roles)
-        + r"\t([1-9][0-9]{0,17})\n?"
+        f"{re.escape(pattern)}\t{';'.join(f'{role}=({_TOKEN})' for role in roles)}"
+        r"\t([1-9][0-9]{0,17})\n?"
     )
     for pattern, roles in PATTERN_ROLES.items()
 }
 
 
-def parse_corpus_line(line: str, lineno: int) -> Eventuality:
-    """One corpus line as an Eventuality; CorpusError names the line."""
+def parse_corpus_line(line: str, lineno: int) -> tuple[str, int]:
+    """One corpus line as (eventuality id, frequency); CorpusError names
+    the line."""
     pattern = line.partition("\t")[0]
     canonical = _CANONICAL.get(pattern)
     if canonical is not None and line == line.lower():
         match = canonical.fullmatch(line)
         if match is not None:
             groups = match.groups()
-            return Eventuality(pattern, groups[:-1], int(groups[-1]))
+            return f"{pattern}:{'|'.join(groups[:-1])}", int(groups[-1])
     return _parse_general(line, lineno)
 
 
-def _parse_general(line: str, lineno: int) -> Eventuality:
+def _parse_general(line: str, lineno: int) -> tuple[str, int]:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 3:
         raise CorpusError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
@@ -89,20 +93,26 @@ def _parse_general(line: str, lineno: int) -> Eventuality:
     except ValueError:
         raise CorpusError(f"line {lineno}: frequency is not an integer: {freq_field!r}") from None
     try:
-        return Eventuality.create(pattern, role_tokens, frequency)
+        ev = Eventuality.create(pattern, role_tokens, frequency)
     except DecompositionError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from exc
+    return ev.id, ev.frequency
 
 
-def read_corpus(path: str | Path) -> tuple[Eventuality, ...]:
-    """Read and intern a corpus file; duplicates merge with summed frequency."""
-    return _merge(decoded_lines(path, CorpusError))
+def read_corpus(path: str | Path) -> dict[str, int]:
+    """Eventuality id -> frequency of a corpus file, duplicates summed."""
+    merged: dict[str, int] = {}
+    for lineno, line in decoded_lines(path, CorpusError):
+        eid, frequency = parse_corpus_line(line, lineno)
+        merged[eid] = merged.get(eid, 0) + frequency
+    return merged
 
 
 def decoded_lines(path: str | Path, error: Callable[[str], Exception]):
     """(line number, text) of each non-blank line of a UTF-8 file, read in
     binary one line at a time and split at newlines only; blank lines
-    still count in the numbering.  A line that is not UTF-8 raises
+    still count in the numbering, and a byte-order mark at the start of
+    the first line is dropped.  A line that is not UTF-8 raises
     `error(message)`, the message naming the line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -112,133 +122,152 @@ def decoded_lines(path: str | Path, error: Callable[[str], Exception]):
                 raise error(
                     f"line {lineno}: not UTF-8: {exc.reason} at byte {exc.start}"
                 ) from None
+            if lineno == 1 and line.startswith("\ufeff"):
+                line = line[1:]
             if not line.isspace():
                 yield lineno, line
 
 
-def _merge(lines) -> tuple[Eventuality, ...]:
-    merged: dict[str, Eventuality] = {}
-    for lineno, line in lines:
-        ev = parse_corpus_line(line, lineno)
-        eid = ev.id
-        prev = merged.get(eid)
-        if prev is not None:
-            ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
-        merged[eid] = ev
-    return tuple(merged[k] for k in sorted(merged))
+# Pattern -> the role=token field of its corpus line, as a format string.
+_ROLE_FIELDS = {
+    pattern: ";".join(f"{role}={{}}" for role in roles) for pattern, roles in PATTERN_ROLES.items()
+}
 
 
-def corpus_line(e: Eventuality) -> str:
-    roles = ";".join(f"{r}={t}" for r, t in zip(PATTERN_ROLES[e.pattern], e.tokens))
-    return f"{e.pattern}\t{roles}\t{e.frequency}"
+def corpus_line(pattern: str, tokens, frequency: int) -> str:
+    return f"{pattern}\t{_ROLE_FIELDS[pattern].format(*tokens)}\t{frequency}"
 
 
-class Row(NamedTuple):
-    """One eventuality as the scoring stages read it: its pattern, its
-    predicate surface, its role-ordered argument surfaces and
-    P(eventuality | predicate), its frequency over the predicate's."""
-
-    pattern: str
-    predicate: str
-    args: tuple[str, ...]
-    cond_prob: float
+# Argument slots per pattern code, and the most any pattern has.
+ARITY = tuple(len(ARGUMENT_SLOTS[p]) for p in PATTERNS)
+MAX_ARITY = max(ARITY)
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
     """Co-occurrence statistics over one corpus, built once and then only
-    read.  `rows` holds the one record kept per eventuality id; the
-    other maps are keyed by predicate or argument signature (the
-    role-ordered argument surfaces joined with "|")."""
+    read.  Row r is the eventuality `ids[r]`, ids ascending; `args` holds
+    MAX_ARITY term ids per row, 0 past the pattern's arity.  A row's
+    signature is its argument surfaces joined with "|"; signature ids
+    follow the order of those texts.  The posting index holds one key per
+    (row, argument slot), ascending, with its row: a key orders
+    (predicate, pattern, slot, term), so predicate p's postings are
+    positions posting_start[p] up to posting_start[p + 1]."""
 
-    eventualities: tuple[Eventuality, ...]
-    rows: dict[str, Row]
-    by_predicate: dict[str, tuple[str, ...]]
+    ids: list[str]
+    pattern: array  # 'B': code in PATTERNS
+    predicate: array  # 'I': id in `predicates`
+    args: array  # 'I'
+    signature: array  # 'I'
+    frequency: array  # 'q'
+    cond_prob: array  # 'd': frequency over the predicate's
+    predicates: list[str]  # predicate id -> surface, in first-row order
+    terms: list[str]  # term id -> surface, in first-row order
+    predicate_ids: dict[str, int]
+    by_predicate: dict[str, array]  # 'I': the predicate's rows
     predicate_freq: dict[str, int]
     predicate_kind: dict[str, str]
-    terms: frozenset[str]
-    signature_freq: dict[str, int]
-    pred_signatures: dict[str, dict[str, int]]
+    signature_freq: array  # 'q'
     total_mass: int
+    posting_keys: array  # 'Q'
+    posting_rows: array  # 'I'
+    posting_start: array  # 'I'
 
     @classmethod
-    def build(cls, eventualities) -> "CorpusIndex":
-        """Index the eventualities in id order; an id given twice raises
-        CorpusError."""
-        staged = sorted(
-            ((ev.id, ev, *decompose_surfaces(ev)) for ev in eventualities), key=itemgetter(0)
-        )
-        by_predicate: dict[str, list[str]] = {}
-        predicate_freq: dict[str, int] = {}
-        predicate_kind: dict[str, str] = {}
-        terms: set[str] = set()
-        signature_freq: dict[str, int] = {}
-        pred_signatures: dict[str, dict[str, int]] = {}
-        total = 0
-
-        prev = None
-        for eid, ev, p, kind, args in staged:
-            if eid == prev:
+    def build(cls, records: Iterable[tuple[str, int]]) -> "CorpusIndex":
+        """Index (eventuality id, frequency) records in id order; an id
+        given twice raises CorpusError."""
+        ids: list[str] = []
+        pattern, predicate, args, signature = array("B"), array("I"), array("I"), array("I")
+        frequency = array("q")
+        pred_ids: dict[str, int] = {}
+        term_ids: dict[str, int] = {}
+        sig_ids: dict[str, int] = {}
+        kinds: dict[str, str] = {}
+        pad = (0,) * MAX_ARITY
+        for eid, freq in sorted(records, key=itemgetter(0)):
+            if ids and eid == ids[-1]:
                 raise CorpusError(f"duplicate eventuality id {eid!r}")
-            prev = eid
-            sig = "|".join(args)
-            freq = ev.frequency
-            by_predicate.setdefault(p, []).append(eid)
-            predicate_freq[p] = predicate_freq.get(p, 0) + freq
-            predicate_kind.setdefault(p, kind)
-            terms.update(args)
-            signature_freq[sig] = signature_freq.get(sig, 0) + freq
-            sigs = pred_signatures.setdefault(p, {})
-            sigs[sig] = sigs.get(sig, 0) + freq
-            total += freq
-
-        return cls(
-            eventualities=tuple(ev for _, ev, *_ in staged),
-            rows={
-                eid: Row(ev.pattern, p, args, ev.frequency / predicate_freq[p])
-                for eid, ev, p, _, args in staged
-            },
-            by_predicate={p: tuple(ids) for p, ids in by_predicate.items()},
-            predicate_freq=predicate_freq,
-            predicate_kind=predicate_kind,
-            terms=frozenset(terms),
-            signature_freq=signature_freq,
-            pred_signatures=pred_signatures,
-            total_mass=total,
+            pat, tokens = split_id(eid)
+            try:
+                p, kind, surfaces = decompose_surfaces(pat, tokens)
+            except DecompositionError as exc:
+                raise CorpusError(f"eventuality {eid!r}: {exc}") from None
+            ids.append(eid)
+            frequency.append(freq)
+            pattern.append(PATTERN_CODE[pat])
+            predicate.append(pred_ids.setdefault(p, len(pred_ids)))
+            kinds.setdefault(p, kind)
+            args.extend([term_ids.setdefault(t, len(term_ids)) for t in surfaces])
+            args.extend(pad[len(surfaces):])
+            signature.append(sig_ids.setdefault("|".join(surfaces), len(sig_ids)))
+        # Renumber the signatures in text order.
+        rank = array("I", bytes(4 * len(sig_ids)))
+        for new, old in enumerate(sorted(range(len(sig_ids)), key=list(sig_ids).__getitem__)):
+            rank[old] = new
+        signature = array("I", map(rank.__getitem__, signature))
+        sig_freq = [0] * len(sig_ids)
+        pred_total = [0] * len(pred_ids)
+        by_pred: list[list[int]] = [[] for _ in pred_ids]
+        for row, (sig, pid, freq) in enumerate(zip(signature, predicate, frequency)):
+            sig_freq[sig] += freq
+            pred_total[pid] += freq
+            by_pred[pid].append(row)
+        predicates, terms = list(pred_ids), list(term_ids)
+        cond_prob = array("d", (f / pred_total[pid] for f, pid in zip(frequency, predicate)))
+        return cls(  # the fields in order
+            ids, pattern, predicate, args, signature, frequency, cond_prob, predicates, terms,
+            pred_ids, {p: array("I", rows) for p, rows in zip(predicates, by_pred)},
+            dict(zip(predicates, pred_total)), kinds, array("q", sig_freq),
+            sum(pred_total), *_postings(predicate, pattern, args, len(predicates), len(terms)),
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusIndex":
-        return cls.build(read_corpus(path))
+        return cls.build(read_corpus(path).items())
 
 
-Postings = dict[str, dict[tuple[int, str], list[str]]]
-
-
-def slot_postings(index: CorpusIndex, ids: Iterable[str]) -> Postings:
-    """pattern -> (slot, term) -> the ids of that pattern holding that
-    term in that slot.  A pattern none of the ids has is absent, so a
-    search skips it before it builds a probe."""
-    postings: Postings = {}
-    rows = index.rows
-    for eid in ids:
-        pattern, _, args, _ = rows[eid]
-        by_slot = postings.setdefault(pattern, {})
-        for slot, term in enumerate(args):
-            by_slot.setdefault((slot, term), []).append(eid)
-    return postings
+def _postings(predicate, pattern, args, n_predicates: int, n_terms: int):
+    """The posting index of the given row columns, as (keys, rows,
+    start).  Row r's slot s has key ((predicate * len(PATTERNS) +
+    pattern) * MAX_ARITY + s) * n_terms + term."""
+    n_rows = max(1, len(predicate))
+    n_patterns = len(PATTERNS)
+    entries = []  # key * n_rows + row, so rows of one key stay ascending
+    for slot in range(MAX_ARITY):
+        entries += [
+            (((pid * n_patterns + code) * MAX_ARITY + slot) * n_terms + term) * n_rows + row
+            for row, (pid, code, term) in enumerate(zip(predicate, pattern, args[slot::MAX_ARITY]))
+            if ARITY[code] > slot
+        ]
+    entries.sort()
+    keys = array("Q", [entry // n_rows for entry in entries])
+    rows = array("I", [entry % n_rows for entry in entries])
+    block = n_patterns * MAX_ARITY * n_terms
+    return keys, rows, array("I", (bisect_left(keys, p * block) for p in range(n_predicates + 1)))
 
 
 def probe_postings(
-    by_slot: dict[tuple[int, str], list[str]],
-    slot_terms: Iterable[tuple[int, str]],
-    related: Mapping[str, Iterable[str]],
-) -> dict[str, None]:
-    """The ids in one pattern's postings holding, in one of the given
-    slots, the given term or one of its related terms, in first-found
-    order."""
-    hits: dict[str, None] = {}
+    index: CorpusIndex,
+    pid: int,
+    pattern: int,
+    slot_terms: Iterable[tuple[int, int]],
+    related: Mapping[int, Iterable[int]],
+) -> dict[int, None]:
+    """The rows of predicate `pid` and one pattern holding, in one of the
+    given slots, the given term or one of its related terms, in
+    first-found order."""
+    keys, rows = index.posting_keys, index.posting_rows
+    lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
+    base = (pid * len(PATTERNS) + pattern) * MAX_ARITY
+    n_terms = len(index.terms)
+    hits: dict[int, None] = {}
     for slot, term in slot_terms:
+        slot_base = (base + slot) * n_terms
         for probe in (term, *related.get(term, ())):
-            hits.update(dict.fromkeys(by_slot.get((slot, probe), ())))
+            key = slot_base + probe
+            first = bisect_left(keys, key, lo, hi)
+            last = bisect_left(keys, key + 1, first, hi)
+            if first < last:
+                hits.update(dict.fromkeys(rows[first:last]))
     return hits

@@ -15,28 +15,27 @@ inference and BInc's signature augmentation call it), and `compose_edge`
 the one penalty and geometric mean (path inference and expansion call
 it).  Expansion's stricter argument-rule check has its own slot loop.
 
-Signature augmentation looks its candidates up in the same
-(pattern, slot, term) posting lists as the global stage.  Rules are
-scored one after another in this process.
+The scorers read the corpus index's rows and term ids; term
+probabilities come keyed by term id (`rules.term_probabilities`).
+Signature augmentation probes the same postings as the global stage.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .corpus import CorpusIndex, probe_postings, slot_postings
-from .model import HYPOTHESES, ScoredEdge, type_label
-from .resources import TaxonomyStore
-from .rules import PredicateRule, with_scores
+from .corpus import MAX_ARITY, CorpusIndex, probe_postings
+from .model import HYPOTHESES
+from .rules import PredicateRule
+
+# term id -> {related term id: probability}, as `rules.term_probabilities` gives.
+TermProbs = dict[int, dict[int, float]]
 
 
 def argument_score(
-    args_from: Sequence[str],
-    args_to: Sequence[str],
-    slots: tuple[tuple[int, int], ...],
-    term_probs: dict[str, dict[str, float]],
+    args_from: Sequence, args_to: Sequence, slots: tuple[tuple[int, int], ...], term_probs: dict
 ) -> tuple[bool, float]:
     """(identical, L_a) for two argument tuples over their aligned slots.
 
@@ -60,30 +59,11 @@ def argument_score(
     return False, 1.0 - miss
 
 
-def compose_edge(
-    from_id: str,
-    to_id: str,
-    pattern_from: str,
-    pattern_to: str,
-    pred_score: float,
-    cond_from: float,
-    cond_to: float,
-    arg_score: float,
-    provenance: str,
-) -> ScoredEdge:
-    """The scored edge from_id -> to_id: penalty min(1, c_from / c_to) and
-    composed score sqrt(pred * penalty * arg)."""
+def compose_edge(pred_score: float, cond_from: float, cond_to: float, arg_score: float):
+    """(penalty, composed score) of an edge: penalty min(1, c_from / c_to)
+    and composed score sqrt(pred * penalty * arg)."""
     pen = min(1.0, cond_from / cond_to)
-    return ScoredEdge(
-        from_id=from_id,
-        to_id=to_id,
-        arg_score=arg_score,
-        pred_score=pred_score,
-        penalty=pen,
-        local_score=math.sqrt(pred_score * pen * arg_score),
-        provenance=provenance,
-        type_label=type_label(pattern_from, pattern_to),
-    )
+    return pen, math.sqrt(pred_score * pen * arg_score)
 
 
 def pmi_weight(total_mass: int, pair_count: int, pred_count: int, sig_count: int) -> float:
@@ -93,71 +73,58 @@ def pmi_weight(total_mass: int, pair_count: int, pred_count: int, sig_count: int
     return max(0.0, math.log(total_mass * pair_count / (pred_count * sig_count)))
 
 
-def pmi(index: CorpusIndex, predicate: str, signature: str) -> float:
-    return pmi_weight(
-        index.total_mass,
-        index.pred_signatures.get(predicate, {}).get(signature, 0),
-        index.predicate_freq.get(predicate, 0),
-        index.signature_freq.get(signature, 0),
-    )
+def signature_counts(index: CorpusIndex, predicate: str) -> dict[int, int]:
+    """Signature id -> its summed frequency under the predicate."""
+    counts: dict[int, int] = {}
+    signature, frequency = index.signature, index.frequency
+    for row in index.by_predicate.get(predicate, ()):
+        sig = signature[row]
+        counts[sig] = counts.get(sig, 0) + frequency[row]
+    return counts
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse argument-signature context vector with positive PMI weights."""
+    """Sparse argument-signature context vector with positive PMI
+    weights, keyed by signature id (ids follow signature-text order)."""
 
-    weights: dict[str, float]
-
-    @property
-    def total(self) -> float:
-        return sum(self.weights.values())
+    weights: dict[int, float]
 
 
 def _entailed_signatures(
-    index: CorpusIndex,
-    predicate: str,
-    base: set[str],
-    aug_lambda: float,
-    probs: dict[str, dict[str, float]],
-) -> set[str]:
+    index: CorpusIndex, predicate: str, base: set[int], aug_lambda: float, probs: TermProbs
+) -> set[int]:
     """The signatures of `predicate` outside `base` that some base
-    signature entails with probability > lambda, the best admissible
-    pattern pairing of the two counting.
-
-    Since lambda >= 0, an entailed signature has an aligned slot whose
-    terms are identical or have a nonzero taxonomy probability.  So only
-    the eventualities found under a base eventuality's aligned term, or
-    one of its taxonomy concepts, in the posting lists of the
-    predicate's other signatures are scored.
+    signature entails with probability > lambda, under the best
+    admissible pattern pairing.  Such a signature has an aligned slot with
+    identical or taxonomy-related terms, so only posting hits are scored.
     """
-    rows = index.rows
-    ids = index.by_predicate.get(predicate, ())
-    signature = {eid: "|".join(rows[eid].args) for eid in ids}
-    postings = slot_postings(index, (eid for eid in ids if signature[eid] not in base))
-    entailed: set[str] = set()
-    for bid in ids:
+    pid = index.predicate_ids[predicate]
+    signature, pattern, args = index.signature, index.pattern, index.args
+    rows = index.by_predicate[predicate]
+    held = set(map(pattern.__getitem__, rows))  # the patterns the predicate has rows of
+    entailed: set[int] = set()
+    for bid in rows:
         if signature[bid] not in base:
             continue
-        pattern_b, _, args_b, _ = rows[bid]
-        for pattern, slots in HYPOTHESES.get(pattern_b, ()):
-            if pattern not in postings:
+        args_b = args[bid * MAX_ARITY:(bid + 1) * MAX_ARITY]
+        for other, slots, _ in HYPOTHESES[pattern[bid]]:
+            if other not in held:
                 continue
-            hits = probe_postings(postings[pattern], [(j, args_b[i]) for i, j in slots], probs)
+            hits = probe_postings(index, pid, other, [(j, args_b[i]) for i, j in slots], probs)
             for eid in hits:
-                if signature[eid] in entailed:
+                sig = signature[eid]
+                if sig in base or sig in entailed:
                     continue
-                _, score = argument_score(args_b, rows[eid].args, slots, probs)
+                args_e = args[eid * MAX_ARITY:(eid + 1) * MAX_ARITY]
+                _, score = argument_score(args_b, args_e, slots, probs)
                 if score > aug_lambda:
-                    entailed.add(signature[eid])
+                    entailed.add(sig)
     return entailed
 
 
 def build_feature_vector(
-    index: CorpusIndex,
-    predicate: str,
-    other: str,
-    aug_lambda: float,
-    store: TaxonomyStore,
+    index: CorpusIndex, predicate: str, other: str, aug_lambda: float, probs: TermProbs
 ) -> FeatureVector:
     """Context vector for `predicate` scored against `other`.
 
@@ -166,13 +133,14 @@ def build_feature_vector(
     `predicate` entailed by a base signature with probability > lambda.
     Weights are positive PMI; zero-weight features are dropped.
     """
-    sigs = index.pred_signatures.get(predicate, {})
-    features = set(sigs) & set(index.pred_signatures.get(other, {}))
-    if features and len(features) < len(sigs):
-        features |= _entailed_signatures(index, predicate, features, aug_lambda, store.probs)
+    counts = signature_counts(index, predicate)
+    features = counts.keys() & signature_counts(index, other).keys()
+    if features and len(features) < len(counts):
+        features |= _entailed_signatures(index, predicate, features, aug_lambda, probs)
+    pred_count = index.predicate_freq.get(predicate, 0)
     weights = {}
     for sig in sorted(features):
-        w = pmi(index, predicate, sig)
+        w = pmi_weight(index.total_mass, counts[sig], pred_count, index.signature_freq[sig])
         if w > 0.0:
             weights[sig] = w
     return FeatureVector(weights)
@@ -184,8 +152,8 @@ def binc(u: FeatureVector, v: FeatureVector) -> float:
     Lin is the symmetric weight share of the common features; Cover is
     the share of u's weight mass they carry.  Empty vectors score 0.
     """
-    total_u = u.total
-    total_v = v.total
+    total_u = sum(u.weights.values())
+    total_v = sum(v.weights.values())
     if total_u <= 0.0 or total_v <= 0.0:
         return 0.0
     shared = u.weights.keys() & v.weights.keys()
@@ -198,33 +166,21 @@ def binc(u: FeatureVector, v: FeatureVector) -> float:
 
 
 def predicate_score(
-    index: CorpusIndex,
-    pred_i: str,
-    pred_j: str,
-    aug_lambda: float,
-    store: TaxonomyStore,
+    index: CorpusIndex, pred_i: str, pred_j: str, aug_lambda: float, probs: TermProbs
 ) -> float:
     """BInc over the pair-contextual feature vectors; identity scores 1.0."""
     if pred_i == pred_j:
         return 1.0
-    u = build_feature_vector(index, pred_i, pred_j, aug_lambda, store)
-    v = build_feature_vector(index, pred_j, pred_i, aug_lambda, store)
+    u = build_feature_vector(index, pred_i, pred_j, aug_lambda, probs)
+    v = build_feature_vector(index, pred_j, pred_i, aug_lambda, probs)
     return binc(u, v)
 
 
 def score_predicate_rules(
-    index: CorpusIndex,
-    rules: tuple[PredicateRule, ...],
-    aug_lambda: float,
-    store: TaxonomyStore,
+    index: CorpusIndex, rules: tuple[PredicateRule, ...], aug_lambda: float, probs: TermProbs
 ) -> tuple[PredicateRule, ...]:
     """Fill every rule's score; pairs are independent, so order never matters."""
-    return with_scores(
-        rules,
-        {
-            (r.from_pred, r.to_pred): predicate_score(
-                index, r.from_pred, r.to_pred, aug_lambda, store
-            )
-            for r in rules
-        },
+    return tuple(
+        replace(r, score=predicate_score(index, r.from_pred, r.to_pred, aug_lambda, probs))
+        for r in rules
     )

@@ -7,14 +7,18 @@ two patterns role by role so that set-level entailment can be scored.
 
 The seven pattern rules live in one table, read by `decompose_surfaces`
 alone.  A `ScoredEdge` is a named tuple whose constructor checks every
-edge.
+edge; `EdgeColumns` holds many edges as parallel arrays, with eventuality
+rows for endpoints and codes for type and provenance, and `check` runs
+the same checks over them.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq, mul, sub
 from typing import NamedTuple
 
 ENTAILS = "⊨"
@@ -30,16 +34,6 @@ BE_ADJ = "be-adj"
 
 COMPOUND_SEP = "-"
 
-PATTERNS: tuple[str, ...] = (
-    "s-v",
-    "s-v-o",
-    "s-v-p-o",
-    "s-v-o-p-o",
-    "s-v-a",
-    "s-be-a",
-    "s-be-a-p-o",
-)
-
 # Role slots each pattern must populate, in canonical order.
 PATTERN_ROLES: dict[str, tuple[str, ...]] = {
     "s-v": ("n1", "v1"),
@@ -50,6 +44,9 @@ PATTERN_ROLES: dict[str, tuple[str, ...]] = {
     "s-be-a": ("n1", "a1"),
     "s-be-a-p-o": ("n1", "a1", "p1", "n2"),
 }
+PATTERNS: tuple[str, ...] = tuple(PATTERN_ROLES)
+# Pattern -> its code, the index in PATTERNS that the corpus columns hold.
+PATTERN_CODE = {pattern: code for code, pattern in enumerate(PATTERNS)}
 
 # Roles of the decomposed argument slots, in canonical order
 # (subject, then object, then prep-object/adjective).  The second slot of
@@ -82,9 +79,7 @@ ADMISSIBLE_TYPE_PAIRS: tuple[tuple[str, str], ...] = (
 
 _ADMISSIBLE_SET = frozenset(ADMISSIBLE_TYPE_PAIRS)
 
-TYPE_LABELS: tuple[str, ...] = tuple(
-    f"{a} {ENTAILS} {b}" for a, b in ADMISSIBLE_TYPE_PAIRS
-)
+TYPE_LABELS: tuple[str, ...] = tuple(f"{a} {ENTAILS} {b}" for a, b in ADMISSIBLE_TYPE_PAIRS)
 _TYPE_LABEL_SET = frozenset(TYPE_LABELS)
 
 # Characters that would collide with the corpus/rule/graph file formats or
@@ -92,9 +87,9 @@ _TYPE_LABEL_SET = frozenset(TYPE_LABELS)
 RESERVED_CHARS = ("\t", ";", "=", "|", "\n")
 _RESERVED = re.compile("[" + re.escape("".join(RESERVED_CHARS)) + "]")
 
-PROVENANCE_LOCAL = "local"
-PROVENANCE_GLOBAL = "global"
-_PROVENANCES = frozenset((PROVENANCE_LOCAL, PROVENANCE_GLOBAL))
+# Provenance codes are indexes into this tuple.
+PROVENANCES = ("local", "global")
+LOCAL, GLOBAL = 0, 1
 
 SCORE_IDENTITY_TOL = 1e-12
 
@@ -103,13 +98,22 @@ class DecompositionError(ValueError):
     """Raised for an eventuality whose role set does not match its pattern."""
 
 
+def split_id(eid: str) -> tuple[str, list[str]]:
+    """(pattern, tokens) of an eventuality id: a token holds no "|"."""
+    pattern, _, tokens = eid.partition(":")
+    return pattern, tokens.split("|")
+
+
+def display_text(pattern: str, tokens) -> str:
+    """Tokens in role order; the be-patterns read "be" after the subject."""
+    if pattern.startswith("s-be-"):
+        return " ".join((tokens[0], "be", *tokens[1:]))
+    return " ".join(tokens)
+
+
 def normalize_token(token: str) -> str:
     """Lowercase, trim, and collapse internal whitespace to single spaces."""
     return " ".join(token.lower().split())
-
-
-def type_label(premise_pattern: str, hypothesis_pattern: str) -> str:
-    return f"{premise_pattern} {ENTAILS} {hypothesis_pattern}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,9 +125,7 @@ class Eventuality:
     frequency: int
 
     @classmethod
-    def create(
-        cls, pattern: str, role_tokens: dict[str, str], frequency: int
-    ) -> "Eventuality":
+    def create(cls, pattern: str, role_tokens: dict[str, str], frequency: int) -> "Eventuality":
         """Validate and normalize raw role=token input into an Eventuality."""
         roles = PATTERN_ROLES.get(pattern)
         if roles is None:
@@ -135,8 +137,8 @@ class Eventuality:
                 f"pattern {pattern}: missing roles {missing or 'none'}, "
                 f"extra roles {extra or 'none'}"
             )
-        if not isinstance(frequency, int) or frequency < 1:
-            raise DecompositionError(f"frequency must be a positive int, got {frequency!r}")
+        if not isinstance(frequency, int) or not 1 <= frequency < 2**63:
+            raise DecompositionError(f"frequency must be in [1, 2**63), got {frequency!r}")
         tokens = tuple(normalize_token(role_tokens[role]) for role in roles)
         # One test for the whole record; only a failing record is walked
         # role by role, to name its first bad token.
@@ -151,12 +153,14 @@ class Eventuality:
                     )
         return cls(pattern=pattern, tokens=tokens, frequency=frequency)
 
+    @classmethod
+    def from_id(cls, eid: str, frequency: int) -> "Eventuality":
+        pattern, tokens = split_id(eid)
+        return cls(pattern, tuple(tokens), frequency)
+
     @property
     def text(self) -> str:
-        """Tokens in role order; the be-patterns read "be" after the subject."""
-        if self.pattern.startswith("s-be-"):
-            return " ".join((self.tokens[0], "be", *self.tokens[1:]))
-        return " ".join(self.tokens)
+        return display_text(self.pattern, self.tokens)
 
     @property
     def id(self) -> str:
@@ -176,24 +180,22 @@ _SURFACES = {
     "s-v-a": lambda t: (t[1], VERB, (t[0], t[2])),
     "s-be-a": lambda t: (f"be{COMPOUND_SEP}{t[1]}", BE_ADJ, (t[0],)),
     "s-be-a-p-o": lambda t: (
-        f"be{COMPOUND_SEP}{t[1]}",
-        BE_ADJ,
-        (t[0], f"{t[2]}{COMPOUND_SEP}{t[3]}"),
+        f"be{COMPOUND_SEP}{t[1]}", BE_ADJ, (t[0], f"{t[2]}{COMPOUND_SEP}{t[3]}")
     ),
 }
 
 
-def decompose_surfaces(e: Eventuality) -> tuple[str, str, tuple[str, ...]]:
+def decompose_surfaces(pattern: str, tokens) -> tuple[str, str, tuple[str, ...]]:
     """(predicate surface, predicate kind, role-ordered argument surfaces)
-    of an eventuality: the one place the seven pattern rules live."""
-    roles = PATTERN_ROLES.get(e.pattern)
+    of a pattern's tokens: the one place the seven pattern rules live."""
+    roles = PATTERN_ROLES.get(pattern)
     if roles is None:
-        raise DecompositionError(f"unknown pattern {e.pattern!r}")
-    if len(e.tokens) != len(roles):
+        raise DecompositionError(f"unknown pattern {pattern!r}")
+    if len(tokens) != len(roles):
         raise DecompositionError(
-            f"pattern {e.pattern} requires roles {list(roles)}, got {len(e.tokens)} tokens"
+            f"pattern {pattern} requires roles {list(roles)}, got {len(tokens)} tokens"
         )
-    return _SURFACES[e.pattern](e.tokens)
+    return _SURFACES[pattern](tokens)
 
 
 @lru_cache(maxsize=None)
@@ -210,26 +212,27 @@ def aligned_slots(
     if (premise_pattern, hypothesis_pattern) not in _ADMISSIBLE_SET:
         return None
     premise_roles = ARGUMENT_SLOTS[premise_pattern]
-    pairs = []
-    for j, role in enumerate(ARGUMENT_SLOTS[hypothesis_pattern]):
-        pairs.append((premise_roles.index(role), j))
-    return tuple(pairs)
+    return tuple(
+        (premise_roles.index(role), j) for j, role in enumerate(ARGUMENT_SLOTS[hypothesis_pattern])
+    )
 
 
 def _counterparts():
-    """Each pattern's admissible hypotheses, and each pattern's admissible
-    premises, as (other pattern, aligned slots) tuples."""
-    hypotheses: dict[str, list] = {}
-    premises: dict[str, list] = {}
-    for premise, hypothesis in ADMISSIBLE_TYPE_PAIRS:
+    """Per pattern code, its admissible hypotheses and its admissible
+    premises, as (other pattern code, aligned slots, type code) tuples;
+    the type code is the pair's index in TYPE_LABELS."""
+    hypotheses: list[list] = [[] for _ in PATTERNS]
+    premises: list[list] = [[] for _ in PATTERNS]
+    for code, (premise, hypothesis) in enumerate(ADMISSIBLE_TYPE_PAIRS):
         slots = aligned_slots(premise, hypothesis)
-        hypotheses.setdefault(premise, []).append((hypothesis, slots))
-        premises.setdefault(hypothesis, []).append((premise, slots))
-    return hypotheses, premises
+        p, h = PATTERN_CODE[premise], PATTERN_CODE[hypothesis]
+        hypotheses[p].append((h, slots, code))
+        premises[h].append((p, slots, code))
+    return tuple(map(tuple, hypotheses)), tuple(map(tuple, premises))
 
 
 # The one table of admissible pattern counterparts, read by every
-# candidate search: HYPOTHESES[premise] and PREMISES[hypothesis].
+# candidate search: HYPOTHESES[premise code] and PREMISES[hypothesis code].
 HYPOTHESES, PREMISES = _counterparts()
 
 
@@ -244,6 +247,15 @@ class _EdgeFields(NamedTuple):
     type_label: str
 
 
+def plausible(arg: float, pred: float, pen: float, local: float) -> bool:
+    """Whether four scores pass the ScoredEdge checks: each in [0, 1], and
+    local_score their geometric mean."""
+    return (
+        0.0 <= arg <= 1.0 and 0.0 <= pred <= 1.0 and 0.0 <= pen <= 1.0 and 0.0 <= local <= 1.0
+        and abs(local * local - pred * pen * arg) <= SCORE_IDENTITY_TOL
+    )
+
+
 class ScoredEdge(_EdgeFields):
     """Directed eventuality entailment edge with its component scores: an
     immutable named tuple whose constructor checks every edge."""
@@ -255,27 +267,20 @@ class ScoredEdge(_EdgeFields):
     ) -> "ScoredEdge":
         if from_id == to_id:
             raise ValueError(f"self-entailment edge rejected: {from_id}")
-        if provenance not in _PROVENANCES:
+        if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         if type_label not in _TYPE_LABEL_SET:
             raise ValueError(f"unknown type label {type_label!r}")
         arg, pred, pen, local = arg_score, pred_score, penalty, local_score
-        if not (
-            0.0 <= arg <= 1.0 and 0.0 <= pred <= 1.0 and 0.0 <= pen <= 1.0 and 0.0 <= local <= 1.0
-        ):
+        if not plausible(arg, pred, pen, local):
             for name, value in (
-                ("arg_score", arg),
-                ("pred_score", pred),
-                ("penalty", pen),
-                ("local_score", local),
+                ("arg_score", arg), ("pred_score", pred), ("penalty", pen), ("local_score", local)
             ):
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"{name} out of [0,1]: {value!r}")
-        product = pred * pen * arg
-        if abs(local * local - product) > SCORE_IDENTITY_TOL:
             raise ValueError(
                 "local_score does not satisfy the geometric-mean identity: "
-                f"{local}^2 != {product}"
+                f"{local}^2 != {pred * pen * arg}"
             )
         return tuple.__new__(cls, (from_id, to_id, arg, pred, pen, local, provenance, type_label))
 
@@ -285,3 +290,73 @@ class ScoredEdge(_EdgeFields):
     @property
     def key(self) -> tuple[str, str]:
         return (self.from_id, self.to_id)
+
+
+class EdgeColumns:
+    """Edges as parallel arrays: from row and to row (eventuality rows),
+    the four scores, and the type and provenance codes (indexes into
+    TYPE_LABELS and PROVENANCES)."""
+
+    __slots__ = ("src", "dst", "arg", "pred", "pen", "local", "type", "prov")
+
+    def __init__(self) -> None:
+        self.src, self.dst = array("I"), array("I")
+        self.arg, self.pred, self.pen, self.local = (array("d") for _ in range(4))
+        self.type, self.prov = array("B"), array("B")
+
+    def columns(self) -> tuple[array, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def append(self, src, dst, arg, pred, pen, local, type_code, prov_code) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.arg.append(arg)
+        self.pred.append(pred)
+        self.pen.append(pen)
+        self.local.append(local)
+        self.type.append(type_code)
+        self.prov.append(prov_code)
+
+    def extend(self, other: "EdgeColumns") -> None:
+        for column, more in zip(self.columns(), other.columns()):
+            column.extend(more)
+
+    def permuted(self, order) -> "EdgeColumns":
+        """A copy holding edge order[k] at position k."""
+        out = EdgeColumns()
+        for name in self.__slots__:
+            column = getattr(self, name)
+            setattr(out, name, array(column.typecode, map(column.__getitem__, order)))
+        return out
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgeColumns):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def edge(self, i: int, ids) -> ScoredEdge:
+        """Edge i as a ScoredEdge, its endpoints named by `ids`, built
+        without the checks: the columns were checked when sealed."""
+        values = (self.arg[i], self.pred[i], self.pen[i], self.local[i])
+        labels = (PROVENANCES[self.prov[i]], TYPE_LABELS[self.type[i]])
+        return tuple.__new__(ScoredEdge, (ids[self.src[i]], ids[self.dst[i]], *values, *labels))
+
+    def check(self, ids) -> None:
+        """Run the ScoredEdge constructor's checks over every edge: passes
+        over whole columns screen them, and the first edge a screen stops
+        is built through the constructor, which raises its ValueError."""
+        if max(self.prov, default=0) > 1 or max(self.type, default=0) >= len(TYPE_LABELS):
+            raise ValueError("unknown provenance or type code")
+        scores = (self.arg, self.pred, self.pen, self.local)
+        # col == col fails on a NaN.
+        in_unit = (c == c and 0.0 <= min(c, default=0) and max(c, default=1) <= 1.0 for c in scores)
+        product = map(mul, map(mul, self.pred, self.pen), self.arg)
+        drift = map(abs, map(sub, map(mul, self.local, self.local), product))
+        stopped = any(map(eq, self.src, self.dst)) or not all(in_unit)
+        if stopped or max(drift, default=0.0) > SCORE_IDENTITY_TOL:
+            for i, (src, dst, *values) in enumerate(zip(self.src, self.dst, *scores)):
+                if src == dst or not plausible(*values):
+                    ScoredEdge(*self.edge(i, ids))

@@ -1,9 +1,9 @@
 """End-to-end build orchestration: ingest -> rule extraction -> local
 scoring -> global inference -> seal -> persistence.
 
-The seal stage turns the eventualities and the accepted edges into an
-`EntailmentGraph`, in key order, and assembles the run report from it.
-Every stage is deterministic (canonically sorted outputs) and runs in
+The seal stage runs the `ScoredEdge` checks over the accepted edge
+columns, seals them with the index's ids into an `EntailmentGraph`, and
+assembles the run report.  Every stage is deterministic and runs in
 this process, so two builds from the same inputs are byte-identical.
 `BuildResult.stage_seconds` times each stage, and a stage's failure is a
 `StageError` tagged with its name.  The cyclic garbage collector is
@@ -19,19 +19,15 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from . import global_inference as gi
 from . import local, rules, store
 from .config import PipelineConfig, config_report
 from .corpus import CorpusIndex
-from .resources import (
-    TaxonomyStore,
-    VerbHierarchyStore,
-    load_taxonomy,
-    load_verb_hierarchy,
-)
+from .model import PROVENANCES
+from .resources import TaxonomyStore, VerbHierarchyStore, load_taxonomy, load_verb_hierarchy
 
 REPORT_FILE = "report.json"
 PATHS_FILE = "paths.tsv"
@@ -97,17 +93,20 @@ def _build(cfg: PipelineConfig) -> BuildResult:
     )
 
     def _rules_stage():
-        terms, pred_freq = rules.collect_vocabulary(index)
-        tr = rules.build_argument_rules(taxonomy, terms, cfg.k, cfg.tau)
+        term_ids, pred_freq = rules.collect_vocabulary(index)
+        tr = rules.build_argument_rules(taxonomy, term_ids, cfg.k, cfg.tau)
         pr = rules.build_predicate_rules(
             hierarchy, pred_freq, index.predicate_kind, cfg.min_pred_freq
         )
-        return tr, pr
+        return (
+            tr, pr, rules.term_probabilities(taxonomy, term_ids),
+            rules.argument_rule_lookup(tr, term_ids),
+        )
 
-    tr, pr = _staged(seconds, "rules", _rules_stage)
+    tr, pr, probs, rule_by_pair = _staged(seconds, "rules", _rules_stage)
 
     pr_scored = _staged(
-        seconds, "local", local.score_predicate_rules, index, pr, cfg.lambda_, taxonomy
+        seconds, "local", local.score_predicate_rules, index, pr, cfg.lambda_, probs
     )
 
     def _global_stage():
@@ -115,31 +114,23 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         paths = gi.extract_paths(forest, cfg.general_roots)
         rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr_scored}
         result = gi.run_global_stage(
-            index,
-            paths,
-            rule_scores,
-            taxonomy,
-            rules.argument_rule_lookup(tr),
-            cfg.tau_a,
-            cfg.tau_e,
+            index, paths, rule_scores, probs, rule_by_pair, cfg.tau_a, cfg.tau_e
         )
         return forest.n_trees, len(forest.dropped_edges), paths, result
 
     n_trees, n_dropped, paths, result = _staged(seconds, "global", _global_stage)
 
     def _seal_stage():
-        graph = store.EntailmentGraph.from_parts(index.eventualities, result.edges)
-        kind_counts: dict[str, int] = {}
-        for kind in index.predicate_kind.values():
-            kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        by_prov = Counter(edge.provenance for edge in graph.edges.values())
+        result.edges.check(index.ids)
+        graph = store.EntailmentGraph.from_parts(index.ids, index.frequency, result.edges)
+        by_prov = Counter(PROVENANCES[code] for code in graph.columns.prov)
         report = {
             "config": config_report(cfg),
             "counts": {
-                "eventualities": len(index.eventualities),
+                "eventualities": len(index.ids),
                 "terms": len(index.terms),
                 "predicates": len(index.predicate_freq),
-                "predicates_by_kind": kind_counts,
+                "predicates_by_kind": dict(Counter(index.predicate_kind.values())),
                 "argument_rules": len(tr),
                 "predicate_rules": len(pr),
                 "trees": n_trees,
@@ -151,26 +142,13 @@ def _build(cfg: PipelineConfig) -> BuildResult:
                 "expansion_checks": result.expansion_checks,
             },
             "per_type": [
-                {
-                    "type": row.label,
-                    "n_eventualities": row.n_eventualities,
-                    "n_er_local": row.n_er_local,
-                    "n_er_global": row.n_er_global,
-                }
-                for row in store.stats(graph)
+                dict(zip(store.STATS_COLUMNS, astuple(row))) for row in store.stats(graph)
             ],
         }
         return graph, report
 
     graph, report = _staged(seconds, "seal", _seal_stage)
-    return BuildResult(
-        graph=graph,
-        argument_rules=tr,
-        predicate_rules=pr_scored,
-        paths=paths,
-        report=report,
-        stage_seconds=seconds,
-    )
+    return BuildResult(graph, tr, pr_scored, paths, report, seconds)
 
 
 def write_outputs(result: BuildResult, output_dir: str | Path) -> None:

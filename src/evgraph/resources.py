@@ -37,23 +37,26 @@ class TaxonomyStore:
     probs: dict[str, dict[str, float]]
 
 
-def load_taxonomy(path: str | Path) -> TaxonomyStore:
-    """Load a concept/instance/frequency file; duplicate pairs sum."""
-    counts: dict[str, dict[str, int]] = {}
+def _triples(path: str | Path, names: str):
+    """(line number, first two fields normalized, third field) of each
+    line of a three-field file."""
     for lineno, line in decoded_lines(path, ResourceError):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3:
-            raise ResourceError(
-                f"line {lineno}: expected concept/instance/frequency, got {len(parts)} fields"
-            )
-        concept = normalize_token(parts[0])
-        instance = normalize_token(parts[1])
+            raise ResourceError(f"line {lineno}: expected {names}, got {len(parts)} fields")
+        yield lineno, normalize_token(parts[0]), normalize_token(parts[1]), parts[2]
+
+
+def load_taxonomy(path: str | Path) -> TaxonomyStore:
+    """Load a concept/instance/frequency file; duplicate pairs sum."""
+    counts: dict[str, dict[str, int]] = {}
+    for lineno, concept, instance, field in _triples(path, "concept/instance/frequency"):
         if not concept or not instance:
             raise ResourceError(f"line {lineno}: empty concept or instance")
         try:
-            freq = int(parts[2])
+            freq = int(field)
         except ValueError:
-            raise ResourceError(f"line {lineno}: bad frequency {parts[2]!r}") from None
+            raise ResourceError(f"line {lineno}: bad frequency {field!r}") from None
         if freq <= 0:
             raise ResourceError(f"line {lineno}: non-positive frequency {freq}")
         concept_counts = counts.setdefault(instance, {})
@@ -74,10 +77,7 @@ def conceptualize(store: TaxonomyStore, term: str, k: int) -> list[tuple[str, fl
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    concepts = store.probs.get(normalize_token(term))
-    if not concepts:
-        return []
-    return list(concepts.items())[:k]
+    return list(store.probs.get(normalize_token(term), {}).items())[:k]
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,8 @@ def load_verb_hierarchy(
 ) -> VerbHierarchyStore:
     """Load specific/general/kind edges; self-loops are rejected."""
     edges: set[tuple[str, str]] = set()
-    for lineno, line in decoded_lines(path, ResourceError):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise ResourceError(
-                f"line {lineno}: expected specific/general/kind, got {len(parts)} fields"
-            )
-        specific = normalize_token(parts[0])
-        general = normalize_token(parts[1])
-        kind = parts[2].strip()
+    for lineno, specific, general, kind in _triples(path, "specific/general/kind"):
+        kind = kind.strip()
         if kind not in HIERARCHY_KINDS:
             raise ResourceError(f"line {lineno}: unknown edge kind {kind!r}")
         if not specific or not general:
@@ -114,15 +107,8 @@ def load_verb_hierarchy(
             raise ResourceError(f"line {lineno}: self-loop {specific!r} rejected")
         edges.add((specific, general))
 
-    light = (
-        load_light_verbs(light_verb_path)
-        if light_verb_path is not None
-        else DEFAULT_LIGHT_VERBS
-    )
+    light = DEFAULT_LIGHT_VERBS if light_verb_path is None else load_light_verbs(light_verb_path)
     edges_from: dict[str, list[str]] = {}
     for specific, general in sorted(edges):
         edges_from.setdefault(specific, []).append(general)
-    return VerbHierarchyStore(
-        edges_from={s: tuple(g) for s, g in edges_from.items()},
-        light_verbs=light,
-    )
+    return VerbHierarchyStore({s: tuple(g) for s, g in edges_from.items()}, light)

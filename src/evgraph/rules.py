@@ -2,11 +2,14 @@
 raw predicate rules from the verb hierarchy.
 
 Rule files are tab-separated from/to/score lines in canonical sort order.
+The scoring stages read the taxonomy and the argument rules as lookup
+tables keyed by the corpus index's term ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Collection, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import CorpusIndex
@@ -32,20 +35,20 @@ class PredicateRule:
     score: float | None = None
 
 
-def collect_vocabulary(index: CorpusIndex) -> tuple[frozenset[str], dict[str, int]]:
-    """All argument terms and all predicates with summed corpus frequencies."""
-    return index.terms, dict(index.predicate_freq)
+def collect_vocabulary(index: CorpusIndex) -> tuple[dict[str, int], dict[str, int]]:
+    """Every argument term with its term id, and every predicate with its
+    summed corpus frequency."""
+    return {term: i for i, term in enumerate(index.terms)}, dict(index.predicate_freq)
 
 
 def build_argument_rules(
-    store: TaxonomyStore, terms: frozenset[str], k: int, tau: float
+    store: TaxonomyStore, terms: Collection[str], k: int, tau: float
 ) -> tuple[ArgumentRule, ...]:
     """Top-k conceptualizations that land back in the term vocabulary.
 
-    Scores <= tau are dropped; identity rules are implicit and never stored.
+    Scores <= tau are dropped (the configuration keeps tau in [0, 1));
+    identity rules are implicit and never stored.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"tau must be in [0,1), got {tau}")
     rules = []
     for term in sorted(terms):
         for concept, prob in conceptualize(store, term, k):
@@ -90,8 +93,23 @@ def build_predicate_rules(
     return tuple(rules)
 
 
-def argument_rule_lookup(rules) -> dict[tuple[str, str], float]:
-    return {(r.from_term, r.to_term): r.score for r in rules}
+def argument_rule_lookup(rules, term_ids: Mapping[str, int]) -> dict[tuple[int, int], float]:
+    """(from term id, to term id) -> score of each argument rule."""
+    return {(term_ids[r.from_term], term_ids[r.to_term]): r.score for r in rules}
+
+
+def term_probabilities(
+    store: TaxonomyStore, term_ids: Mapping[str, int]
+) -> dict[int, dict[int, float]]:
+    """term id -> {concept term id: probability} for the corpus terms the
+    taxonomy knows, in the taxonomy's order.  A concept outside the
+    vocabulary is left out: no aligned term can equal it."""
+    known = (
+        (term_ids[term], {term_ids[c]: p for c, p in concepts.items() if c in term_ids})
+        for term, concepts in store.probs.items()
+        if term in term_ids
+    )
+    return {tid: related for tid, related in known if related}
 
 
 def write_argument_rules(rules, path: str | Path) -> None:
@@ -105,9 +123,3 @@ def write_predicate_rules(rules, path: str | Path) -> None:
         for r in rules:
             score = "" if r.score is None else repr(r.score)
             fh.write(f"{r.from_pred}\t{r.to_pred}\t{score}\n")
-
-
-def with_scores(
-    rules: tuple[PredicateRule, ...], scores: dict[tuple[str, str], float]
-) -> tuple[PredicateRule, ...]:
-    return tuple(replace(r, score=scores[(r.from_pred, r.to_pred)]) for r in rules)

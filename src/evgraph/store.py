@@ -6,21 +6,17 @@ pred_score, penalty, local_score.  Node file columns: id, pattern,
 role=token pairs, frequency.  Scores serialize as shortest round-trip
 decimals, so a write/read cycle is bit-exact.
 
-`read_graph` streams both files through `corpus.decoded_lines`, the
-reader of every input file.  A node line is the node id followed by a
-corpus line, which `corpus.parse_corpus_line` reads: `write_graph`
-writes canonical lines, so they take its regex fast path.  Each edge is
-validated by the `ScoredEdge` constructor.
-
-A sealed graph holds `nodes` and `edges` as dicts in key order, and
-`by_source` read off the edge keys in that order;
-`EntailmentGraph.from_parts` sorts only input that comes out of order,
-and the build and `read_graph` both deliver it in order.  `ids_by_text`
-is built on first use.  `stats` and `sample_for_annotation` group the
-edges by type in one pass of their own, and they and `write_graph`
-reuse the stored order rather than sorting again.  The
-cyclic garbage collector is paused (`paused_collector`) for a whole
-build as well as for a read.
+A sealed graph is columnar: node `ids` (ascending) and `frequency`, and
+one `EdgeColumns` sorted by (from row, to row), which is (from_id,
+to_id) order, with `offsets` marking each source row's edges.  `nodes`,
+`edges` and `by_source` are read-only mappings over the columns that
+build an `Eventuality` or a `ScoredEdge` on lookup.  `from_parts` sorts
+only input that comes out of order.  `read_graph` streams both files
+through `corpus.decoded_lines` straight into the columns: node lines
+through `corpus.parse_corpus_line` (whose regex fast path takes the
+canonical lines `write_graph` writes), edge lines through the
+`ScoredEdge` constructor's checks.  The cyclic garbage collector is
+paused (`paused_collector`) for a whole build as well as for a read.
 """
 
 from __future__ import annotations
@@ -28,14 +24,19 @@ from __future__ import annotations
 import gc
 import random
 from array import array
-from collections import deque
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter, deque
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, compress, islice, repeat
+from operator import add, eq, lt, mul
 from pathlib import Path
+from types import MappingProxyType
 
 from .corpus import corpus_line, decoded_lines, parse_corpus_line
-from .model import PROVENANCE_LOCAL, TYPE_LABELS, Eventuality, ScoredEdge
+from .model import LOCAL, PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge
+from .model import display_text, plausible, split_id
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
@@ -53,103 +54,162 @@ class NodeLookupError(KeyError):
     """Unknown or ambiguous eventuality reference in a query."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntailmentGraph:
-    nodes: dict[str, Eventuality]
-    edges: dict[tuple[str, str], ScoredEdge]
-    by_source: dict[str, tuple[str, ...]]
+    ids: list[str]  # row -> node id, ascending
+    frequency: array  # 'q'
+    columns: EdgeColumns  # sorted by (from row, to row)
+    offsets: array  # 'I': row r's edges are offsets[r] up to offsets[r + 1]
 
     @classmethod
-    def from_parts(cls, nodes, edges) -> "EntailmentGraph":
-        """Seal nodes and edges into a graph, kept in key order; a node id
-        or an edge's (from, to) pair given twice is rejected, as is an
-        edge whose endpoint is not a node.  Input already in key order is
-        not sorted again."""
-        node_map: dict[str, Eventuality] = {}
-        nodes_in_order = True
-        last_id = ""
-        for node in nodes:
-            node_id = node.id
-            if node_id in node_map:
-                raise ValueError(f"duplicate node {node_id}")
-            if node_id < last_id:
-                nodes_in_order = False
-            node_map[node_id] = node
-            last_id = node_id
-        if not nodes_in_order:
-            node_map = dict(sorted(node_map.items()))
+    def from_parts(cls, ids, frequency, edges: EdgeColumns) -> "EntailmentGraph":
+        """Seal nodes and edges into a graph, kept in key order.  `ids` and
+        `frequency` are the nodes; the edges' endpoints are positions in
+        `ids`.  A node id or an edge's (from, to) pair given twice is
+        rejected, as is an endpoint past the last node.  Input already in
+        key order is not sorted again."""
+        ids = list(ids)
+        n = len(ids)
+        if edges.src and (top := max(max(edges.src), max(edges.dst))) >= n:
+            raise ValueError(f"edge endpoint not among graph nodes: row {top}")
+        if not all(map(str.__lt__, ids, ids[1:])):
+            order = sorted(range(n), key=ids.__getitem__)
+            ids = [ids[i] for i in order]
+            for prev, node_id in zip(ids, ids[1:]):
+                if prev == node_id:
+                    raise ValueError(f"duplicate node {node_id}")
+            frequency = array("q", map(frequency.__getitem__, order))
+            rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
+            edges = edges.permuted(range(len(edges)))
+            edges.src = array("I", map(rank.__getitem__, edges.src))
+            edges.dst = array("I", map(rank.__getitem__, edges.dst))
+        keys = list(map(add, map(mul, edges.src, repeat(n)), edges.dst))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = list(map(keys.__getitem__, order))
+            twice = next((k for k, after in zip(keys, islice(keys, 1, None)) if k == after), None)
+            if twice is not None:
+                raise ValueError(f"duplicate edge {ids[twice // n]} -> {ids[twice % n]}")
+            edges = edges.permuted(order)
+        del keys
+        counts = [0] * (n + 1)
+        for src in edges.src:
+            counts[src + 1] += 1
+        return cls(ids, array("q", frequency), edges, array("I", accumulate(counts)))
 
-        merged: dict[tuple[str, str], ScoredEdge] = {}
-        edges_in_order = True
-        last_key = ("", "")
-        for edge in edges:
-            from_id, to_id = key = edge.key
-            if from_id not in node_map or to_id not in node_map:
-                raise ValueError(
-                    f"edge endpoint not among graph nodes: {from_id} -> {to_id}"
-                )
-            if key in merged:
-                raise ValueError(f"duplicate edge {from_id} -> {to_id}")
-            if key < last_key:
-                edges_in_order = False
-            merged[key] = edge
-            last_key = key
-        if not edges_in_order:
-            merged = dict(sorted(merged.items()))
+    @property
+    def nodes(self) -> Mapping[str, Eventuality]:
+        """Node id -> Eventuality, in id order."""
+        return _View(
+            lambda: iter(self.ids), self.row, len(self.ids),
+            lambda r: Eventuality.from_id(self.ids[r], self.frequency[r]),
+        )
 
-        # Filled after the edge map, not alongside it: built in the same
-        # loop, the source lists interleave with the map's allocations,
-        # and later lookups in the read graph got slower.
-        by_source: dict[str, list[str]] = {}
-        for from_id, to_id in merged:
-            by_source.setdefault(from_id, []).append(to_id)
-        return cls(
-            nodes=node_map,
-            edges=merged,
-            by_source={k: tuple(v) for k, v in by_source.items()},
+    @property
+    def edges(self) -> Mapping[tuple[str, str], ScoredEdge]:
+        """(from_id, to_id) -> ScoredEdge, in key order."""
+        ids, c = self.ids, self.columns
+        return _View(
+            lambda: ((ids[s], ids[d]) for s, d in zip(c.src, c.dst)),
+            lambda key: self.edge_index(self.row(key[0]), self.row(key[1])),
+            len(c), self.edge,
         )
 
     @cached_property
-    def ids_by_text(self) -> dict[str, list[str]]:
-        """Display text -> the sorted ids of the nodes that read so; built
-        on the first text lookup, not when the graph is sealed."""
-        out: dict[str, list[str]] = {}
-        for node_id, node in self.nodes.items():
-            out.setdefault(node.text, []).append(node_id)
+    def by_source(self) -> Mapping[str, tuple[str, ...]]:
+        """Node id -> the to_ids of its edges, for each node with edges;
+        built on first use."""
+        ids, dst, off = self.ids, self.columns.dst, self.offsets
+        spans = ((ids[r], dst[off[r]:off[r + 1]]) for r in range(len(ids)) if off[r] < off[r + 1])
+        return MappingProxyType({node_id: tuple(ids[d] for d in to) for node_id, to in spans})
+
+    def row(self, node_id: str) -> int:
+        """The row of a node id, or -1."""
+        return self._rows.get(node_id, -1)
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        """Node id -> row, built on the first lookup by id."""
+        return {node_id: r for r, node_id in enumerate(self.ids)}
+
+    def edge_index(self, src: int, dst: int) -> int:
+        """The position of edge src -> dst (rows) in the columns, or -1."""
+        if src < 0 or dst < 0:
+            return -1
+        lo, hi = self.offsets[src], self.offsets[src + 1]
+        i = bisect_left(self.columns.dst, dst, lo, hi)
+        return i if i < hi and self.columns.dst[i] == dst else -1
+
+    def edge(self, i: int) -> ScoredEdge:
+        return self.columns.edge(i, self.ids)
+
+    def text(self, row: int) -> str:
+        return display_text(*split_id(self.ids[row]))
+
+    @cached_property
+    def row_by_text(self) -> dict[str, int]:
+        """Display text -> the row of the one node that reads so, or -1 when
+        several do; built on first use, and holding no container, so the
+        cyclic collector never scans it."""
+        out: dict[str, int] = {}
+        for r in range(len(self.ids)):
+            text = self.text(r)
+            out[text] = -1 if text in out else r
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntailmentGraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        parts = (self.ids, self.frequency, self.columns)
+        return parts == (other.ids, other.frequency, other.columns)
+
+
+class _View(Mapping):
+    """A read-only mapping over a graph's columns: `find` gives a key's
+    position, or -1 for no key, and `build` the value at a position."""
+
+    def __init__(self, keys, find, size, build) -> None:
+        self._keys, self._find, self._size, self._build = keys, find, size, build
+
+    def __getitem__(self, key):
+        i = self._find(key)
+        if i < 0:
+            raise KeyError(key)
+        return self._build(i)
+
+    def __iter__(self):
+        return self._keys()
+
+    def __len__(self) -> int:
+        return self._size
 
 
 def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
     """Write nodes and edges in the graph's key order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    ids = graph.ids
     with open(directory / NODE_FILE, "w", encoding="utf-8") as fh:
-        for node_id, node in graph.nodes.items():
-            fh.write(f"{node_id}\t{corpus_line(node)}\n")
+        for node_id, frequency in zip(ids, graph.frequency):
+            fh.write(f"{node_id}\t{corpus_line(*split_id(node_id), frequency)}\n")
+    c = graph.columns
     with open(directory / EDGE_FILE, "w", encoding="utf-8") as fh:
-        for e in graph.edges.values():
+        for src, dst, code, prov, arg, pred, pen, local in zip(
+            c.src, c.dst, c.type, c.prov, c.arg, c.pred, c.pen, c.local
+        ):
             fh.write(
-                f"{e.from_id}\t{e.to_id}\t{e.type_label}\t{e.provenance}\t"
-                f"{e.arg_score!r}\t{e.pred_score!r}\t{e.penalty!r}\t{e.local_score!r}\n"
+                f"{ids[src]}\t{ids[dst]}\t{TYPE_LABELS[code]}\t{PROVENANCES[prov]}\t"
+                f"{arg!r}\t{pred!r}\t{pen!r}\t{local!r}\n"
             )
 
 
 class paused_collector:
     """Context manager that pauses the cyclic garbage collector for its
-    block and leaves it as the caller had it, also when the block raises.
-    A build or a read makes millions of objects and next to no reference
-    cycles, so the collector would only rescan the growing heap.  Nested
-    pauses are harmless: an inner one finds the collector off and leaves
-    it off.  `__exit__` allocates nothing after it turns the collector
-    back on, so the collector's first pass over the objects the block
-    made runs at the caller's next allocation, not within the block; a
-    `contextlib.contextmanager` generator would raise `StopIteration`
-    there and run that pass at once."""
+    block and leaves it as the caller had it, also when the block raises
+    or is nested: a build or a read makes next to no reference cycles.
+    `__exit__` allocates nothing after it turns the collector back on,
+    so its first pass runs at the caller's next allocation; a
+    `contextlib.contextmanager` generator would run it at once."""
 
     def __enter__(self) -> None:
         self._collecting = gc.isenabled()
@@ -163,7 +223,8 @@ class paused_collector:
 def read_graph(directory: str | Path) -> EntailmentGraph:
     """Read a written graph.  A malformed line, a line that is not UTF-8,
     a node or an edge given twice, or an edge to an unknown node raises
-    GraphFormatError naming the file and the line."""
+    GraphFormatError naming the file and the line: the first such line,
+    nodes.tsv before edges.tsv."""
     with paused_collector():
         return _read_graph(Path(directory))
 
@@ -174,58 +235,74 @@ def _file_lines(directory: Path, name: str):
     return decoded_lines(directory / name, lambda message: GraphFormatError(f"{name} {message}"))
 
 
+_TYPE_CODES = {label: code for code, label in enumerate(TYPE_LABELS)}
+_PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
+
+
 def _read_graph(directory: Path) -> EntailmentGraph:
-    nodes = []
-    node_lines = array("L")
+    ids: list[str] = []
+    frequency = array("q")
+    row_of: dict[str, int] = {}
     for lineno, line in _file_lines(directory, NODE_FILE):
         if line.count("\t") != 3:
-            raise GraphFormatError(f"{NODE_FILE} line {lineno}: expected 4 fields")
+            raise _fault(NODE_FILE, lineno, "expected 4 fields")
         node_id, corpus_fields = line.split("\t", 1)
         try:
-            node = parse_corpus_line(corpus_fields, lineno)
+            parsed_id, freq = parse_corpus_line(corpus_fields, lineno)
         except ValueError as exc:
             # The corpus parser's message already starts "line N: ".
             raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
-        if node.id != node_id:
-            raise GraphFormatError(
-                f"{NODE_FILE} line {lineno}: id {node_id!r} does not match tokens"
-            )
-        nodes.append(node)
-        node_lines.append(lineno)
+        if parsed_id != node_id:
+            raise _fault(NODE_FILE, lineno, f"id {node_id!r} does not match tokens")
+        if row_of.setdefault(node_id, len(ids)) != len(ids):
+            raise _fault(NODE_FILE, lineno, f"duplicate node {node_id}")
+        ids.append(node_id)
+        frequency.append(freq)
 
-    edges = []
-    edge_lines = array("L")
+    n = len(ids)
+    edges = EdgeColumns()
+    last_from, src, last_key = None, None, -1
+    keys: set[int] | None = None  # every key so far, once the edges came out of order
     for lineno, line in _file_lines(directory, EDGE_FILE):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 8:
-            raise GraphFormatError(f"{EDGE_FILE} line {lineno}: expected 8 fields")
-        from_id, to_id, label, provenance, arg, pred, penalty, local = parts
+            raise _fault(EDGE_FILE, lineno, "expected 8 fields")
+        from_id, to_id, label, provenance = parts[:4]
         try:
-            edge = ScoredEdge(
-                from_id, to_id, float(arg), float(pred), float(penalty), float(local),
-                provenance, label,
-            )
+            a, p, f, loc = map(float, parts[4:])
         except ValueError as exc:
-            raise GraphFormatError(f"{EDGE_FILE} line {lineno}: {exc}") from exc
-        edges.append(edge)
-        edge_lines.append(lineno)
+            raise _fault(EDGE_FILE, lineno, exc) from exc
+        code, prov = _TYPE_CODES.get(label), _PROVENANCE_CODES.get(provenance)
+        if from_id != last_from:
+            src, last_from = row_of.get(from_id), from_id
+        dst = row_of.get(to_id)
+        # A screen for the common case; a line it stops gets the
+        # ScoredEdge constructor's checks, which name the fault.
+        if not (
+            from_id != to_id and code is not None and prov is not None and plausible(a, p, f, loc)
+            and src is not None and dst is not None
+        ):
+            try:
+                ScoredEdge(from_id, to_id, a, p, f, loc, provenance, label)
+            except ValueError as exc:
+                raise _fault(EDGE_FILE, lineno, exc) from exc
+            message = f"edge endpoint not among graph nodes: {from_id} -> {to_id}"
+            raise _fault(EDGE_FILE, lineno, message)
+        key = src * n + dst
+        if key <= last_key and keys is None:
+            keys = {s * n + d for s, d in zip(edges.src, edges.dst)}
+        if keys is not None:
+            if key in keys:
+                raise _fault(EDGE_FILE, lineno, f"duplicate edge {from_id} -> {to_id}")
+            keys.add(key)
+        last_key = key
+        edges.append(src, dst, a, p, f, loc, code, prov)
+    del row_of, keys
+    return EntailmentGraph.from_parts(ids, frequency, edges)
 
-    # from_parts rejects a duplicate node or edge and a dangling edge;
-    # `where` follows the item it takes, so the error can name its line.
-    where = (NODE_FILE, 0)
 
-    def located(items, name, lines):
-        nonlocal where
-        for item, lineno in zip(items, lines):
-            where = (name, lineno)
-            yield item
-
-    try:
-        return EntailmentGraph.from_parts(
-            located(nodes, NODE_FILE, node_lines), located(edges, EDGE_FILE, edge_lines)
-        )
-    except ValueError as exc:
-        raise GraphFormatError(f"{where[0]} line {where[1]}: {exc}") from exc
+def _fault(name: str, lineno: int, message) -> GraphFormatError:
+    return GraphFormatError(f"{name} line {lineno}: {message}")
 
 
 @dataclass(frozen=True)
@@ -244,39 +321,26 @@ def stats(graph: EntailmentGraph) -> list[StatsRow]:
     Eventuality counts are unique edge endpoints; the Overall row counts
     unique items, not column sums.
     """
-    keys_by_type: dict[str, list[tuple[str, str]]] = {label: [] for label in TYPE_LABELS}
-    n_local = dict.fromkeys(TYPE_LABELS, 0)
-    for key, edge in graph.edges.items():
-        label = edge.type_label
-        keys_by_type[label].append(key)
-        if edge.provenance == PROVENANCE_LOCAL:
-            n_local[label] += 1
+    c = graph.columns
+    n_type = Counter(c.type)
+    n_local = Counter(compress(c.type, map(eq, c.prov, repeat(LOCAL))))
     # One type's endpoint set at a time keeps the peak memory low.
     rows = []
-    all_endpoints: set[str] = set()
-    for label in TYPE_LABELS:
-        keys = keys_by_type[label]
-        endpoints = set(chain.from_iterable(keys))
-        rows.append(StatsRow(label, len(endpoints), n_local[label], len(keys)))
-        all_endpoints |= endpoints
-    rows.append(
-        StatsRow(OVERALL_LABEL, len(all_endpoints), sum(n_local.values()), len(graph.edges))
-    )
+    for code, label in enumerate(TYPE_LABELS):
+        of_type = bytes(map(eq, c.type, repeat(code))) if n_type[code] else b""
+        endpoints = set(compress(c.src, of_type)).union(compress(c.dst, of_type))
+        rows.append(StatsRow(label, len(endpoints), n_local[code], n_type[code]))
+    overall = len(set(c.src).union(c.dst))
+    rows.append(StatsRow(OVERALL_LABEL, overall, sum(n_local.values()), len(c)))
     return rows
 
 
 def format_stats(rows) -> str:
-    lines = ["\t".join(STATS_COLUMNS)]
-    for row in rows:
-        lines.append(
-            f"{row.label}\t{row.n_eventualities}\t{row.n_er_local}\t{row.n_er_global}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [STATS_COLUMNS, *map(astuple, rows)]
+    return "".join("\t".join(map(str, line)) + "\n" for line in lines)
 
 
-def sample_for_annotation(
-    graph: EntailmentGraph, n_per_type: int, seed: int
-) -> list[str]:
+def sample_for_annotation(graph: EntailmentGraph, n_per_type: int, seed: int) -> list[str]:
     """Per-type uniform sample of premise/hypothesis pairs, without
     replacement, reproducible under the seed.
 
@@ -287,41 +351,32 @@ def sample_for_annotation(
         raise ValueError(f"n_per_type must be >= 0, got {n_per_type}")
     rng = random.Random(seed)
     lines: list[str] = []
-    if n_per_type == 0:
-        return lines
-    keys_by_type: dict[str, list[tuple[str, str]]] = {}
-    for key, edge in graph.edges.items():
-        keys_by_type.setdefault(edge.type_label, []).append(key)
-    for label in TYPE_LABELS:
-        keys = keys_by_type.get(label)
-        if not keys:
-            continue
-        if len(keys) <= n_per_type:
-            if len(keys) < n_per_type:
-                lines.append(
-                    f"# warning: type {label!r} has only {len(keys)} edges, "
-                    f"requested {n_per_type}"
-                )
-            chosen = keys
-        else:
-            chosen = sorted(rng.sample(keys, n_per_type))
-        for key in chosen:
-            edge = graph.edges[key]
-            premise = graph.nodes[edge.from_id].text
-            hypothesis = graph.nodes[edge.to_id].text
-            lines.append(f"{premise}\t{hypothesis}\t{label}\t{edge.local_score!r}")
+    c = graph.columns
+    by_type: list[list[int]] = [[] for _ in TYPE_LABELS]
+    for i, code in enumerate(c.type if n_per_type else ()):
+        by_type[code].append(i)
+    for label, keys in zip(TYPE_LABELS, by_type):
+        if 0 < len(keys) < n_per_type:
+            lines.append(
+                f"# warning: type {label!r} has only {len(keys)} edges, requested {n_per_type}"
+            )
+        chosen = keys if len(keys) <= n_per_type else sorted(rng.sample(keys, n_per_type))
+        for i in chosen:
+            premise, hypothesis = graph.text(c.src[i]), graph.text(c.dst[i])
+            lines.append(f"{premise}\t{hypothesis}\t{label}\t{c.local[i]!r}")
     return lines
 
 
 def resolve_node(graph: EntailmentGraph, ref: str) -> str:
     """Resolve an id or a unique display text to a node id."""
-    if ref in graph.nodes:
+    if graph.row(ref) >= 0:
         return ref
-    matches = graph.ids_by_text.get(ref, [])
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
+    r = graph.row_by_text.get(ref)
+    if r is None:
         raise NodeLookupError(f"unknown eventuality {ref!r}")
+    if r >= 0:
+        return graph.ids[r]
+    matches = [node_id for i, node_id in enumerate(graph.ids) if graph.text(i) == ref]
     raise NodeLookupError(f"ambiguous eventuality text {ref!r}: {matches}")
 
 
@@ -337,24 +392,26 @@ def query_entails(graph: EntailmentGraph, ref_a: str, ref_b: str) -> QueryResult
     dst = resolve_node(graph, ref_b)
     if src == dst:
         return QueryResult("none", ())
-    direct = graph.edges.get((src, dst))
-    if direct is not None:
-        return QueryResult("direct", (direct,))
-    parent: dict[str, str] = {src: ""}
+    src, dst = graph.row(src), graph.row(dst)
+    direct = graph.edge_index(src, dst)
+    if direct >= 0:
+        return QueryResult("direct", (graph.edge(direct),))
+    offsets, targets = graph.offsets, graph.columns.dst
+    # Breadth-first over rows; `parent` holds the row that first reached a row.
+    parent: dict[int, int] = {src: -1}
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nxt in graph.by_source.get(cur, ()):
+        for nxt in targets[offsets[cur]:offsets[cur + 1]]:
             if nxt in parent:
                 continue
             parent[nxt] = cur
             if nxt == dst:
                 trail = []
-                node = dst
-                while node != src:
-                    prev = parent[node]
-                    trail.append(graph.edges[(prev, node)])
-                    node = prev
+                while nxt != src:
+                    prev = parent[nxt]
+                    trail.append(graph.edge(graph.edge_index(prev, nxt)))
+                    nxt = prev
                 return QueryResult("chain", tuple(reversed(trail)))
             queue.append(nxt)
     return QueryResult("none", ())

@@ -14,15 +14,15 @@ from pathlib import Path
 import pytest
 
 from chains import iter_chains
+from columns import graph_from, type_label
 from evgraph.cli import main as cli_main
 from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
 from evgraph.local import FeatureVector, argument_score, binc, compose_edge
-from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces, type_label
+from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces
 from evgraph.pipeline import OUTPUT_FILES, build
 from evgraph.resources import load_taxonomy
 from evgraph.store import (
-    EntailmentGraph,
     query_entails,
     read_graph,
     stats,
@@ -98,7 +98,8 @@ def test_criterion_01_noisy_or_matches_bernoulli_oracle(tmp_path):
 
 def _composed(p, f, a):
     """compose_edge's score with c_to = 1, so its penalty is exactly f."""
-    edge = compose_edge("s-v:a|p", "s-v:b|q", "s-v", "s-v", p, f, 1.0, a, "global")
+    pen, score = compose_edge(p, f, 1.0, a)
+    edge = ScoredEdge("s-v:a|p", "s-v:b|q", a, p, pen, score, "global", "s-v ⊨ s-v")
     assert (edge.pred_score, edge.penalty, edge.arg_score) == (p, f, a)
     return edge.local_score
 
@@ -163,7 +164,7 @@ def test_criterion_04_decomposition_rows():
     ]
     for pattern, roles, predicate, kind, args in rows:
         e = Eventuality.create(pattern, roles, 1)
-        assert decompose_surfaces(e) == (predicate, kind, args), pattern
+        assert decompose_surfaces(e.pattern, e.tokens) == (predicate, kind, args), pattern
 
 
 # --- criterion 5: demo corpus end to end ---------------------------------------
@@ -347,7 +348,7 @@ def test_criterion_06_global_edges_equal_exhaustive_oracle(tmp_path):
         )
         result = build(cfg)
         index = CorpusIndex.from_file(files["corpus"])
-        assert len(index.eventualities) <= 50
+        assert len(index.ids) <= 50
         got = {key for key, e in result.graph.edges.items() if e.provenance == "global"}
         expected = _oracle_global_edges(files, result, tau_a, tau_e)
         assert got == expected, f"case {case}"
@@ -515,7 +516,7 @@ def test_criterion_10_round_trip_large_graph(tmp_path):
                     type_label=label,
                 )
             )
-    graph = EntailmentGraph.from_parts(nodes, edges)
+    graph = graph_from(nodes, edges)
     assert len(graph.edges) == 100_000
 
     write_graph(graph, tmp_path / "one")

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evgraph import corpus
-from evgraph.corpus import CorpusError, CorpusIndex, Row, corpus_line, parse_corpus_line, read_corpus
+from columns import Row, by_predicate, rows
+from evgraph.corpus import CorpusError, CorpusIndex, corpus_line, parse_corpus_line, read_corpus
+from evgraph.local import signature_counts
 from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality
 from randomtoy import eventualities
 
 
-def write_corpus(eventualities, path) -> None:
+def write_corpus(frequencies, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in eventualities:
-            fh.write(corpus_line(e) + "\n")
+        for eid, frequency in frequencies.items():
+            e = Eventuality.from_id(eid, frequency)
+            fh.write(corpus_line(e.pattern, e.tokens, e.frequency) + "\n")
 
 
 def _index(lines, tmp_path):
@@ -25,7 +28,8 @@ def _index(lines, tmp_path):
 
 
 def test_parse_line():
-    e = parse_corpus_line("s-v-o\tn1=boy;v1=eat;n2=apple\t3", 1)
+    assert parse_corpus_line("s-v-o\tn1=boy;v1=eat;n2=apple\t3", 1) == ("s-v-o:boy|eat|apple", 3)
+    e = Eventuality.from_id("s-v-o:boy|eat|apple", 3)
     assert e.pattern == "s-v-o" and e.frequency == 3
     assert e.tokens == ("boy", "eat", "apple")
 
@@ -137,8 +141,8 @@ def test_canonical_line_skips_general_parser(monkeypatch):
         raise AssertionError(f"general parser called on {line!r}")
 
     monkeypatch.setattr(corpus, "_parse_general", general)
-    assert parse_corpus_line(CANONICAL, 1) == Eventuality(
-        "s-v-o-p-o", ("ice cream", "melt", "crème brûlée", "in", "σας"), 12
+    assert parse_corpus_line(CANONICAL, 1) == (
+        Eventuality("s-v-o-p-o", ("ice cream", "melt", "crème brûlée", "in", "σας"), 12).id, 12
     )
 
 
@@ -150,10 +154,7 @@ def test_read_merges_duplicate_records(tmp_path):
         "s-v\tn1=cat;v1=meow\t1\n",
         encoding="utf-8",
     )
-    evs = read_corpus(path)
-    assert len(evs) == 2
-    by_id = {e.id: e for e in evs}
-    assert by_id["s-v:dog|bark"].frequency == 7
+    assert read_corpus(path) == {"s-v:dog|bark": 7, "s-v:cat|meow": 1}
 
 
 def test_read_reports_the_first_bad_line_of_a_file_not_utf8(tmp_path):
@@ -182,6 +183,19 @@ def test_read_counts_lines_at_newline_only(tmp_path):
         read_corpus(path)
 
 
+def test_byte_order_mark_is_dropped_from_a_corpus(tmp_path):
+    path = tmp_path / "c.tsv"
+    lines = b"s-v\tn1=dog;v1=bark\t2\n\ns-v\tn1=cat;v1=meow\t1\n"
+    path.write_bytes(lines)
+    plain = read_corpus(path)
+    path.write_bytes(b"\xef\xbb\xbf" + lines)
+    assert read_corpus(path) == plain == {"s-v:dog|bark": 2, "s-v:cat|meow": 1}
+    # A blank first line keeps its number, mark or not.
+    path.write_bytes(b"\xef\xbb\xbf\n" + lines.replace(b"=dog", b"=d\xffg"))
+    with pytest.raises(CorpusError, match=r"^line 2: not UTF-8"):
+        read_corpus(path)
+
+
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t4\n", encoding="utf-8")
@@ -193,9 +207,10 @@ def test_write_read_round_trip(tmp_path):
 
 def test_index_vocabulary_single_record(tmp_path):
     index = _index(["s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t1"], tmp_path)
-    assert index.terms == frozenset({"he", "it", "on-youtube"})
+    assert index.terms == ["he", "it", "on-youtube"]
     assert set(index.predicate_freq) == {"post"}
-    assert index.rows == {
+    assert list(index.args) == [0, 1, 2]
+    assert rows(index) == {
         "s-v-o-p-o:he|post|it|on|youtube": Row("s-v-o-p-o", "post", ("he", "it", "on-youtube"), 1.0)
     }
     assert index.predicate_kind == {"post": "verb"}
@@ -208,17 +223,19 @@ def test_index_sums_predicate_frequency(tmp_path):
     )
     assert index.predicate_freq["eat"] == 7
     assert index.total_mass == 7
-    assert index.signature_freq == {"boy|apple": 3, "girl|bread": 4}
-    assert index.pred_signatures == {"eat": {"boy|apple": 3, "girl|bread": 4}}
-    assert index.pred_signatures["eat"]["boy|apple"] == 3
+    # Signature ids follow the text order: boy|apple, girl|bread.
+    assert list(index.signature) == [0, 1]
+    assert list(index.signature_freq) == [3, 4]
+    assert signature_counts(index, "eat") == {0: 3, 1: 4}
 
 
 def test_index_empty_corpus(tmp_path):
     index = _index([], tmp_path)
-    assert index.eventualities == ()
-    assert index.rows == {}
-    assert index.terms == frozenset()
+    assert index.ids == []
+    assert rows(index) == {}
+    assert index.terms == []
     assert index.total_mass == 0
+    assert list(index.posting_keys) == [] and list(index.posting_start) == [0]
 
 
 def test_index_conditional_probability(tmp_path):
@@ -226,8 +243,9 @@ def test_index_conditional_probability(tmp_path):
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t1", "s-v-o\tn1=boy;v1=eat;n2=food\t3"],
         tmp_path,
     )
-    assert index.rows["s-v-o:boy|eat|apple"].cond_prob == 0.25
-    assert index.rows["s-v-o:boy|eat|food"].cond_prob == 0.75
+    assert rows(index)["s-v-o:boy|eat|apple"].cond_prob == 0.25
+    assert rows(index)["s-v-o:boy|eat|food"].cond_prob == 0.75
+    assert list(index.cond_prob) == [0.25, 0.75]
 
 
 def test_index_groups_by_predicate_sorted(tmp_path):
@@ -239,7 +257,8 @@ def test_index_groups_by_predicate_sorted(tmp_path):
         ],
         tmp_path,
     )
-    assert index.by_predicate["eat"] == ("s-v-o:boy|eat|apple", "s-v-o:boy|eat|food")
+    assert by_predicate(index)["eat"] == ("s-v-o:boy|eat|apple", "s-v-o:boy|eat|food")
+    assert list(index.by_predicate["eat"]) == [0, 1]  # "s-v-o:" sorts before "s-v:"
 
 
 def test_index_rows_of_compound_patterns():
@@ -248,15 +267,15 @@ def test_index_rows_of_compound_patterns():
         Eventuality.create("s-v-p-o", {"n1": "boy", "v1": "look", "p1": "at", "n2": "sky"}, 3),
         Eventuality.create("s-be-a", {"n1": "it", "a1": "red"}, 6),
     ]
-    index = CorpusIndex.build(evs)
-    assert list(index.rows) == sorted(e.id for e in evs)
-    assert index.eventualities == tuple(sorted(evs, key=lambda e: e.id))
-    assert index.rows == {
+    index = CorpusIndex.build((e.id, e.frequency) for e in evs)
+    assert index.ids == sorted(e.id for e in evs)
+    assert list(index.frequency) == [e.frequency for e in sorted(evs, key=lambda e: e.id)]
+    assert rows(index) == {
         "s-be-a-p-o:it|red|in|sun": Row("s-be-a-p-o", "be-red", ("it", "in-sun"), 0.25),
         "s-be-a:it|red": Row("s-be-a", "be-red", ("it",), 0.75),
         "s-v-p-o:boy|look|at|sky": Row("s-v-p-o", "look-at", ("boy", "sky"), 1.0),
     }
-    assert index.by_predicate == {
+    assert by_predicate(index) == {
         "be-red": ("s-be-a-p-o:it|red|in|sun", "s-be-a:it|red"),
         "look-at": ("s-v-p-o:boy|look|at|sky",),
     }
@@ -266,7 +285,7 @@ def test_index_rows_of_compound_patterns():
 def test_index_rejects_duplicate_id():
     ev = Eventuality.create("s-v", {"n1": "dog", "v1": "bark"}, 1)
     with pytest.raises(CorpusError, match=re.escape("duplicate eventuality id 's-v:dog|bark'")):
-        CorpusIndex.build([ev, Eventuality(ev.pattern, ev.tokens, 2)])
+        CorpusIndex.build([(ev.id, 1), (ev.id, 2)])
 
 
 @st.composite
@@ -281,4 +300,5 @@ def shuffled_records(draw):
 def test_index_ignores_input_order(records):
     # repr shows every map in its insertion order, which output order follows.
     first, second = records
-    assert repr(CorpusIndex.build(second)) == repr(CorpusIndex.build(first))
+    build = lambda evs: CorpusIndex.build((e.id, e.frequency) for e in evs)  # noqa: E731
+    assert repr(build(second)) == repr(build(first))

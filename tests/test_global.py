@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import evgraph.global_inference as gi
 from chains import iter_chains
+from columns import by_predicate, edge_dict, probs, row_of, rows, rule_table, type_label
 from evgraph.corpus import CorpusIndex, parse_corpus_line, probe_postings
 from evgraph.global_inference import (
     build_forest,
@@ -29,7 +30,6 @@ from evgraph.model import (
     Eventuality,
     ScoredEdge,
     aligned_slots,
-    type_label,
 )
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
@@ -49,6 +49,33 @@ def _taxonomy(lines, tmp_path):
 
 def _scored(*pairs):
     return tuple(PredicateRule(a, b, s) for a, b, s in pairs)
+
+
+def infer(index, path, rule_scores, store, tau_a, tau_e):
+    """infer_path_edges on a string-keyed taxonomy, its edges keyed by ids."""
+    edges, checks = infer_path_edges(index, path, rule_scores, probs(index, store), tau_a, tau_e)
+    return edge_dict(index, edges), checks
+
+
+def expand(index, node_ids, rule_by_pair, tau_e):
+    """expand_with_argument_rules on ids and string-keyed rules, its
+    edges keyed by ids."""
+    nodes = {row_of(index, node) for node in node_ids}
+    edges, checks = expand_with_argument_rules(
+        index, nodes, rule_table(index, rule_by_pair), tau_e
+    )
+    return edge_dict(index, edges), checks
+
+
+def global_stage(index, paths, rule_scores, store, rule_by_pair, tau_a, tau_e):
+    """run_global_stage on string-keyed tables: its edges in key order,
+    and its two check counts."""
+    result = run_global_stage(
+        index, paths, rule_scores, probs(index, store), rule_table(index, rule_by_pair),
+        tau_a, tau_e,
+    )
+    edges = edge_dict(index, result.edges)
+    return tuple(edges[k] for k in sorted(edges)), result.candidate_checks, result.expansion_checks
 
 
 # --- forest --------------------------------------------------------------------
@@ -170,7 +197,7 @@ FIG_CORPUS = [
 def test_bipartite_contains_identical_argument_pair(tmp_path):
     index = _index(FIG_CORPUS)
     store = _taxonomy([], tmp_path)
-    edges, checks = infer_path_edges(
+    edges, checks = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
     )
     assert checks == 2 * 2
@@ -182,7 +209,7 @@ def test_bipartite_contains_identical_argument_pair(tmp_path):
 def test_bipartite_empty_side(tmp_path):
     index = _index(FIG_CORPUS)
     store = _taxonomy([], tmp_path)
-    edges, checks = infer_path_edges(
+    edges, checks = infer(
         index, ("chew", "drink"), {("chew", "drink"): 1.0}, store, 0.0, 0.0
     )
     assert edges == {} and checks == 0
@@ -193,7 +220,7 @@ def test_bipartite_taxonomy_related_candidate_carries_composed_weight(tmp_path):
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=x;v1=eat;n2=fruit\t2"]
     )
     store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
-    edges, _ = infer_path_edges(
+    edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 0.81}, store, 0.0, 0.0
     )
     [((lid, rid), edge)] = list(edges.items())
@@ -208,7 +235,7 @@ def test_bipartite_unrelated_arguments_excluded(tmp_path):
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=y;v1=eat;n2=rock\t2"]
     )
     store = _taxonomy([], tmp_path)
-    edges, checks = infer_path_edges(
+    edges, checks = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
     )
     assert edges == {} and checks == 1
@@ -227,23 +254,24 @@ def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
     """Independent re-derivation of the accepted edges, with every score
     factor, over all pairs."""
     expected = {}
+    row, by_pred = rows(index), by_predicate(index)
     for p_l, p_r in zip(path, path[1:]):
         rule = rule_scores.get((p_l, p_r), 0.0)
-        for lid in index.by_predicate.get(p_l, ()):
-            for rid in index.by_predicate.get(p_r, ()):
-                pat_l, pat_r = index.rows[lid].pattern, index.rows[rid].pattern
+        for lid in by_pred.get(p_l, ()):
+            for rid in by_pred.get(p_r, ()):
+                pat_l, pat_r = row[lid].pattern, row[rid].pattern
                 slots = aligned_slots(pat_l, pat_r)
                 if slots is None:
                     continue
-                args_l = index.rows[lid].args
-                args_r = index.rows[rid].args
+                args_l = row[lid].args
+                args_r = row[rid].args
                 pairs = [(args_l[i], args_r[j]) for i, j in slots]
                 identical = all(a == b for a, b in pairs)
                 miss = 1.0
                 for a, b in pairs:
                     miss *= 1.0 - _term_prob(store, a, b)
                 l_a = 1.0 - miss
-                pen = min(1.0, index.rows[lid].cond_prob / index.rows[rid].cond_prob)
+                pen = min(1.0, row[lid].cond_prob / row[rid].cond_prob)
                 l_e = math.sqrt(rule * pen * l_a)
                 if identical or (l_a > tau_a and l_e > tau_e):
                     expected[(lid, rid)] = ScoredEdge(
@@ -271,7 +299,7 @@ def test_infer_matches_brute_force(tmp_path, tau_a, tau_e):
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1", "toy\tapple\t1"], tmp_path)
     path = ("chew", "eat")
     rule_scores = {("chew", "eat"): 0.7}
-    edges, checks = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
+    edges, checks = infer(index, path, rule_scores, store, tau_a, tau_e)
     assert edges == brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e)
     assert checks == 4 * 4  # |U_chew| x |V_eat| (eat-at is its own predicate)
 
@@ -279,14 +307,15 @@ def test_infer_matches_brute_force(tmp_path, tau_a, tau_e):
 def test_strict_thresholds_keep_only_identical_argument_pairs(tmp_path):
     index = _index(MIXED_CORPUS)
     store = _taxonomy(["food\tapple\t3"], tmp_path)
-    edges, _ = infer_path_edges(
+    edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 1.0, 1.0
     )
+    row = rows(index)
     for key, edge in edges.items():
         assert edge.arg_score == 1.0
-        slots = aligned_slots(index.rows[key[0]].pattern, index.rows[key[1]].pattern)
-        args_l = index.rows[key[0]].args
-        args_r = index.rows[key[1]].args
+        slots = aligned_slots(row[key[0]].pattern, row[key[1]].pattern)
+        args_l = row[key[0]].args
+        args_r = row[key[1]].args
         assert all(args_l[i] == args_r[j] for i, j in slots)
     assert edges  # boy chew apple -> boy eat apple among others
 
@@ -299,18 +328,19 @@ def test_infer_consistent_with_bipartite_acceptance(tmp_path):
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     tau_a, tau_e = 0.25, 0.15
     rule_scores = {("chew", "eat"): 0.7}
-    edges, _ = infer_path_edges(index, ("chew", "eat"), rule_scores, store, tau_a, tau_e)
-    loose, _ = infer_path_edges(index, ("chew", "eat"), rule_scores, store, 0.0, 0.0)
+    edges, _ = infer(index, ("chew", "eat"), rule_scores, store, tau_a, tau_e)
+    loose, _ = infer(index, ("chew", "eat"), rule_scores, store, 0.0, 0.0)
     accepted_from_bipartite = {}
+    row = rows(index)
     for (lid, rid), edge in loose.items():
-        slots = aligned_slots(index.rows[lid].pattern, index.rows[rid].pattern)
-        args_l, args_r = index.rows[lid].args, index.rows[rid].args
+        slots = aligned_slots(row[lid].pattern, row[rid].pattern)
+        args_l, args_r = row[lid].args, row[rid].args
         identical = all(args_l[i] == args_r[j] for i, j in slots)
         miss = 1.0
         for i, j in slots:
             miss *= 1.0 - _term_prob(store, args_l[i], args_r[j])
         assert edge.arg_score == 1.0 - miss
-        assert edge.penalty == min(1.0, index.rows[lid].cond_prob / index.rows[rid].cond_prob)
+        assert edge.penalty == min(1.0, row[lid].cond_prob / row[rid].cond_prob)
         assert edge.local_score == math.sqrt(0.7 * edge.penalty * edge.arg_score)
         if identical or (edge.arg_score > tau_a and edge.local_score > tau_e):
             accepted_from_bipartite[(lid, rid)] = edge
@@ -325,7 +355,7 @@ def test_path_identical_slot_saturates_argument_score(tmp_path):
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t2", "s-v-o\tn1=girl;v1=eat;n2=apple\t2"]
     )
     store = _taxonomy(["food\tapple\t3"], tmp_path)
-    edges, _ = infer_path_edges(
+    edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 0.7}, store, 0.3, 0.2
     )
     edge = edges[("s-v-o:boy|chew|apple", "s-v-o:girl|eat|apple")]
@@ -363,8 +393,8 @@ def test_expansion_attaches_incoming_same_predicate_edges(tmp_path):
     )
     store = _taxonomy(["food\tapple\t3", "company\tapple\t1", "food\tnut\t1"], tmp_path)
     rules = {("apple", "food"): 0.75, ("nut", "food"): 1.0}
-    edges, _ = expand_with_argument_rules(
-        index, {"s-v-o:boy|crunch|food"}, rules, store, 0.2
+    edges, _ = expand(
+        index, {"s-v-o:boy|crunch|food"}, rules, 0.2
     )
     assert set(edges) == {
         ("s-v-o:boy|crunch|apple", "s-v-o:boy|crunch|food"),
@@ -385,12 +415,12 @@ def test_expansion_respects_threshold(tmp_path):
     store = _taxonomy(["food\tapple\t1"], tmp_path)
     rules = {("apple", "food"): 1.0}
     # composed score = sqrt(penalty * 1.0) = sqrt(min(1, (1/10)/(9/10))) ~ 0.333
-    edges, _ = expand_with_argument_rules(
-        index, {"s-v-o:boy|crunch|food"}, rules, store, 0.5
+    edges, _ = expand(
+        index, {"s-v-o:boy|crunch|food"}, rules, 0.5
     )
     assert edges == {}
-    edges, _ = expand_with_argument_rules(
-        index, {"s-v-o:boy|crunch|food"}, rules, store, 0.2
+    edges, _ = expand(
+        index, {"s-v-o:boy|crunch|food"}, rules, 0.2
     )
     assert len(edges) == 1
 
@@ -400,9 +430,7 @@ def test_expansion_without_applicable_rules(tmp_path):
         ["s-v-o\tn1=boy;v1=crunch;n2=rock\t1", "s-v-o\tn1=boy;v1=crunch;n2=food\t1"]
     )
     store = _taxonomy([], tmp_path)
-    edges, _ = expand_with_argument_rules(
-        index, {"s-v-o:boy|crunch|food"}, {}, store, 0.0
-    )
+    edges, _ = expand(index, {"s-v-o:boy|crunch|food"}, {}, 0.0)
     assert edges == {}
 
 
@@ -415,7 +443,7 @@ def test_expansion_allows_all_equal_cross_pattern_pair(tmp_path):
         ]
     )
     store = _taxonomy([], tmp_path)
-    edges, _ = expand_with_argument_rules(index, {"s-v-o:boy|eat|apple"}, {}, store, 0.2)
+    edges, _ = expand(index, {"s-v-o:boy|eat|apple"}, {}, 0.2)
     assert set(edges) == {("s-v-o-p-o:boy|eat|apple|at|home", "s-v-o:boy|eat|apple")}
 
 
@@ -432,11 +460,11 @@ def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
     store = _taxonomy([], tmp_path)
     rules = {("apple", "food"): 1.0}
     cand, node = "s-v-o-p-o:boy|eat|apple|at|home", "s-v-o-p-o:boy|eat|food|at|school"
-    edges, checks = expand_with_argument_rules(index, {node}, rules, store, 0.0)
+    edges, checks = expand(index, {node}, rules, 0.0)
     assert edges == {} and checks == 1
     slots = aligned_slots("s-v-o-p-o", "s-v-o-p-o")
     assert argument_score(
-        index.rows[cand].args, index.rows[node].args, slots, store.probs
+        rows(index)[cand].args, rows(index)[node].args, slots, store.probs
     ) == (False, 1.0)
 
 
@@ -449,8 +477,8 @@ def test_run_global_stage_worker_invariance(tmp_path):
     paths = (("chew", "eat"),)
     rule_scores = {("chew", "eat"): 0.7}
     tr = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
-    serial = run_global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2)
-    assert serial.candidate_checks == 16
+    _, checks, _ = global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2)
+    assert checks == 16
 
 
 SHARED_CORPUS = [
@@ -476,9 +504,9 @@ def _per_path_reference(index, paths, rule_scores, store, rule_by_pair, tau_a, t
     merged = {}
     checks = exp_checks = 0
     for path in paths:
-        edges, c = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
+        edges, c = infer(index, path, rule_scores, store, tau_a, tau_e)
         nodes = {node for key in edges for node in key}
-        local_edges, e = expand_with_argument_rules(index, nodes, rule_by_pair, store, tau_e)
+        local_edges, e = expand(index, nodes, rule_by_pair, tau_e)
         merged.update(edges)
         merged.update(local_edges)
         checks += c
@@ -502,18 +530,18 @@ def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monke
 
     monkeypatch.setattr(gi, "infer_path_edges", count_infer)
     monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
-    result = run_global_stage(
+    edges, _, _ = global_stage(
         index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
     assert inferred == [("chew", "eat"), ("crunch", "chew"), ("munch", "chew")]
     assert len(expanded) == len(set(expanded))
     endpoints = {
         node
-        for edge in result.edges
+        for edge in edges
         if edge.provenance == "global"
         for node in (edge.from_id, edge.to_id)
     }
-    assert set(expanded) == endpoints
+    assert {index.ids[node] for node in expanded} == endpoints
     assert "s-v-o:boy|chew|apple" in endpoints
 
 
@@ -533,11 +561,11 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
     nodes = set()
     for pair in (("chew", "eat"), ("crunch", "chew"), ("munch", "chew")):
         probes.clear()
-        edges, _ = infer_path_edges(index, pair, SHARED_RULES, store, 0.3, 0.2)
+        edges, _ = infer(index, pair, SHARED_RULES, store, 0.3, 0.2)
         assert len(probes) == len(index.by_predicate[pair[0]])
         nodes |= {node for key in edges for node in key}
     probes.clear()
-    edges, _ = expand_with_argument_rules(index, nodes, SHARED_ARG_RULES, store, 0.2)
+    edges, _ = expand(index, nodes, SHARED_ARG_RULES, 0.2)
     assert nodes and edges
     assert len(probes) == len(nodes)
 
@@ -545,16 +573,16 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
 def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):
     index = _index(SHARED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
-    result = run_global_stage(
+    result = global_stage(
         index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
     edges, checks, exp_checks = _per_path_reference(
         index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
     # per path: 2x3 for crunch or munch -> chew, then 3x3 for the shared chew -> eat
-    assert result.candidate_checks == checks == 2 * (2 * 3 + 3 * 3)
-    assert result.expansion_checks == exp_checks
-    assert result.edges == edges
+    assert result[1] == checks == 2 * (2 * 3 + 3 * 3)
+    assert result[2] == exp_checks
+    assert result[0] == edges
 
 
 # --- posting-list candidates vs dense references (properties) ----------------
@@ -594,7 +622,7 @@ def corpora(draw):
         if prev is not None:
             ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
         merged[ev.id] = ev
-    return CorpusIndex.build(merged.values())
+    return CorpusIndex.build((e.id, e.frequency) for e in merged.values())
 
 
 taxonomies = st.lists(
@@ -609,7 +637,7 @@ def test_indexed_path_inference_equals_brute_force(index, store, data, tau_a, ta
     rule_scores = {
         pair: data.draw(st.floats(0.0, 1.0)) for pair in zip(path, path[1:])
     }
-    edges, checks = infer_path_edges(index, path, rule_scores, store, tau_a, tau_e)
+    edges, checks = infer(index, path, rule_scores, store, tau_a, tau_e)
     assert edges == brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e)
     assert checks == sum(
         len(index.by_predicate[a]) * len(index.by_predicate[b])
@@ -622,25 +650,26 @@ def dense_expansion(index, chain_node_ids, rule_by_pair, tau_e):
     stricter rule: each aligned slot identical or ruled (score > 0)."""
     expected = {}
     checks = 0
+    row, by_pred = rows(index), by_predicate(index)
     for node in chain_node_ids:
-        node_pat = index.rows[node].pattern
-        node_args = index.rows[node].args
-        for cand in index.by_predicate[index.rows[node].predicate]:
+        node_pat = row[node].pattern
+        node_args = row[node].args
+        for cand in by_pred[row[node].predicate]:
             if cand == node:
                 continue
             checks += 1
-            cand_pat = index.rows[cand].pattern
+            cand_pat = row[cand].pattern
             slots = aligned_slots(cand_pat, node_pat)
             if slots is None:
                 continue
-            cand_args = index.rows[cand].args
+            cand_args = row[cand].args
             pairs = [(cand_args[i], node_args[j]) for i, j in slots]
             if not all(a == b or rule_by_pair.get((a, b), 0.0) > 0.0 for a, b in pairs):
                 continue
             miss = 1.0
             for a, b in pairs:
                 miss *= 0.0 if a == b else 1.0 - rule_by_pair[(a, b)]
-            pen = min(1.0, index.rows[cand].cond_prob / index.rows[node].cond_prob)
+            pen = min(1.0, row[cand].cond_prob / row[node].cond_prob)
             score = math.sqrt(1.0 * pen * (1.0 - miss))
             if score > tau_e:
                 expected[(cand, node)] = ScoredEdge(
@@ -660,11 +689,10 @@ def test_indexed_expansion_equals_dense_reference(index, data, tau_e):
             max_size=10,
         )
     )
-    nodes = data.draw(st.sets(st.sampled_from(sorted(index.rows))))
-    store = _store([])
-    assert expand_with_argument_rules(
-        index, nodes, rule_by_pair, store, tau_e
-    ) == dense_expansion(index, nodes, rule_by_pair, tau_e)
+    nodes = data.draw(st.sets(st.sampled_from(index.ids)))
+    assert expand(index, nodes, rule_by_pair, tau_e) == dense_expansion(
+        index, nodes, rule_by_pair, tau_e
+    )
 
 
 @given(corpora(), taxonomies, st.data())
@@ -687,9 +715,7 @@ def test_global_stage_equals_per_path_reference(index, store, data):
             st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(terms)), max_size=6)
         )
     }
-    result = run_global_stage(index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2)
-    edges, checks, exp_checks = _per_path_reference(
+    result = global_stage(index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2)
+    assert result == _per_path_reference(
         index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2
     )
-    assert result.edges == edges
-    assert (result.candidate_checks, result.expansion_checks) == (checks, exp_checks)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from columns import probs, rows, text_keyed
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.local import (
     FeatureVector,
@@ -19,12 +20,21 @@ from evgraph.local import (
     binc,
     build_feature_vector,
     compose_edge,
-    pmi,
     pmi_weight,
     predicate_score,
     score_predicate_rules,
+    signature_counts,
 )
-from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality, aligned_slots
+from evgraph.model import (
+    HYPOTHESES,
+    PATTERN_CODE,
+    PATTERN_ROLES,
+    PATTERNS,
+    TYPE_LABELS,
+    Eventuality,
+    aligned_slots,
+    decompose_surfaces,
+)
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 
@@ -136,7 +146,12 @@ def test_pmi_over_corpus_counts():
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t2", "s-v-o\tn1=boy;v1=see;n2=apple\t2"]
     )
     # N=4, c(eat, boy|apple)=2, c(eat)=2, c(boy|apple)=4 -> log(4*2/8)=0
-    assert pmi(index, "eat", "boy|apple") == 0.0
+    counts = (
+        index.total_mass, signature_counts(index, "eat")[0], index.predicate_freq["eat"],
+        index.signature_freq[0],
+    )
+    assert counts == (4, 2, 2, 4)
+    assert pmi_weight(*counts) == 0.0
 
 
 # --- feature vectors -----------------------------------------------------------
@@ -151,10 +166,16 @@ CHEW_EAT_CORPUS = [
 ]
 
 
+def _vector(index, predicate, other, aug_lambda, store):
+    """build_feature_vector, its weights keyed by signature text."""
+    vec = build_feature_vector(index, predicate, other, aug_lambda, probs(index, store))
+    return FeatureVector(text_keyed(index, vec))
+
+
 def test_shared_signature_becomes_base_feature(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
-    vec = build_feature_vector(index, "chew", "eat", 0.5, store)
+    vec = _vector(index, "chew", "eat", 0.5, store)
     assert "boy|apple" in vec.weights and "boy|food" in vec.weights
 
 
@@ -169,7 +190,7 @@ def test_augmentation_adds_entailed_signature(tmp_path):
         ]
     )
     store = _taxonomy(["food\tapple\t3", "company\tapple\t1"], tmp_path)
-    vec = build_feature_vector(index, "chew", "eat", 0.5, store)
+    vec = _vector(index, "chew", "eat", 0.5, store)
     # base: boy|apple (the only shared signature); (boy,apple) entails
     # (boy,food) with probability above lambda, so boy|food is augmented in.
     assert "boy|apple" in vec.weights
@@ -181,7 +202,7 @@ def test_disjoint_contexts_give_empty_vector(tmp_path):
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t1", "s-v-o\tn1=sun;v1=eat;n2=sky\t1"]
     )
     store = _taxonomy([], tmp_path)
-    vec = build_feature_vector(index, "chew", "eat", 1.0, store)
+    vec = _vector(index, "chew", "eat", 1.0, store)
     assert vec.weights == {}
 
 
@@ -190,19 +211,28 @@ def test_zero_pmi_features_dropped(tmp_path):
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t2", "s-v-o\tn1=boy;v1=see;n2=apple\t2"]
     )
     store = _taxonomy([], tmp_path)
-    vec = build_feature_vector(index, "eat", "see", 0.5, store)
+    vec = _vector(index, "eat", "see", 0.5, store)
     assert vec.weights == {}
 
 
 def dense_feature_vector(index, predicate, other, aug_lambda, store):
     """The augmentation as a dense scan: every (base signature, signature)
-    pair of the predicate, under the best admissible pattern pairing."""
-    patterns = {}
-    for eid in index.by_predicate.get(predicate, ()):
-        sig = "|".join(index.rows[eid].args)
-        patterns.setdefault(sig, set()).add(index.rows[eid].pattern)
-    sigs = index.pred_signatures.get(predicate, {})
-    base = sorted(set(sigs) & set(index.pred_signatures.get(other, {})))
+    pair of the predicate, under the best admissible pattern pairing,
+    with every count taken afresh from the eventualities."""
+    freqs = dict(zip(index.ids, index.frequency))
+    sig_freq, pred_freq, pred_sigs, patterns = {}, {}, {}, {}
+    for eid, freq in freqs.items():
+        e = Eventuality.from_id(eid, freq)
+        pred, _, args = decompose_surfaces(e.pattern, e.tokens)
+        sig = "|".join(args)
+        sig_freq[sig] = sig_freq.get(sig, 0) + freq
+        pred_freq[pred] = pred_freq.get(pred, 0) + freq
+        sigs = pred_sigs.setdefault(pred, {})
+        sigs[sig] = sigs.get(sig, 0) + freq
+        if pred == predicate:
+            patterns.setdefault(sig, set()).add(e.pattern)
+    sigs = pred_sigs.get(predicate, {})
+    base = sorted(set(sigs) & set(pred_sigs.get(other, {})))
     features = set(base)
     for sig_base in base:
         for sig_k in sorted(sigs):
@@ -219,7 +249,11 @@ def dense_feature_vector(index, predicate, other, aug_lambda, store):
                         best = max(best, score)
             if best > aug_lambda:
                 features.add(sig_k)
-    weights = {sig: pmi(index, predicate, sig) for sig in sorted(features)}
+    total = sum(freqs.values())
+    weights = {
+        sig: pmi_weight(total, sigs[sig], pred_freq[predicate], sig_freq[sig])
+        for sig in sorted(features)
+    }
     return FeatureVector({sig: w for sig, w in weights.items() if w > 0.0})
 
 
@@ -256,7 +290,7 @@ def mixed_corpora(draw):
         if prev is not None:
             ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
         merged[ev.id] = ev
-    return CorpusIndex.build(merged.values())
+    return CorpusIndex.build((e.id, e.frequency) for e in merged.values())
 
 
 # Concepts include a term no corpus holds ("thing").
@@ -277,9 +311,10 @@ def test_feature_vector_equals_dense_reference(index, store, drawn_lambda):
     for aug_lambda in (0.0, 0.5, 1.0, drawn_lambda):
         for predicate in preds:
             for other in preds:
-                assert build_feature_vector(
-                    index, predicate, other, aug_lambda, store
-                ) == dense_feature_vector(index, predicate, other, aug_lambda, store)
+                # Equal in weights and in their order, which sums follow.
+                got = _vector(index, predicate, other, aug_lambda, store).weights
+                want = dense_feature_vector(index, predicate, other, aug_lambda, store).weights
+                assert list(got.items()) == list(want.items())
 
 
 # --- BInc ----------------------------------------------------------------------
@@ -315,7 +350,7 @@ def test_binc_worked_example():
 def test_predicate_score_identity(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
-    assert predicate_score(index, "eat", "eat", 0.5, store) == 1.0
+    assert predicate_score(index, "eat", "eat", 0.5, probs(index, store)) == 1.0
 
 
 def test_predicate_score_matches_hand_built_vectors(tmp_path):
@@ -334,10 +369,11 @@ def test_predicate_score_matches_hand_built_vectors(tmp_path):
     lin = (w_chew["boy|food"] + w_eat["boy|food"]) / (su + sv)
     expected_fwd = math.sqrt(lin * (w_chew["boy|food"] / su))
     expected_rev = math.sqrt(lin * (w_eat["boy|food"] / sv))
-    assert predicate_score(index, "chew", "eat", 0.5, store) == pytest.approx(
+    table = probs(index, store)
+    assert predicate_score(index, "chew", "eat", 0.5, table) == pytest.approx(
         expected_fwd, abs=1e-12
     )
-    assert predicate_score(index, "eat", "chew", 0.5, store) == pytest.approx(
+    assert predicate_score(index, "eat", "chew", 0.5, table) == pytest.approx(
         expected_rev, abs=1e-12
     )
     assert expected_fwd != expected_rev  # asymmetry carries through
@@ -348,16 +384,17 @@ def test_predicate_score_zero_without_shared_context(tmp_path):
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t1", "s-v-o\tn1=sun;v1=eat;n2=sky\t1"]
     )
     store = _taxonomy([], tmp_path)
-    assert predicate_score(index, "chew", "eat", 1.0, store) == 0.0
+    assert predicate_score(index, "chew", "eat", 1.0, probs(index, store)) == 0.0
 
 
 def test_score_predicate_rules_fills_scores_and_is_worker_stable(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
     rules = (PredicateRule("chew", "eat"), PredicateRule("see", "eat"))
-    serial = score_predicate_rules(index, rules, 0.5, store)
+    table = probs(index, store)
+    serial = score_predicate_rules(index, rules, 0.5, table)
     assert [r.score for r in serial] == [
-        predicate_score(index, r.from_pred, r.to_pred, 0.5, store) for r in rules
+        predicate_score(index, r.from_pred, r.to_pred, 0.5, table) for r in rules
     ]
 
 
@@ -373,18 +410,9 @@ SEE_THINK_CORPUS = [
 
 def _penalty(index, id_from, id_to):
     """The penalty compose_edge derives for two corpus eventualities."""
-    edge = compose_edge(
-        id_from,
-        id_to,
-        index.rows[id_from].pattern,
-        index.rows[id_to].pattern,
-        1.0,
-        index.rows[id_from].cond_prob,
-        index.rows[id_to].cond_prob,
-        1.0,
-        "global",
-    )
-    return edge.penalty
+    row = rows(index)
+    pen, _ = compose_edge(1.0, row[id_from].cond_prob, row[id_to].cond_prob, 1.0)
+    return pen
 
 
 def test_penalty_worked_example():
@@ -392,7 +420,8 @@ def test_penalty_worked_example():
     see = "s-v-o:she|see|towel"
     think = "s-v-o:she|think|towel"
     # raw = (26/100)/(4/100) = 6.5, clamped
-    assert index.rows[see].cond_prob / index.rows[think].cond_prob == pytest.approx(6.5, rel=1e-12)
+    row = rows(index)
+    assert row[see].cond_prob / row[think].cond_prob == pytest.approx(6.5, rel=1e-12)
     assert _penalty(index, see, think) == 1.0
     assert _penalty(index, think, see) == pytest.approx(0.04 / 0.26, rel=1e-12)
 
@@ -422,7 +451,7 @@ def test_penalty_reciprocal_before_clamping():
     a, b = "s-v-o:she|see|towel", "s-v-o:she|think|towel"
     # the clamped direction is exactly the reciprocal of the unclamped one
     assert _penalty(index, a, b) == 1.0
-    raw_ab = index.rows[a].cond_prob / index.rows[b].cond_prob
+    raw_ab = rows(index)[a].cond_prob / rows(index)[b].cond_prob
     assert _penalty(index, b, a) * raw_ab == pytest.approx(1.0, rel=1e-12)
 
 
@@ -431,9 +460,11 @@ def test_penalty_reciprocal_before_clamping():
 
 def local_score(pred, pen, arg):
     """compose_edge with c_to = 1, so its penalty is exactly c_from = pen."""
-    edge = compose_edge("s-v:a|p", "s-v:b|q", "s-v", "s-v", pred, pen, 1.0, arg, "global")
-    assert edge.penalty == pen and edge.type_label == "s-v ⊨ s-v"
-    return edge.local_score
+    penalty, score = compose_edge(pred, pen, 1.0, arg)
+    # The type an s-v -> s-v edge carries comes from the counterpart table.
+    [(_, _, code)] = HYPOTHESES[PATTERN_CODE["s-v"]]
+    assert penalty == pen and TYPE_LABELS[code] == "s-v ⊨ s-v"
+    return score
 
 
 def test_local_score_examples():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from columns import rows, type_label
 from evgraph.corpus import CorpusIndex
+from evgraph.local import signature_counts
 from evgraph.model import (
     ADJECTIVE,
     ADMISSIBLE_TYPE_PAIRS,
@@ -26,12 +28,15 @@ from evgraph.model import (
     aligned_slots,
     decompose_surfaces,
     normalize_token,
-    type_label,
 )
 
 
 def ev(pattern, frequency=1, **roles):
     return Eventuality.create(pattern, roles, frequency)
+
+
+def decompose(e):
+    return decompose_surfaces(e.pattern, e.tokens)
 
 
 # --- decomposition: one case per pattern row ---------------------------------
@@ -40,64 +45,66 @@ def ev(pattern, frequency=1, **roles):
 
 
 def test_decompose_s_v():
-    assert decompose_surfaces(ev("s-v", n1="dog", v1="bark")) == ("bark", VERB, ("dog",))
+    assert decompose(ev("s-v", n1="dog", v1="bark")) == ("bark", VERB, ("dog",))
     assert ARGUMENT_SLOTS["s-v"] == (SUBJECT,)
 
 
 def test_decompose_s_v_o():
-    d = decompose_surfaces(ev("s-v-o", n1="boy", v1="eat", n2="apple"))
+    d = decompose(ev("s-v-o", n1="boy", v1="eat", n2="apple"))
     assert d == ("eat", VERB, ("boy", "apple"))
     assert ARGUMENT_SLOTS["s-v-o"] == (SUBJECT, OBJECT)
 
 
 def test_decompose_s_v_p_o_compounds_predicate():
-    d = decompose_surfaces(ev("s-v-p-o", n1="he", v1="take", p1="over", n2="company"))
+    d = decompose(ev("s-v-p-o", n1="he", v1="take", p1="over", n2="company"))
     assert d == ("take-over", VERB_PREP, ("he", "company"))
     assert ARGUMENT_SLOTS["s-v-p-o"] == (SUBJECT, OBJECT)
 
 
 def test_decompose_s_v_o_p_o_compounds_prep_argument():
-    d = decompose_surfaces(ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube"))
+    d = decompose(ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube"))
     assert d == ("post", VERB, ("he", "it", "on-youtube"))
     assert ARGUMENT_SLOTS["s-v-o-p-o"] == (SUBJECT, OBJECT, PREP_OBJECT)
 
 
 def test_decompose_s_v_a():
-    d = decompose_surfaces(ev("s-v-a", n1="it", v1="smell", a1="nice"))
+    d = decompose(ev("s-v-a", n1="it", v1="smell", a1="nice"))
     assert d == ("smell", VERB, ("it", "nice"))
     assert ARGUMENT_SLOTS["s-v-a"] == (SUBJECT, ADJECTIVE)
 
 
 def test_decompose_s_be_a():
-    d = decompose_surfaces(ev("s-be-a", n1="sun", a1="red"))
+    d = decompose(ev("s-be-a", n1="sun", a1="red"))
     assert d == ("be-red", BE_ADJ, ("sun",))
     assert ARGUMENT_SLOTS["s-be-a"] == (SUBJECT,)
 
 
 def test_decompose_s_be_a_p_o():
-    d = decompose_surfaces(ev("s-be-a-p-o", n1="he", a1="mad", p1="at", n2="dog"))
+    d = decompose(ev("s-be-a-p-o", n1="he", a1="mad", p1="at", n2="dog"))
     assert d == ("be-mad", BE_ADJ, ("he", "at-dog"))
     assert ARGUMENT_SLOTS["s-be-a-p-o"] == (SUBJECT, PREP_OBJECT)
 
 
 def test_decompose_is_deterministic():
     e = ev("s-v-o-p-o", n1="he", v1="post", n2="it", p1="on", n3="youtube")
-    assert decompose_surfaces(e) == decompose_surfaces(e)
+    assert decompose(e) == decompose(e)
 
 
 def test_decompose_surfaces_checks_pattern_and_arity():
     # Records built without `Eventuality.create` (the corpus fast path)
     # still meet these checks.
     with pytest.raises(DecompositionError, match="unknown pattern"):
-        decompose_surfaces(Eventuality("s-v-v", ("a", "b"), 1))
+        decompose(Eventuality("s-v-v", ("a", "b"), 1))
     with pytest.raises(DecompositionError, match="requires roles"):
-        decompose_surfaces(Eventuality("s-v-o", ("boy", "eat"), 1))
+        decompose(Eventuality("s-v-o", ("boy", "eat"), 1))
 
 
 def test_signature_joins_surfaces():
     e = ev("s-v-o-p-o", frequency=3, n1="he", v1="post", n2="it", p1="on", n3="youtube")
-    index = CorpusIndex.build([e])
-    assert index.pred_signatures == {"post": {"he|it|on-youtube": 3}}
+    index = CorpusIndex.build([(e.id, e.frequency)])
+    assert rows(index)[e.id].args == ("he", "it", "on-youtube")
+    assert list(index.signature) == [0] and list(index.signature_freq) == [3]
+    assert signature_counts(index, "post") == {0: 3}
 
 
 # --- creation / validation ----------------------------------------------------
@@ -219,15 +226,15 @@ def recompose(pattern, surface, args, frequency) -> Eventuality:
 
 @given(eventualities())
 def test_decompose_recompose_round_trip(e):
-    surface, _, args = decompose_surfaces(e)
+    surface, _, args = decompose(e)
     assert recompose(e.pattern, surface, args, e.frequency) == e
 
 
 @given(eventualities())
 def test_decompose_recompose_is_fixed_point(e):
-    d = decompose_surfaces(e)
+    d = decompose(e)
     surface, _, args = d
-    assert decompose_surfaces(recompose(e.pattern, surface, args, e.frequency)) == d
+    assert decompose(recompose(e.pattern, surface, args, e.frequency)) == d
 
 
 # --- alignment ----------------------------------------------------------------

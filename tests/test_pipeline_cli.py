@@ -3,6 +3,7 @@
 import gc
 import json
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,9 +24,11 @@ from evgraph.config import (
     make_config,
     parse_config_file,
 )
+from evgraph.corpus import CorpusIndex
+from evgraph.model import EdgeColumns, ScoredEdge
 from evgraph.pipeline import OUTPUT_FILES, STAGES, StageError, build, run_build
 from evgraph.store import read_graph, stats
-from evgraph.synth import write_config_file, write_toy_inputs
+from evgraph.synth import write_config_file, write_layered_inputs, write_toy_inputs
 from randomtoy import write_random_toy
 
 
@@ -249,7 +252,10 @@ def test_seal_failure_is_stage_tagged(tmp_path, capsys, monkeypatch):
 
     def stage_with_a_repeat(*args, **kwargs):
         result = stage(*args, **kwargs)
-        return replace(result, edges=result.edges + result.edges[:1])
+        edges = EdgeColumns()
+        edges.extend(result.edges)
+        edges.append(*(column[0] for column in result.edges.columns()))
+        return replace(result, edges=edges)
 
     monkeypatch.setattr(pipeline.gi, "run_global_stage", stage_with_a_repeat)
     cfg_file = _toy_config_file(tmp_path)
@@ -590,3 +596,95 @@ def test_build_from_crlf_inputs_matches_lf(tmp_path):
     # The light-verb file was read: crunch, now a light verb, has no rule.
     rules = outputs[0][0]["predicate_rules.tsv"]
     assert b"chew" in rules and b"crunch" not in rules
+
+
+def test_cli_config_with_byte_order_mark_builds(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(cfg_file.read_bytes())
+    cfg_file.write_bytes(b"\xef\xbb\xbf" + cfg_file.read_bytes())
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().err == ""
+    args = build_parser().parse_args(["build", "--config", str(cfg_file)])
+    again = build_parser().parse_args(["build", "--config", str(plain)])
+    assert _effective_config(args) == _effective_config(again)
+
+
+def test_general_roots_are_normalized(tmp_path, capsys):
+    raw = {"corpus": "c", "taxonomy": "t", "verb_hierarchy": "h", "output_dir": "o"}
+    cfg = make_config({**raw, "general_roots": " Eat ,MOVE,,  act  now "}, tmp_path)
+    assert cfg.general_roots == ("eat", "move", "act now")
+    # On the demo, a capitalized root cuts the chain as the lower-case one does.
+    built = []
+    for root in ("eat", "Eat"):
+        cfg_file = _toy_config_file(tmp_path / root, general_roots=root)
+        assert main(["build", "--config", str(cfg_file)]) == 0
+        built.append(capsys.readouterr().out.split(" edges ")[0])
+    assert built == ["built 13", "built 13"]
+
+
+def test_cli_tau_of_one_is_a_config_error(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file), "--tau", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error[config]: tau must be in [0,1), got 1.0\n"
+    assert not (tmp_path / "out").exists()
+    # Just below the bound builds.
+    assert main(["build", "--config", str(cfg_file), "--tau", "0.999"]) == 0
+
+
+@pytest.mark.parametrize(
+    "column,edit,message",
+    [
+        ("arg", lambda edges, v: 1.5, "arg_score out of [0,1]: 1.5"),
+        ("pen", lambda edges, v: -0.25, "penalty out of [0,1]: -0.25"),
+        ("local", lambda edges, v: float("nan"), "local_score out of [0,1]: nan"),
+        ("local", lambda edges, v: v * 0.5, "local_score does not satisfy the geometric-mean"),
+        ("dst", lambda edges, v: edges.src[0], "self-entailment edge rejected: s-v-o:"),
+    ],
+)
+def test_seal_checks_every_built_edge(toy, monkeypatch, column, edit, message):
+    # A fault injected into one accepted edge fails the seal with the
+    # message the ScoredEdge constructor gives for that edge.
+    files, cfg, out = toy
+    stage = pipeline.gi.run_global_stage
+    faulty = []
+
+    def stage_with_a_fault(*args, **kwargs):
+        result = stage(*args, **kwargs)
+        edges = result.edges.permuted(range(len(result.edges)))
+        getattr(edges, column)[0] = edit(edges, getattr(edges, column)[0])
+        faulty.append(edges)
+        return replace(result, edges=edges)
+
+    monkeypatch.setattr(pipeline.gi, "run_global_stage", stage_with_a_fault)
+    with pytest.raises(StageError) as err:
+        build(cfg)
+    assert err.value.stage == "seal"
+    assert str(err.value).startswith(message)
+    [edges] = faulty
+    with pytest.raises(ValueError) as direct:
+        ScoredEdge(*edges.edge(0, CorpusIndex.from_file(cfg.corpus).ids))
+    assert str(err.value) == str(direct.value)
+
+
+def test_build_memory_per_eventuality_is_bounded(tmp_path):
+    # Traced peak of a small build, per eventuality: about 0.6 kB with
+    # the columnar core, 1.7 kB with one object per row and per edge.
+    files = write_layered_inputs(tmp_path / "in", n_paths=20, path_len=3, per_predicate=30)
+    cfg = PipelineConfig(
+        corpus=str(files["corpus"]),
+        taxonomy=str(files["taxonomy"]),
+        verb_hierarchy=str(files["verb_hierarchy"]),
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
+    tracemalloc.start()
+    try:
+        result = build(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = result.report["counts"]["eventualities"]
+    assert n == 1800 and result.report["counts"]["edges_total"] == 3500
+    assert peak / n < 1000

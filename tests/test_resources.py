@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from evgraph.corpus import parse_corpus_line
 from evgraph.local import argument_score
+from evgraph.model import Eventuality
 from evgraph.resources import (
     DEFAULT_LIGHT_VERBS,
     ResourceError,
@@ -80,9 +81,18 @@ def test_lone_carriage_return_stays_inside_a_taxonomy_line(tmp_path):
     store = load_taxonomy(path)
     # Only "\n" ends a line; the "\r" is whitespace inside the instance,
     # normalized as in a corpus token.
-    instance = parse_corpus_line("s-v\tn1=app\rle;v1=grow\t1", 1).tokens[0]
+    instance = Eventuality.from_id(*parse_corpus_line("s-v\tn1=app\rle;v1=grow\t1", 1)).tokens[0]
     assert instance == "app le"
     assert store.probs == {"apple": {"fruit": 1.0}, instance: {"company": 1.0}}
+
+
+def test_byte_order_mark_is_dropped_from_a_taxonomy(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_bytes(b"\xef\xbb\xbffood\tapple\t3\nfood\tnut\t1\n")
+    assert load_taxonomy(path).probs == {"apple": {"food": 1.0}, "nut": {"food": 1.0}}
+    # Only a mark that opens the file is dropped: a later one is text.
+    path.write_bytes(b"food\tapple\t3\n\xef\xbb\xbffood\tnut\t1\n")
+    assert load_taxonomy(path).probs == {"apple": {"food": 1.0}, "nut": {"\ufefffood": 1.0}}
 
 
 @pytest.mark.parametrize(

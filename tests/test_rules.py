@@ -1,7 +1,10 @@
 """Argument and predicate rule extraction."""
 
+from dataclasses import replace
+
 import pytest
 
+from evgraph.config import ConfigError, PipelineConfig
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.resources import load_taxonomy, load_verb_hierarchy
 from evgraph.rules import (
@@ -9,7 +12,6 @@ from evgraph.rules import (
     build_argument_rules,
     build_predicate_rules,
     collect_vocabulary,
-    with_scores,
     write_predicate_rules,
 )
 
@@ -36,13 +38,13 @@ def test_collect_vocabulary_single_record():
     terms, preds = collect_vocabulary(
         _index(["s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t1"])
     )
-    assert terms == frozenset({"he", "it", "on-youtube"})
+    assert terms == {"he": 0, "it": 1, "on-youtube": 2}
     assert preds == {"post": 1}
 
 
 def test_collect_vocabulary_empty():
     terms, preds = collect_vocabulary(_index([]))
-    assert terms == frozenset() and preds == {}
+    assert terms == {} and preds == {}
 
 
 def test_collect_vocabulary_sums_shared_predicate():
@@ -158,7 +160,7 @@ def test_predicate_rule_file_round_trip(tmp_path):
     hier = _hierarchy(["chew\teat\thypernym", "crunch\tchew\tentail"], tmp_path)
     freq = {"chew": 9, "eat": 9, "crunch": 9}
     rules = build_predicate_rules(hier, freq, dict.fromkeys(freq, "verb"), 5)
-    scored = with_scores(rules, {(r.from_pred, r.to_pred): 0.5 for r in rules})
+    scored = tuple(replace(r, score=0.5) for r in rules)
     path = tmp_path / "pr.tsv"
     write_predicate_rules(scored, path)
     assert read_predicate_rules(path) == scored
@@ -168,5 +170,6 @@ def test_min_pred_freq_validation(tmp_path):
     hier = _hierarchy([], tmp_path)
     with pytest.raises(ValueError):
         build_predicate_rules(hier, {}, {}, 0)
-    with pytest.raises(ValueError):
-        build_argument_rules(_taxonomy([], tmp_path), frozenset(), 5, 1.0)
+    # tau's bound is the configuration's one check.
+    with pytest.raises(ConfigError, match=r"^tau must be in \[0,1\), got 1.0$"):
+        PipelineConfig(output_dir=str(tmp_path), tau=1.0)

@@ -3,15 +3,18 @@
 import gc
 import math
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from columns import columns_of, graph_from, type_label
 from evgraph import store
+from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
-from evgraph.model import Eventuality, ScoredEdge, aligned_slots, type_label
+from evgraph.model import Eventuality, ScoredEdge, aligned_slots
 from evgraph.store import (
     EntailmentGraph,
     GraphFormatError,
@@ -53,7 +56,7 @@ def small_graph():
         edge(b, c, arg=0.9, pred=1.0, provenance="local"),
         edge(a, c, arg=0.1, pred=0.7),
     ]
-    return EntailmentGraph.from_parts(nodes, edges)
+    return graph_from(nodes, edges)
 
 
 def test_round_trip_small_graph(small_graph, tmp_path):
@@ -218,13 +221,13 @@ def test_from_parts_rejects_duplicate_edge():
     strong = edge(a, b, arg=0.81, pred=1.0)
     for edges in ([weak, strong], [strong, weak], [weak, weak]):
         with pytest.raises(ValueError, match="duplicate edge"):
-            EntailmentGraph.from_parts([a, b], edges)
+            graph_from([a, b], edges)
 
 
 def test_from_parts_rejects_duplicate_node():
     a = node("boy", "chew", "apple")
     with pytest.raises(ValueError, match="duplicate node"):
-        EntailmentGraph.from_parts([a, node("boy", "chew", "apple", freq=101)], [])
+        graph_from([a, node("boy", "chew", "apple", freq=101)], [])
 
 
 def _append_copy(path, lineno, edit=lambda fields: fields):
@@ -253,8 +256,9 @@ def test_read_graph_rejects_duplicate_edge_line(small_graph, tmp_path):
 
 def test_edge_endpoints_must_be_nodes():
     a, b = node("boy", "chew", "apple"), node("boy", "eat", "apple")
-    with pytest.raises(ValueError, match="endpoint"):
-        EntailmentGraph.from_parts([a], [edge(a, b)])
+    edges = columns_of([edge(a, b)], {a.id: 0, b.id: 1})
+    with pytest.raises(ValueError, match="^edge endpoint not among graph nodes: row 1$"):
+        EntailmentGraph.from_parts([a.id], array("q", [1]), edges)
 
 
 def test_stats_row_structure_and_counts(small_graph):
@@ -280,7 +284,7 @@ def test_stats_row_structure_and_counts(small_graph):
 
 
 def test_stats_empty_graph():
-    graph = EntailmentGraph.from_parts([], [])
+    graph = graph_from([], [])
     for row in stats(graph):
         assert row.n_eventualities == row.n_er_local == row.n_er_global == 0
 
@@ -324,7 +328,7 @@ def test_query_chain(small_graph):
     a = node("boy", "chew", "apple")
     b = node("boy", "eat", "apple")
     c = node("boy", "eat", "food")
-    graph = EntailmentGraph.from_parts([a, b, c], [edge(a, b), edge(b, c)])
+    graph = graph_from([a, b, c], [edge(a, b), edge(b, c)])
     result = query_entails(graph, a.id, c.id)
     assert result.kind == "chain"
     assert [e.from_id for e in result.trail] == [a.id, b.id]
@@ -344,7 +348,7 @@ def test_query_ambiguous_text_raises():
     # same display text under two patterns: "it smell nice"
     sva = Eventuality.create("s-v-a", {"n1": "it", "v1": "smell", "a1": "nice"}, 1)
     svo = Eventuality.create("s-v-o", {"n1": "it", "v1": "smell", "n2": "nice"}, 1)
-    graph = EntailmentGraph.from_parts([sva, svo], [])
+    graph = graph_from([sva, svo], [])
     with pytest.raises(NodeLookupError, match="ambiguous"):
         query_entails(graph, "it smell nice", "it smell nice")
     # exact ids still resolve
@@ -352,21 +356,21 @@ def test_query_ambiguous_text_raises():
 
 
 def test_resolve_id_takes_precedence_over_equal_text():
-    # The constructor takes tokens as given, so one node can read exactly
-    # like the other's id.
+    # A node's text never holds a "|", so it cannot read like another
+    # node's id; the text index is made to say so, to pin the precedence.
     named = Eventuality("s-v", ("x y", "z"), 1)
-    reads_like_id = Eventuality("s-v", ("s-v:x", "y|z"), 1)
-    assert reads_like_id.text == named.id
-    graph = EntailmentGraph.from_parts([named, reads_like_id], [])
+    other = Eventuality("s-v", ("x", "y"), 1)
+    graph = graph_from([named, other], [])
+    graph.__dict__["row_by_text"] = {named.id: 1, named.text: 0}
     assert resolve_node(graph, named.id) == named.id
     assert resolve_node(graph, named.text) == named.id
-    assert resolve_node(graph, reads_like_id.id) == reads_like_id.id
+    assert resolve_node(graph, other.id) == other.id
 
 
 def test_resolve_unknown_and_ambiguous_messages():
     sva = Eventuality.create("s-v-a", {"n1": "it", "v1": "smell", "a1": "nice"}, 1)
     svo = Eventuality.create("s-v-o", {"n1": "it", "v1": "smell", "n2": "nice"}, 1)
-    graph = EntailmentGraph.from_parts([svo, sva], [])
+    graph = graph_from([svo, sva], [])
     with pytest.raises(NodeLookupError) as unknown:
         resolve_node(graph, "it smell bad")
     assert unknown.value.args == ("unknown eventuality 'it smell bad'",)
@@ -404,7 +408,7 @@ WORDS = ("it", "be", "nice", "at")
 
 @given(st.lists(eventualities(WORDS), max_size=12), st.lists(st.sampled_from(WORDS), max_size=5))
 def test_resolve_index_equals_linear_scan(nodes, words):
-    graph = EntailmentGraph.from_parts({n.id: n for n in nodes}.values(), [])
+    graph = graph_from({n.id: n for n in nodes}.values(), [])
     refs = [n.text for n in nodes] + [n.id for n in nodes] + [" ".join(words)]
     for ref in refs:
         assert _outcome(resolve_node, graph, ref) == _outcome(_scan, graph, ref)
@@ -430,24 +434,20 @@ def graph_parts(draw):
         if a.id != b.id and aligned_slots(a.pattern, b.pattern) is not None
     ]
     pairs = draw(st.lists(st.sampled_from(admissible), unique=True)) if admissible else []
-    edges = [
-        compose_edge(
-            a.id,
-            b.id,
-            a.pattern,
-            b.pattern,
-            draw(unit_scores),
-            draw(conditionals),
-            draw(conditionals),
-            draw(unit_scores),
-            draw(st.sampled_from(("local", "global"))),
+    edges = []
+    for a, b in pairs:
+        pred, c_from, c_to, arg = (
+            draw(unit_scores), draw(conditionals), draw(conditionals), draw(unit_scores)
         )
-        for a, b in pairs
-    ]
+        pen, score = compose_edge(pred, c_from, c_to, arg)
+        provenance = draw(st.sampled_from(("local", "global")))
+        edges.append(
+            ScoredEdge(a.id, b.id, arg, pred, pen, score, provenance, type_label(a.pattern, b.pattern))
+        )
     return sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: e.key)
 
 
-scored_graphs = graph_parts().map(lambda parts: EntailmentGraph.from_parts(*parts))
+scored_graphs = graph_parts().map(lambda parts: graph_from(*parts))
 
 
 def _score_bits(graph):
@@ -478,8 +478,8 @@ def _in_order(keys):
 @given(graph_parts(), st.data())
 def test_seal_orders_shuffled_input(parts, data):
     nodes, edges = parts
-    ordered = EntailmentGraph.from_parts(nodes, edges)
-    shuffled = EntailmentGraph.from_parts(
+    ordered = graph_from(nodes, edges)
+    shuffled = graph_from(
         data.draw(st.permutations(nodes)), data.draw(st.permutations(edges))
     )
     assert shuffled == ordered
@@ -501,8 +501,27 @@ def test_seal_orders_shuffled_input(parts, data):
         assert sample_for_annotation(shuffled, n, 7) == sample_for_annotation(ordered, n, 7)
 
 
+def _write_lines(directory, nodes, edges):
+    """nodes.tsv and edges.tsv holding the given nodes and edges, in order."""
+    directory.mkdir()
+    (directory / "nodes.tsv").write_text(
+        "".join(f"{n.id}\t{corpus_line(n.pattern, n.tokens, n.frequency)}\n" for n in nodes),
+        encoding="utf-8",
+    )
+    (directory / "edges.tsv").write_text(
+        "".join(
+            f"{e.from_id}\t{e.to_id}\t{e.type_label}\t{e.provenance}\t{e.arg_score!r}\t"
+            f"{e.pred_score!r}\t{e.penalty!r}\t{e.local_score!r}\n"
+            for e in edges
+        ),
+        encoding="utf-8",
+    )
+
+
 @given(graph_parts(), st.sampled_from(("node", "edge", "endpoint")), st.data())
 def test_seal_errors_read_alike_in_shuffled_input(parts, defect, data):
+    # The seal names the item given twice whatever the input order; a
+    # read names the first offending line in file order.
     nodes, edges = parts
     if defect == "node":
         if not nodes:
@@ -523,6 +542,48 @@ def test_seal_errors_read_alike_in_shuffled_input(parts, defect, data):
         nodes = [n for n in nodes if n.id != gone]
         first = next(e for e in edges if gone in e.key)
         message = f"edge endpoint not among graph nodes: {first.from_id} -> {first.to_id}"
-    with pytest.raises(ValueError) as err:
-        EntailmentGraph.from_parts(nodes, edges)
-    assert str(err.value) == message
+        where = f"edges.tsv line {edges.index(first) + 1}"
+    else:
+        with pytest.raises(ValueError) as err:
+            graph_from(nodes, edges)
+        assert str(err.value) == message
+        items = [n.id for n in nodes] if defect == "node" else [e.key for e in edges]
+        again = next(i for i, item in enumerate(items) if item in items[:i])
+        where = f"{defect}s.tsv line {again + 1}"
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_lines(Path(tmp) / "graph", nodes, edges)
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(Path(tmp) / "graph")
+    assert str(err.value) == f"{where}: {message}"
+
+
+@given(graph_parts(), st.data())
+def test_columnar_views_equal_a_dict_reference(parts, data):
+    # The mappings over the columns read like plain dicts built from the
+    # same values, in the same key order, before and after a round trip.
+    nodes, edges = parts
+    graph = graph_from(data.draw(st.permutations(nodes)), data.draw(st.permutations(edges)))
+    node_ref = {n.id: n for n in nodes}
+    edge_ref = {e.key: e for e in edges}
+    source_ref: dict[str, tuple[str, ...]] = {}
+    for a, b in edge_ref:
+        source_ref[a] = (*source_ref.get(a, ()), b)
+    text_ref: dict[str, int] = {}
+    for r, n in enumerate(nodes):
+        text_ref[n.text] = -1 if n.text in text_ref else r
+    absent = ("s-v:nobody|here", nodes[0].id if nodes else "s-v:x|y")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graph(graph, Path(tmp))
+        again = read_graph(Path(tmp))
+    for g in (graph, again):
+        assert list(g.nodes.items()) == list(node_ref.items())
+        assert list(g.edges.items()) == list(edge_ref.items())
+        assert list(g.by_source.items()) == list(source_ref.items())
+        assert g.row_by_text == text_ref
+        assert len(g.nodes) == len(node_ref) and len(g.edges) == len(edge_ref)
+        assert all(key in g.edges and g.edges[key] == e for key, e in edge_ref.items())
+        assert absent[0] not in g.nodes and absent not in g.edges and absent[0] not in g.by_source
+        assert all(type(e) is ScoredEdge for e in g.edges.values())
+        assert _score_bits(g) == {
+            key: tuple(float.hex(x) for x in e[2:6]) for key, e in edge_ref.items()
+        }
