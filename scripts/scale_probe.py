@@ -10,7 +10,9 @@ time follows the edges it accepts rather than these counts.
 
 `stage_seconds` splits `build_seconds` by pipeline stage, from ingest
 through the graph seal and report (`seal`) to writing the outputs
-(`persist`); the stages account for the whole build.
+(`persist`); the stages account for the whole build.  `stage_peak_mb`
+is the build's peak resident memory (VmHWM) after each stage, so the
+first stage whose value reaches `max_rss_mb` is the one that set it.
 
 The inputs are generated in this process, and the build runs in a fresh
 child process (this script with `--build-from`).  `max_rss_mb` is the
@@ -22,7 +24,6 @@ build forks nothing.  `gen_max_rss_mb` is the generating process's peak.
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import tempfile
@@ -30,20 +31,8 @@ import time
 from pathlib import Path
 
 from evgraph.config import PipelineConfig
-from evgraph.pipeline import run_build
+from evgraph.pipeline import peak_rss_mb, run_build
 from evgraph.synth import write_layered_inputs
-
-
-def peak_rss_mb() -> float:
-    """This process's resident high-water mark since it started."""
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def build(work: Path) -> dict:
@@ -69,6 +58,7 @@ def build(work: Path) -> dict:
         "stage_seconds": {
             stage: round(seconds, 3) for stage, seconds in result.stage_seconds.items()
         },
+        "stage_peak_mb": result.stage_peak_mb,
         "max_rss_mb": peak_rss_mb(),
     }
 

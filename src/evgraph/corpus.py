@@ -12,11 +12,12 @@ counted, a byte-order mark before the first line is dropped, and a line
 that is not UTF-8 raises the reader's own error naming it.
 
 `read_corpus` keeps one id string and summed frequency per eventuality.
-`CorpusIndex.build` sorts the ids once, so row order is id order, and
-interns predicates and argument terms to ints: a row is a pattern code,
-a predicate id, up to three term ids, a signature id, a frequency and
-P(eventuality | predicate), each in an `array` column.  Candidate
-searches bisect one posting index over all rows.
+`CorpusIndex.build` reads them in sorted id order, so row order is id
+order, and interns predicates and argument terms to ints: a row is a
+pattern code, a predicate id, up to three term ids, a signature id, a
+frequency and P(eventuality | predicate), each in an `array` column.
+Candidate searches bisect one posting index over all rows, built one
+predicate's block at a time.
 
 `parse_corpus_line` first tries one regex per pattern that accepts only
 a canonical line: roles in `PATTERN_ROLES` order, tokens normalized and
@@ -32,7 +33,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import floordiv, mod
 from pathlib import Path
 
 from .model import (
@@ -164,7 +166,7 @@ class CorpusIndex:
     predicates: list[str]  # predicate id -> surface, in first-row order
     terms: list[str]  # term id -> surface, in first-row order
     predicate_ids: dict[str, int]
-    by_predicate: dict[str, array]  # 'I': the predicate's rows
+    by_predicate: dict[str, array]  # 'I': the predicate's rows, in predicate id order
     predicate_freq: dict[str, int]
     predicate_kind: dict[str, str]
     signature_freq: array  # 'q'
@@ -174,27 +176,22 @@ class CorpusIndex:
     posting_start: array  # 'I'
 
     @classmethod
-    def build(cls, records: Iterable[tuple[str, int]]) -> "CorpusIndex":
-        """Index (eventuality id, frequency) records in id order; an id
-        given twice raises CorpusError."""
-        ids: list[str] = []
+    def build(cls, records: Mapping[str, int]) -> "CorpusIndex":
+        """Index an eventuality id -> frequency mapping in id order."""
+        ids = sorted(records)
+        frequency = array("q", map(records.__getitem__, ids))
         pattern, predicate, args, signature = array("B"), array("I"), array("I"), array("I")
-        frequency = array("q")
         pred_ids: dict[str, int] = {}
         term_ids: dict[str, int] = {}
         sig_ids: dict[str, int] = {}
         kinds: dict[str, str] = {}
         pad = (0,) * MAX_ARITY
-        for eid, freq in sorted(records, key=itemgetter(0)):
-            if ids and eid == ids[-1]:
-                raise CorpusError(f"duplicate eventuality id {eid!r}")
+        for eid in ids:
             pat, tokens = split_id(eid)
             try:
                 p, kind, surfaces = decompose_surfaces(pat, tokens)
             except DecompositionError as exc:
                 raise CorpusError(f"eventuality {eid!r}: {exc}") from None
-            ids.append(eid)
-            frequency.append(freq)
             pattern.append(PATTERN_CODE[pat])
             predicate.append(pred_ids.setdefault(p, len(pred_ids)))
             kinds.setdefault(p, kind)
@@ -203,12 +200,13 @@ class CorpusIndex:
             signature.append(sig_ids.setdefault("|".join(surfaces), len(sig_ids)))
         # Renumber the signatures in text order.
         rank = array("I", bytes(4 * len(sig_ids)))
-        for new, old in enumerate(sorted(range(len(sig_ids)), key=list(sig_ids).__getitem__)):
-            rank[old] = new
+        for new, text in enumerate(sorted(sig_ids)):
+            rank[sig_ids[text]] = new
+        del sig_ids
         signature = array("I", map(rank.__getitem__, signature))
-        sig_freq = [0] * len(sig_ids)
+        sig_freq = array("q", bytes(8 * len(rank)))
         pred_total = [0] * len(pred_ids)
-        by_pred: list[list[int]] = [[] for _ in pred_ids]
+        by_pred = [array("I") for _ in pred_ids]
         for row, (sig, pid, freq) in enumerate(zip(signature, predicate, frequency)):
             sig_freq[sig] += freq
             pred_total[pid] += freq
@@ -217,34 +215,35 @@ class CorpusIndex:
         cond_prob = array("d", (f / pred_total[pid] for f, pid in zip(frequency, predicate)))
         return cls(  # the fields in order
             ids, pattern, predicate, args, signature, frequency, cond_prob, predicates, terms,
-            pred_ids, {p: array("I", rows) for p, rows in zip(predicates, by_pred)},
-            dict(zip(predicates, pred_total)), kinds, array("q", sig_freq),
-            sum(pred_total), *_postings(predicate, pattern, args, len(predicates), len(terms)),
+            pred_ids, dict(zip(predicates, by_pred)), dict(zip(predicates, pred_total)), kinds,
+            sig_freq, sum(pred_total), *_postings(by_pred, pattern, args, len(terms)),
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CorpusIndex":
-        return cls.build(read_corpus(path).items())
+        return cls.build(read_corpus(path))
 
 
-def _postings(predicate, pattern, args, n_predicates: int, n_terms: int):
+def _postings(by_pred, pattern, args, n_terms: int):
     """The posting index of the given row columns, as (keys, rows,
-    start).  Row r's slot s has key ((predicate * len(PATTERNS) +
-    pattern) * MAX_ARITY + s) * n_terms + term."""
-    n_rows = max(1, len(predicate))
-    n_patterns = len(PATTERNS)
-    entries = []  # key * n_rows + row, so rows of one key stay ascending
-    for slot in range(MAX_ARITY):
-        entries += [
-            (((pid * n_patterns + code) * MAX_ARITY + slot) * n_terms + term) * n_rows + row
-            for row, (pid, code, term) in enumerate(zip(predicate, pattern, args[slot::MAX_ARITY]))
-            if ARITY[code] > slot
-        ]
-    entries.sort()
-    keys = array("Q", [entry // n_rows for entry in entries])
-    rows = array("I", [entry % n_rows for entry in entries])
-    block = n_patterns * MAX_ARITY * n_terms
-    return keys, rows, array("I", (bisect_left(keys, p * block) for p in range(n_predicates + 1)))
+    start), built one predicate's block at a time.  Row r's slot s has
+    key ((predicate * len(PATTERNS) + pattern) * MAX_ARITY + s) * n_terms
+    + term."""
+    n_rows = max(1, len(pattern))
+    keys, rows, start = array("Q"), array("I"), array("I")
+    for pid, block_rows in enumerate(by_pred):
+        start.append(len(keys))
+        base = pid * len(PATTERNS)
+        # key * n_rows + row, so the rows of one key stay ascending
+        block = sorted(
+            (((base + pattern[r]) * MAX_ARITY + slot) * n_terms + args[r * MAX_ARITY + slot])
+            * n_rows + r
+            for r in block_rows for slot in range(ARITY[pattern[r]])
+        )
+        keys.extend(map(floordiv, block, repeat(n_rows)))
+        rows.extend(map(mod, block, repeat(n_rows)))
+    start.append(len(keys))
+    return keys, rows, start
 
 
 def probe_postings(

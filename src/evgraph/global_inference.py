@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, count, groupby
 
 from .corpus import MAX_ARITY, CorpusIndex, probe_postings
 from .local import TermProbs, argument_score, compose_edge
@@ -184,9 +184,10 @@ def infer_path_edges(
 def expand_with_argument_rules(
     index: CorpusIndex, chain_nodes, rule_by_pair: dict[tuple[int, int], float], tau_e: float
 ) -> tuple[EdgeColumns, int]:
-    """Attach incoming same-predicate edges to chain nodes (index rows),
-    plus the dense number of candidates, the other eventualities of each
-    node's predicate.
+    """Attach incoming same-predicate edges to chain nodes (any iterable
+    of index rows), plus the dense number of candidates, the other
+    eventualities of each node's predicate.  The nodes are marked over
+    the rows and taken predicate by predicate, in row order.
 
     A candidate premise must relate every aligned term identically or
     through an argument rule, and its composed score (with identity
@@ -199,19 +200,20 @@ def expand_with_argument_rules(
     for (t_from, t_to), score in rule_by_pair.items():
         if score > 0.0:
             rule_sources.setdefault(t_to, []).append(t_from)
-    pattern, args, cond, predicate = index.pattern, index.args, index.cond_prob, index.predicate
-    nodes_by_pred: dict[int, list[int]] = {}
+    pattern, args, cond = index.pattern, index.args, index.cond_prob
+    marked = bytearray(len(index.ids))
     for node in chain_nodes:
-        nodes_by_pred.setdefault(predicate[node], []).append(node)
+        marked[node] = 1
 
     edges = EdgeColumns()
     add = edges.append
     checks = 0
-    for pid in sorted(nodes_by_pred):
-        same_pred = index.by_predicate[index.predicates[pid]]
+    for pid, same_pred in enumerate(index.by_predicate.values()):
+        if not any(map(marked.__getitem__, same_pred)):
+            continue
         held = set(map(pattern.__getitem__, same_pred))
         n_other = len(same_pred) - 1
-        for node in sorted(nodes_by_pred[pid]):
+        for node in compress(same_pred, map(marked.__getitem__, same_pred)):
             checks += n_other
             node_args = args[node * MAX_ARITY:(node + 1) * MAX_ARITY]
             cond_node = cond[node]
@@ -244,7 +246,7 @@ def expand_with_argument_rules(
 
 @dataclass(frozen=True)
 class GlobalResult:
-    edges: EdgeColumns  # in the order found; the seal sorts them
+    edges: EdgeColumns  # in (from row, to row) order
     candidate_checks: int
     expansion_checks: int
 
@@ -254,7 +256,8 @@ def run_global_stage(
     rule_scores: dict[tuple[str, str], float], probs: TermProbs,
     rule_by_pair: dict[tuple[int, int], float], tau_a: float, tau_e: float,
 ) -> GlobalResult:
-    """Run path inference plus expansion over every path and merge.
+    """Run path inference plus expansion over every path and merge, in
+    the seal's (from row, to row) order, so the seal moves nothing.
 
     Each distinct predicate pair and each distinct chain node (an
     endpoint of its path's pair edges) is computed once however many
@@ -271,16 +274,19 @@ def run_global_stage(
         pair_nodes[pair] = array("I", sorted(set(edges.src).union(edges.dst)))
 
     total_checks = total_exp = 0
-    chain_nodes: set[int] = set()
+    chain_nodes = bytearray(len(index.ids))  # 1 at each chain node's row
     others = [len(index.by_predicate[p]) - 1 for p in index.predicates]
     for path in paths:
         nodes: set[int] = set()
         for pair in zip(path, path[1:]):
             total_checks += pair_checks[pair]
             nodes.update(pair_nodes[pair])
-        chain_nodes |= nodes
+        for node in nodes:
+            chain_nodes[node] = 1
         total_exp += sum(others[index.predicate[node]] for node in nodes)
+    del pair_nodes
 
-    local_edges, _ = expand_with_argument_rules(index, chain_nodes, rule_by_pair, tau_e)
-    merged.extend(local_edges)
+    rows = array("I", compress(count(), chain_nodes))
+    merged.extend(expand_with_argument_rules(index, rows, rule_by_pair, tau_e)[0])
+    merged.sort(len(index.ids))
     return GlobalResult(merged, total_checks, total_exp)

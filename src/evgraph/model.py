@@ -18,7 +18,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import eq, mul, sub
+from itertools import accumulate, islice
+from operator import eq, lt, mul, sub
 from typing import NamedTuple
 
 ENTAILS = "⊨"
@@ -321,16 +322,24 @@ class EdgeColumns:
         for column, more in zip(self.columns(), other.columns()):
             column.extend(more)
 
-    def permuted(self, order) -> "EdgeColumns":
-        """A copy holding edge order[k] at position k."""
-        out = EdgeColumns()
-        for name in self.__slots__:
-            column = getattr(self, name)
-            setattr(out, name, array(column.typecode, map(column.__getitem__, order)))
-        return out
-
     def __len__(self) -> int:
         return len(self.src)
+
+    def sort(self, n: int) -> array:
+        """Put the edges in (from row, to row) order, endpoints being rows
+        below n, and return each from row's n + 1 offsets.  Out of order,
+        they get stable counting sorts on the to row, then the from row,
+        and each column in turn is replaced by its reordered copy; a pair
+        given twice ends up in two neighbouring positions."""
+        src, dst = self.src, self.dst
+        offsets = _starts(src, n)
+        if not all(map(lt, zip(src, dst), zip(islice(src, 1, None), islice(dst, 1, None)))):
+            order = _placed(src, _placed(dst, range(len(dst)), _starts(dst, n)), offsets)
+            del src, dst  # each column is freed once its reordered copy replaces it
+            for name in self.__slots__:
+                column = getattr(self, name)
+                setattr(self, name, array(column.typecode, map(column.__getitem__, order)))
+        return offsets
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColumns):
@@ -348,7 +357,8 @@ class EdgeColumns:
         """Run the ScoredEdge constructor's checks over every edge: passes
         over whole columns screen them, and the first edge a screen stops
         is built through the constructor, which raises its ValueError."""
-        if max(self.prov, default=0) > 1 or max(self.type, default=0) >= len(TYPE_LABELS):
+        codes = ((self.prov, PROVENANCES), (self.type, TYPE_LABELS))
+        if any(max(column, default=0) >= len(names) for column, names in codes):
             raise ValueError("unknown provenance or type code")
         scores = (self.arg, self.pred, self.pen, self.local)
         # col == col fails on a NaN.
@@ -360,3 +370,22 @@ class EdgeColumns:
             for i, (src, dst, *values) in enumerate(zip(self.src, self.dst, *scores)):
                 if src == dst or not plausible(*values):
                     ScoredEdge(*self.edge(i, ids))
+
+
+def _starts(rows: array, n: int) -> array:
+    """The n + 1 offsets of `rows` (each below n) counting-sorted."""
+    counts = [0] * n
+    for r in rows:
+        counts[r] += 1
+    return array("I", accumulate(counts, initial=0))
+
+
+def _placed(rows: array, positions, starts) -> array:
+    """`positions` stably ordered by `rows[position]`, into `starts`."""
+    cursor = array("I", starts)
+    order = array("I", bytes(4 * len(positions)))
+    for i, r in zip(positions, map(rows.__getitem__, positions)):
+        p = cursor[r]
+        order[p] = i
+        cursor[r] = p + 1
+    return order

@@ -5,7 +5,8 @@ The seal stage runs the `ScoredEdge` checks over the accepted edge
 columns, seals them with the index's ids into an `EntailmentGraph`, and
 assembles the run report.  Every stage is deterministic and runs in
 this process, so two builds from the same inputs are byte-identical.
-`BuildResult.stage_seconds` times each stage, and a stage's failure is a
+`BuildResult.stage_seconds` times each stage and `stage_peak_mb` holds
+the process's peak memory after each, and a stage's failure is a
 `StageError` tagged with its name.  The cyclic garbage collector is
 paused from ingest through persist.  Output files land atomically:
 nothing is moved into the output directory until the whole build has
@@ -59,11 +60,23 @@ class BuildResult:
     predicate_rules: tuple[rules.PredicateRule, ...]
     paths: tuple[tuple[str, ...], ...]
     report: dict
-    # Wall seconds per stage; in no output file, so builds stay byte-identical.
+    # Wall seconds, and peak resident MB after it (None without /proc), per
+    # stage; in no output file, so builds stay byte-identical.
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    stage_peak_mb: dict[str, float | None] = field(default_factory=dict, compare=False)
 
 
-def _staged(seconds: dict[str, float], stage: str, fn, *args, **kwargs):
+def peak_rss_mb() -> float | None:
+    """This process's resident high-water mark (VmHWM) in MB, or None
+    where /proc/self/status does not exist."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def _staged(meters: tuple[dict, dict], stage: str, fn, *args, **kwargs):
     start = time.perf_counter()
     try:
         return fn(*args, **kwargs)
@@ -72,7 +85,9 @@ def _staged(seconds: dict[str, float], stage: str, fn, *args, **kwargs):
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
     finally:
+        seconds, peaks = meters
         seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
+        peaks[stage] = peak_rss_mb()
 
 
 def build(cfg: PipelineConfig) -> BuildResult:
@@ -85,11 +100,11 @@ def _build(cfg: PipelineConfig) -> BuildResult:
     for key in ("corpus", "taxonomy", "verb_hierarchy"):
         if not getattr(cfg, key):
             raise StageError("config", f"no {key} path configured")
-    seconds: dict[str, float] = {}
-    index: CorpusIndex = _staged(seconds, "ingest", CorpusIndex.from_file, cfg.corpus)
-    taxonomy: TaxonomyStore = _staged(seconds, "resources", load_taxonomy, cfg.taxonomy)
+    meters: tuple[dict, dict] = ({}, {})
+    index: CorpusIndex = _staged(meters, "ingest", CorpusIndex.from_file, cfg.corpus)
+    taxonomy: TaxonomyStore = _staged(meters, "resources", load_taxonomy, cfg.taxonomy)
     hierarchy: VerbHierarchyStore = _staged(
-        seconds, "resources", load_verb_hierarchy, cfg.verb_hierarchy, cfg.light_verbs
+        meters, "resources", load_verb_hierarchy, cfg.verb_hierarchy, cfg.light_verbs
     )
 
     def _rules_stage():
@@ -103,10 +118,10 @@ def _build(cfg: PipelineConfig) -> BuildResult:
             rules.argument_rule_lookup(tr, term_ids),
         )
 
-    tr, pr, probs, rule_by_pair = _staged(seconds, "rules", _rules_stage)
+    tr, pr, probs, rule_by_pair = _staged(meters, "rules", _rules_stage)
 
     pr_scored = _staged(
-        seconds, "local", local.score_predicate_rules, index, pr, cfg.lambda_, probs
+        meters, "local", local.score_predicate_rules, index, pr, cfg.lambda_, probs
     )
 
     def _global_stage():
@@ -118,12 +133,12 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         )
         return forest.n_trees, len(forest.dropped_edges), paths, result
 
-    n_trees, n_dropped, paths, result = _staged(seconds, "global", _global_stage)
+    n_trees, n_dropped, paths, result = _staged(meters, "global", _global_stage)
 
     def _seal_stage():
         result.edges.check(index.ids)
         graph = store.EntailmentGraph.from_parts(index.ids, index.frequency, result.edges)
-        by_prov = Counter(PROVENANCES[code] for code in graph.columns.prov)
+        by_prov = {PROVENANCES[code]: k for code, k in Counter(graph.columns.prov).items()}
         report = {
             "config": config_report(cfg),
             "counts": {
@@ -147,8 +162,8 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         }
         return graph, report
 
-    graph, report = _staged(seconds, "seal", _seal_stage)
-    return BuildResult(graph, tr, pr_scored, paths, report, seconds)
+    graph, report = _staged(meters, "seal", _seal_stage)
+    return BuildResult(graph, tr, pr_scored, paths, report, *meters)
 
 
 def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
@@ -178,6 +193,7 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
 def run_build(cfg: PipelineConfig) -> BuildResult:
     with store.paused_collector():
         result = build(cfg)
-        _staged(result.stage_seconds, "persist", write_outputs, result, cfg.output_dir)
+        meters = (result.stage_seconds, result.stage_peak_mb)
+        _staged(meters, "persist", write_outputs, result, cfg.output_dir)
     return result
 

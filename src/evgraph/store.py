@@ -10,8 +10,9 @@ A sealed graph is columnar: node `ids` (ascending) and `frequency`, and
 one `EdgeColumns` sorted by (from row, to row), which is (from_id,
 to_id) order, with `offsets` marking each source row's edges.  `nodes`,
 `edges` and `by_source` are read-only mappings over the columns that
-build an `Eventuality` or a `ScoredEdge` on lookup.  `from_parts` sorts
-only input that comes out of order.  `read_graph` streams both files
+build an `Eventuality` or a `ScoredEdge` on lookup.  `from_parts` takes
+its columns over and puts edges that come out of order in key order in
+place (`EdgeColumns.sort`).  `read_graph` streams both files
 through `corpus.decoded_lines` straight into the columns: node lines
 through `corpus.parse_corpus_line` (whose regex fast path takes the
 canonical lines `write_graph` writes), edge lines through the
@@ -29,8 +30,8 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from itertools import accumulate, compress, islice, repeat
-from operator import add, eq, lt, mul
+from itertools import compress, count, islice, repeat
+from operator import eq
 from pathlib import Path
 from types import MappingProxyType
 
@@ -62,40 +63,32 @@ class EntailmentGraph:
     offsets: array  # 'I': row r's edges are offsets[r] up to offsets[r + 1]
 
     @classmethod
-    def from_parts(cls, ids, frequency, edges: EdgeColumns) -> "EntailmentGraph":
+    def from_parts(cls, ids: list[str], frequency: array, edges: EdgeColumns) -> "EntailmentGraph":
         """Seal nodes and edges into a graph, kept in key order.  `ids` and
         `frequency` are the nodes; the edges' endpoints are positions in
-        `ids`.  A node id or an edge's (from, to) pair given twice is
-        rejected, as is an endpoint past the last node.  Input already in
-        key order is not sorted again."""
-        ids = list(ids)
+        `ids`.  The graph takes all three over: `edges.sort` puts the edges
+        in key order on the given holder, so a caller that still holds it
+        sees them reordered.  A node id or an edge's (from, to) pair given
+        twice is rejected, as is an endpoint past the last node."""
         n = len(ids)
         if edges.src and (top := max(max(edges.src), max(edges.dst))) >= n:
             raise ValueError(f"edge endpoint not among graph nodes: row {top}")
-        if not all(map(str.__lt__, ids, ids[1:])):
-            order = sorted(range(n), key=ids.__getitem__)
-            ids = [ids[i] for i in order]
-            for prev, node_id in zip(ids, ids[1:]):
+        if not all(map(str.__lt__, ids, islice(ids, 1, None))):
+            order = array("I", sorted(range(n), key=ids.__getitem__))
+            ids = list(map(ids.__getitem__, order))
+            for prev, node_id in zip(ids, islice(ids, 1, None)):
                 if prev == node_id:
                     raise ValueError(f"duplicate node {node_id}")
             frequency = array("q", map(frequency.__getitem__, order))
             rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
-            edges = edges.permuted(range(len(edges)))
             edges.src = array("I", map(rank.__getitem__, edges.src))
             edges.dst = array("I", map(rank.__getitem__, edges.dst))
-        keys = list(map(add, map(mul, edges.src, repeat(n)), edges.dst))
-        if not all(map(lt, keys, islice(keys, 1, None))):
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            keys = list(map(keys.__getitem__, order))
-            twice = next((k for k, after in zip(keys, islice(keys, 1, None)) if k == after), None)
-            if twice is not None:
-                raise ValueError(f"duplicate edge {ids[twice // n]} -> {ids[twice % n]}")
-            edges = edges.permuted(order)
-        del keys
-        counts = [0] * (n + 1)
-        for src in edges.src:
-            counts[src + 1] += 1
-        return cls(ids, array("q", frequency), edges, array("I", accumulate(counts)))
+        offsets = edges.sort(n)
+        src, dst = edges.src, edges.dst
+        for i in compress(count(1), map(eq, dst, islice(dst, 1, None))):
+            if src[i] == src[i - 1]:
+                raise ValueError(f"duplicate edge {ids[src[i]]} -> {ids[dst[i]]}")
+        return cls(ids, frequency, edges, offsets)
 
     @property
     def nodes(self) -> Mapping[str, Eventuality]:
@@ -324,14 +317,17 @@ def stats(graph: EntailmentGraph) -> list[StatsRow]:
     c = graph.columns
     n_type = Counter(c.type)
     n_local = Counter(compress(c.type, map(eq, c.prov, repeat(LOCAL))))
-    # One type's endpoint set at a time keeps the peak memory low.
-    rows = []
-    for code, label in enumerate(TYPE_LABELS):
-        of_type = bytes(map(eq, c.type, repeat(code))) if n_type[code] else b""
-        endpoints = set(compress(c.src, of_type)).union(compress(c.dst, of_type))
-        rows.append(StatsRow(label, len(endpoints), n_local[code], n_type[code]))
-    overall = len(set(c.src).union(c.dst))
-    rows.append(StatsRow(OVERALL_LABEL, overall, sum(n_local.values()), len(c)))
+    # Endpoints marked over the rows: per type present, and for all types.
+    every = bytearray(len(graph.ids))
+    marks = {code: bytearray(len(every)) for code in n_type}
+    for src, dst, code in zip(c.src, c.dst, c.type):
+        mark = marks[code]
+        mark[src] = mark[dst] = every[src] = every[dst] = 1
+    rows = [
+        StatsRow(label, marks.get(code, b"").count(1), n_local[code], n_type[code])
+        for code, label in enumerate(TYPE_LABELS)
+    ]
+    rows.append(StatsRow(OVERALL_LABEL, every.count(1), sum(n_local.values()), len(c)))
     return rows
 
 

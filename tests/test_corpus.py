@@ -1,7 +1,5 @@
 """Corpus parsing and index statistics."""
 
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,7 +265,7 @@ def test_index_rows_of_compound_patterns():
         Eventuality.create("s-v-p-o", {"n1": "boy", "v1": "look", "p1": "at", "n2": "sky"}, 3),
         Eventuality.create("s-be-a", {"n1": "it", "a1": "red"}, 6),
     ]
-    index = CorpusIndex.build((e.id, e.frequency) for e in evs)
+    index = CorpusIndex.build({e.id: e.frequency for e in evs})
     assert index.ids == sorted(e.id for e in evs)
     assert list(index.frequency) == [e.frequency for e in sorted(evs, key=lambda e: e.id)]
     assert rows(index) == {
@@ -282,12 +280,6 @@ def test_index_rows_of_compound_patterns():
     assert index.predicate_kind == {"be-red": "be-adj", "look-at": "verb-prep"}
 
 
-def test_index_rejects_duplicate_id():
-    ev = Eventuality.create("s-v", {"n1": "dog", "v1": "bark"}, 1)
-    with pytest.raises(CorpusError, match=re.escape("duplicate eventuality id 's-v:dog|bark'")):
-        CorpusIndex.build([(ev.id, 1), (ev.id, 2)])
-
-
 @st.composite
 def shuffled_records(draw):
     """Distinct eventualities over a few shared words, and a reordering."""
@@ -300,5 +292,5 @@ def shuffled_records(draw):
 def test_index_ignores_input_order(records):
     # repr shows every map in its insertion order, which output order follows.
     first, second = records
-    build = lambda evs: CorpusIndex.build((e.id, e.frequency) for e in evs)  # noqa: E731
+    build = lambda evs: CorpusIndex.build({e.id: e.frequency for e in evs})  # noqa: E731
     assert repr(build(second)) == repr(build(first))

@@ -37,7 +37,7 @@ from evgraph.rules import PredicateRule
 
 def _index(lines):
     return CorpusIndex.build(
-        parse_corpus_line(line, i + 1) for i, line in enumerate(lines)
+        dict(parse_corpus_line(line, i + 1) for i, line in enumerate(lines))
     )
 
 
@@ -68,14 +68,15 @@ def expand(index, node_ids, rule_by_pair, tau_e):
 
 
 def global_stage(index, paths, rule_scores, store, rule_by_pair, tau_a, tau_e):
-    """run_global_stage on string-keyed tables: its edges in key order,
-    and its two check counts."""
+    """run_global_stage on string-keyed tables: its edges, which it
+    returns in the seal's key order, and its two check counts."""
     result = run_global_stage(
         index, paths, rule_scores, probs(index, store), rule_table(index, rule_by_pair),
         tau_a, tau_e,
     )
     edges = edge_dict(index, result.edges)
-    return tuple(edges[k] for k in sorted(edges)), result.candidate_checks, result.expansion_checks
+    assert list(edges) == sorted(edges)
+    return tuple(edges.values()), result.candidate_checks, result.expansion_checks
 
 
 # --- forest --------------------------------------------------------------------
@@ -622,7 +623,7 @@ def corpora(draw):
         if prev is not None:
             ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
         merged[ev.id] = ev
-    return CorpusIndex.build((e.id, e.frequency) for e in merged.values())
+    return CorpusIndex.build({e.id: e.frequency for e in merged.values()})
 
 
 taxonomies = st.lists(

@@ -41,7 +41,7 @@ from evgraph.rules import PredicateRule
 
 def _index(lines):
     return CorpusIndex.build(
-        parse_corpus_line(line, i + 1) for i, line in enumerate(lines)
+        dict(parse_corpus_line(line, i + 1) for i, line in enumerate(lines))
     )
 
 
@@ -290,7 +290,7 @@ def mixed_corpora(draw):
         if prev is not None:
             ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
         merged[ev.id] = ev
-    return CorpusIndex.build((e.id, e.frequency) for e in merged.values())
+    return CorpusIndex.build({e.id: e.frequency for e in merged.values()})
 
 
 # Concepts include a term no corpus holds ("thing").

@@ -22,7 +22,9 @@ from evgraph.model import (
     TYPE_LABELS,
     VERB,
     VERB_PREP,
+    PROVENANCES,
     DecompositionError,
+    EdgeColumns,
     Eventuality,
     ScoredEdge,
     aligned_slots,
@@ -101,7 +103,7 @@ def test_decompose_surfaces_checks_pattern_and_arity():
 
 def test_signature_joins_surfaces():
     e = ev("s-v-o-p-o", frequency=3, n1="he", v1="post", n2="it", p1="on", n3="youtube")
-    index = CorpusIndex.build([(e.id, e.frequency)])
+    index = CorpusIndex.build({e.id: e.frequency})
     assert rows(index)[e.id].args == ("he", "it", "on-youtube")
     assert list(index.signature) == [0] and list(index.signature_freq) == [3]
     assert signature_counts(index, "post") == {0: 3}
@@ -334,6 +336,17 @@ def test_edge_rejects_unknown_provenance_and_label():
         _edge(1.0, 1.0, 1.0, provenance="guess")
     with pytest.raises(ValueError, match="type label"):
         _edge(1.0, 1.0, 1.0, type_label="s-v => s-v")
+
+
+@pytest.mark.parametrize("column,names", [("prov", PROVENANCES), ("type", TYPE_LABELS)])
+def test_edge_columns_reject_a_code_past_its_names(column, names):
+    edges = EdgeColumns()
+    edges.append(0, 1, 0.25, 1.0, 1.0, 0.5, 0, 0)
+    getattr(edges, column)[0] = len(names) - 1
+    edges.check(["s-v:a|b", "s-v:c|d"])
+    getattr(edges, column)[0] = len(names)
+    with pytest.raises(ValueError, match="^unknown provenance or type code$"):
+        edges.check(["s-v:a|b", "s-v:c|d"])
 
 
 def test_edge_fields_cannot_be_assigned():

@@ -18,7 +18,7 @@ from evgraph.rules import (
 
 def _index(lines):
     return CorpusIndex.build(
-        parse_corpus_line(line, i + 1) for i, line in enumerate(lines)
+        dict(parse_corpus_line(line, i + 1) for i, line in enumerate(lines))
     )
 
 

@@ -2,7 +2,9 @@
 
 import gc
 import math
+import random
 import tempfile
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from columns import columns_of, graph_from, type_label
 from evgraph import store
 from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
-from evgraph.model import Eventuality, ScoredEdge, aligned_slots
+from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots
 from evgraph.store import (
     EntailmentGraph,
     GraphFormatError,
@@ -499,6 +501,34 @@ def test_seal_orders_shuffled_input(parts, data):
     # More than any type holds: every edge of each type, in stored order.
     for n in (0, 1, 2, len(edges) + 1):
         assert sample_for_annotation(shuffled, n, 7) == sample_for_annotation(ordered, n, 7)
+
+
+def test_seal_makes_no_second_copy_of_the_columns():
+    # Shuffled edges are reordered a column at a time, each old column
+    # freed as its reordered copy replaces it: beyond its input the seal
+    # allocates at most half the columns' own bytes, where a sorted copy
+    # of every column alone would be all of them.
+    rng = random.Random(3)
+    n = 3000
+    ids = [f"s-v:n{i:05d}|v" for i in range(n)]
+    tracemalloc.start()
+    try:
+        edges = EdgeColumns()
+        for key in rng.sample(range(n * n), 12_000):
+            src, dst = divmod(key, n)
+            if src != dst:
+                edges.append(src, dst, 0.25, 1.0, 1.0, 0.5, 1, key % 2)
+        keys = [(ids[s], ids[d]) for s, d in zip(edges.src, edges.dst)]
+        size = sum(column.itemsize * len(column) for column in edges.columns())
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        graph = EntailmentGraph.from_parts(ids, array("q", [1] * n), edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= size / 2
+    assert graph.columns is edges
+    assert list(graph.edges) == sorted(keys)
 
 
 def _write_lines(directory, nodes, edges):
