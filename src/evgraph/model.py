@@ -9,7 +9,9 @@ The seven pattern rules live in one table, read by `decompose_surfaces`
 alone.  A `ScoredEdge` is a named tuple whose constructor checks every
 edge; `EdgeColumns` holds many edges as parallel arrays, with eventuality
 rows for endpoints and codes for type and provenance, and `check` runs
-the same checks over them.
+the same checks over them.  `EdgeColumns.sort` is the one place edges
+are put in key order: the global stage sorts what it accepted, and the
+seal only checks that order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, islice
 from operator import eq, lt, mul, sub
 from typing import NamedTuple
@@ -199,7 +200,6 @@ def decompose_surfaces(pattern: str, tokens) -> tuple[str, str, tuple[str, ...]]
     return _SURFACES[pattern](tokens)
 
 
-@lru_cache(maxsize=None)
 def aligned_slots(
     premise_pattern: str, hypothesis_pattern: str
 ) -> tuple[tuple[int, int], ...] | None:
@@ -325,21 +325,19 @@ class EdgeColumns:
     def __len__(self) -> int:
         return len(self.src)
 
-    def sort(self, n: int) -> array:
+    def sort(self, n: int) -> None:
         """Put the edges in (from row, to row) order, endpoints being rows
-        below n, and return each from row's n + 1 offsets.  Out of order,
-        they get stable counting sorts on the to row, then the from row,
-        and each column in turn is replaced by its reordered copy; a pair
-        given twice ends up in two neighbouring positions."""
+        below n.  Out of order, they get stable counting sorts on the to
+        row, then the from row, and each column in turn is replaced by its
+        reordered copy; a pair given twice ends up in two neighbouring
+        positions."""
         src, dst = self.src, self.dst
-        offsets = _starts(src, n)
         if not all(map(lt, zip(src, dst), zip(islice(src, 1, None), islice(dst, 1, None)))):
-            order = _placed(src, _placed(dst, range(len(dst)), _starts(dst, n)), offsets)
+            order = _placed(src, _placed(dst, range(len(dst)), _starts(dst, n)), _starts(src, n))
             del src, dst  # each column is freed once its reordered copy replaces it
             for name in self.__slots__:
                 column = getattr(self, name)
                 setattr(self, name, array(column.typecode, map(column.__getitem__, order)))
-        return offsets
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColumns):

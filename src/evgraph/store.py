@@ -8,16 +8,19 @@ decimals, so a write/read cycle is bit-exact.
 
 A sealed graph is columnar: node `ids` (ascending) and `frequency`, and
 one `EdgeColumns` sorted by (from row, to row), which is (from_id,
-to_id) order, with `offsets` marking each source row's edges.  `nodes`,
-`edges` and `by_source` are read-only mappings over the columns that
-build an `Eventuality` or a `ScoredEdge` on lookup.  `from_parts` takes
-its columns over and puts edges that come out of order in key order in
-place (`EdgeColumns.sort`).  `read_graph` streams both files
-through `corpus.decoded_lines` straight into the columns: node lines
-through `corpus.parse_corpus_line` (whose regex fast path takes the
-canonical lines `write_graph` writes), edge lines through the
-`ScoredEdge` constructor's checks.  The cyclic garbage collector is
-paused (`paused_collector`) for a whole build as well as for a read.
+to_id) order, with `offsets` marking each source row's edges.  Key order
+is the graph's only order, and the two ways in check it rather than
+restore it: `from_parts` holds the parts it is given, moving nothing, and
+rejects the first node or edge out of order; `read_graph` names the
+first line out of order.  Edges are sorted once, by the global stage
+(`EdgeColumns.sort`).  `nodes` and `edges` are read-only mappings over
+the columns that build an `Eventuality` or a `ScoredEdge` on lookup.
+`read_graph` streams both files through `corpus.decoded_lines` straight
+into the columns: node lines through `corpus.parse_corpus_line` (whose
+regex fast path takes the canonical lines `write_graph` writes), edge
+lines through the `ScoredEdge` constructor's checks.  The cyclic garbage
+collector is paused (`paused_collector`) for a whole build as well as
+for a read.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ from collections.abc import Mapping
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import compress, count, islice, repeat
-from operator import eq
+from operator import eq, ge
 from pathlib import Path
-from types import MappingProxyType
 
 from .corpus import corpus_line, decoded_lines, parse_corpus_line
-from .model import LOCAL, PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge
+from .model import LOCAL, PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge, _starts
 from .model import display_text, plausible, split_id
 
 NODE_FILE = "nodes.tsv"
@@ -64,31 +66,23 @@ class EntailmentGraph:
 
     @classmethod
     def from_parts(cls, ids: list[str], frequency: array, edges: EdgeColumns) -> "EntailmentGraph":
-        """Seal nodes and edges into a graph, kept in key order.  `ids` and
-        `frequency` are the nodes; the edges' endpoints are positions in
-        `ids`.  The graph takes all three over: `edges.sort` puts the edges
-        in key order on the given holder, so a caller that still holds it
-        sees them reordered.  A node id or an edge's (from, to) pair given
-        twice is rejected, as is an endpoint past the last node."""
+        """Seal nodes and edges, given in key order, into a graph.  `ids` and
+        `frequency` are the nodes, `ids` strictly ascending; the edges'
+        endpoints are positions in `ids`, their (from, to) pairs strictly
+        ascending.  The graph holds all three as given.  An endpoint past
+        the last node is rejected, then the first node and the first edge
+        out of order, as a duplicate when it repeats the one before."""
         n = len(ids)
-        if edges.src and (top := max(max(edges.src), max(edges.dst))) >= n:
-            raise ValueError(f"edge endpoint not among graph nodes: row {top}")
-        if not all(map(str.__lt__, ids, islice(ids, 1, None))):
-            order = array("I", sorted(range(n), key=ids.__getitem__))
-            ids = list(map(ids.__getitem__, order))
-            for prev, node_id in zip(ids, islice(ids, 1, None)):
-                if prev == node_id:
-                    raise ValueError(f"duplicate node {node_id}")
-            frequency = array("q", map(frequency.__getitem__, order))
-            rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
-            edges.src = array("I", map(rank.__getitem__, edges.src))
-            edges.dst = array("I", map(rank.__getitem__, edges.dst))
-        offsets = edges.sort(n)
         src, dst = edges.src, edges.dst
-        for i in compress(count(1), map(eq, dst, islice(dst, 1, None))):
-            if src[i] == src[i - 1]:
-                raise ValueError(f"duplicate edge {ids[src[i]]} -> {ids[dst[i]]}")
-        return cls(ids, frequency, edges, offsets)
+        if src and (top := max(max(src), max(dst))) >= n:
+            raise ValueError(f"edge endpoint not among graph nodes: row {top}")
+        for i in compress(count(1), map(ge, ids, islice(ids, 1, None))):
+            raise ValueError(_disorder("node", ids[i], ids[i] == ids[i - 1]))
+        later = zip(islice(src, 1, None), islice(dst, 1, None))
+        for i in compress(count(1), map(ge, zip(src, dst), later)):
+            same = src[i] == src[i - 1] and dst[i] == dst[i - 1]
+            raise ValueError(_disorder("edge", f"{ids[src[i]]} -> {ids[dst[i]]}", same))
+        return cls(ids, frequency, edges, _starts(src, n))
 
     @property
     def nodes(self) -> Mapping[str, Eventuality]:
@@ -107,14 +101,6 @@ class EntailmentGraph:
             lambda key: self.edge_index(self.row(key[0]), self.row(key[1])),
             len(c), self.edge,
         )
-
-    @cached_property
-    def by_source(self) -> Mapping[str, tuple[str, ...]]:
-        """Node id -> the to_ids of its edges, for each node with edges;
-        built on first use."""
-        ids, dst, off = self.ids, self.columns.dst, self.offsets
-        spans = ((ids[r], dst[off[r]:off[r + 1]]) for r in range(len(ids)) if off[r] < off[r + 1])
-        return MappingProxyType({node_id: tuple(ids[d] for d in to) for node_id, to in spans})
 
     def row(self, node_id: str) -> int:
         """The row of a node id, or -1."""
@@ -215,11 +201,18 @@ class paused_collector:
 
 def read_graph(directory: str | Path) -> EntailmentGraph:
     """Read a written graph.  A malformed line, a line that is not UTF-8,
-    a node or an edge given twice, or an edge to an unknown node raises
-    GraphFormatError naming the file and the line: the first such line,
-    nodes.tsv before edges.tsv."""
+    an edge to an unknown node, or a node or an edge that does not ascend
+    in key order (given twice, or out of order) raises GraphFormatError
+    naming the file and the line: the first such line, nodes.tsv before
+    edges.tsv."""
     with paused_collector():
         return _read_graph(Path(directory))
+
+
+def _disorder(kind: str, item: str, same: bool) -> str:
+    """The fault of a node or edge that does not ascend past the one
+    before it: a repeat of it, or out of order."""
+    return f"duplicate {kind} {item}" if same else f"{kind} {item} out of key order"
 
 
 def _file_lines(directory: Path, name: str):
@@ -236,6 +229,7 @@ def _read_graph(directory: Path) -> EntailmentGraph:
     ids: list[str] = []
     frequency = array("q")
     row_of: dict[str, int] = {}
+    last_id = ""
     for lineno, line in _file_lines(directory, NODE_FILE):
         if line.count("\t") != 3:
             raise _fault(NODE_FILE, lineno, "expected 4 fields")
@@ -247,15 +241,16 @@ def _read_graph(directory: Path) -> EntailmentGraph:
             raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
         if parsed_id != node_id:
             raise _fault(NODE_FILE, lineno, f"id {node_id!r} does not match tokens")
-        if row_of.setdefault(node_id, len(ids)) != len(ids):
-            raise _fault(NODE_FILE, lineno, f"duplicate node {node_id}")
+        if node_id <= last_id:
+            raise _fault(NODE_FILE, lineno, _disorder("node", node_id, node_id == last_id))
+        row_of[node_id] = len(ids)
+        last_id = node_id
         ids.append(node_id)
         frequency.append(freq)
 
     n = len(ids)
     edges = EdgeColumns()
     last_from, src, last_key = None, None, -1
-    keys: set[int] | None = None  # every key so far, once the edges came out of order
     for lineno, line in _file_lines(directory, EDGE_FILE):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 8:
@@ -282,15 +277,12 @@ def _read_graph(directory: Path) -> EntailmentGraph:
             message = f"edge endpoint not among graph nodes: {from_id} -> {to_id}"
             raise _fault(EDGE_FILE, lineno, message)
         key = src * n + dst
-        if key <= last_key and keys is None:
-            keys = {s * n + d for s, d in zip(edges.src, edges.dst)}
-        if keys is not None:
-            if key in keys:
-                raise _fault(EDGE_FILE, lineno, f"duplicate edge {from_id} -> {to_id}")
-            keys.add(key)
+        if key <= last_key:
+            message = _disorder("edge", f"{from_id} -> {to_id}", key == last_key)
+            raise _fault(EDGE_FILE, lineno, message)
         last_key = key
         edges.append(src, dst, a, p, f, loc, code, prov)
-    del row_of, keys
+    del row_of
     return EntailmentGraph.from_parts(ids, frequency, edges)
 
 

@@ -4,6 +4,7 @@ tables in their term-id form, edge columns as dicts of checked
 `ScoredEdge`s, and graphs sealed from `Eventuality`/`ScoredEdge` lists."""
 
 from array import array
+from collections import defaultdict
 from typing import NamedTuple
 
 from evgraph.corpus import ARITY, MAX_ARITY
@@ -81,16 +82,21 @@ def columns_of(edges, row) -> EdgeColumns:
     return cols
 
 
-def graph_from(nodes, edges) -> EntailmentGraph:
-    """EntailmentGraph.from_parts over Eventuality and ScoredEdge lists, the
-    nodes in the given order."""
-    nodes = list(nodes)
-    row = {}
+def sealed(nodes, edges) -> EntailmentGraph:
+    """EntailmentGraph.from_parts over Eventuality and ScoredEdge lists as
+    given: each endpoint is the row of its node's first occurrence, and
+    an endpoint that is no node the row past the last."""
+    row = defaultdict(lambda: len(nodes))
     for i, node in enumerate(nodes):
         row.setdefault(node.id, i)
-    return EntailmentGraph.from_parts(
-        [n.id for n in nodes], array("q", (n.frequency for n in nodes)), columns_of(edges, row)
-    )
+    ids, frequency = [n.id for n in nodes], array("q", (n.frequency for n in nodes))
+    return EntailmentGraph.from_parts(ids, frequency, columns_of(edges, row))
+
+
+def graph_from(nodes, edges) -> EntailmentGraph:
+    """`sealed` over the nodes and edges put in key order first, as the
+    seal requires."""
+    return sealed(sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: e.key))
 
 
 def signature_texts(index) -> dict[int, str]:

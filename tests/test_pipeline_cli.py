@@ -25,7 +25,7 @@ from evgraph.config import (
     parse_config_file,
 )
 from evgraph.corpus import CorpusIndex
-from evgraph.model import EdgeColumns, ScoredEdge
+from evgraph.model import ScoredEdge
 from evgraph.pipeline import OUTPUT_FILES, STAGES, StageError, build, run_build
 from evgraph.store import read_graph, stats
 from evgraph.synth import write_config_file, write_layered_inputs, write_toy_inputs
@@ -269,20 +269,28 @@ def test_build_pauses_and_restores_the_collector(toy, tmp_path, monkeypatch, ena
 
 
 def test_seal_failure_is_stage_tagged(tmp_path, capsys, monkeypatch):
+    # The stage's first edge given again: next to itself it is a repeat,
+    # after the last edge it is out of key order.
     stage = pipeline.gi.run_global_stage
+    named = []
 
-    def stage_with_a_repeat(*args, **kwargs):
-        result = stage(*args, **kwargs)
-        edges = EdgeColumns()
-        edges.extend(result.edges)
-        edges.append(*(column[0] for column in result.edges.columns()))
-        return replace(result, edges=edges)
+    def stage_with_a_copy_at(at):
+        def run(index, *args, **kwargs):
+            result = stage(index, *args, **kwargs)
+            edges = result.edges
+            named.append(f"{index.ids[edges.src[0]]} -> {index.ids[edges.dst[0]]}")
+            for column in edges.columns():
+                column.insert(len(column) if at is None else at, column[0])
+            return result
 
-    monkeypatch.setattr(pipeline.gi, "run_global_stage", stage_with_a_repeat)
+        return run
+
     cfg_file = _toy_config_file(tmp_path)
-    assert main(["build", "--config", str(cfg_file)]) == 1
-    assert capsys.readouterr().err.startswith("error[seal]: duplicate edge ")
-    assert not (tmp_path / "out").exists()
+    for at, fault in ((1, "duplicate edge {}"), (None, "edge {} out of key order")):
+        monkeypatch.setattr(pipeline.gi, "run_global_stage", stage_with_a_copy_at(at))
+        assert main(["build", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error[seal]: {fault.format(named[-1])}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_missing_corpus_is_stage_tagged(toy, tmp_path):

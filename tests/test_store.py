@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import random
 import tempfile
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from columns import columns_of, graph_from, type_label
+from columns import columns_of, graph_from, sealed, type_label
 from evgraph import store
 from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
@@ -232,28 +233,38 @@ def test_from_parts_rejects_duplicate_node():
         graph_from([a, node("boy", "chew", "apple", freq=101)], [])
 
 
-def _append_copy(path, lineno, edit=lambda fields: fields):
-    """Append a copy of the given 1-based line, its fields passed through edit."""
+def _add_copy(path, lineno, at=None, edit=lambda fields: fields):
+    """Insert a copy of the given 1-based line, its fields passed through
+    edit, so that it becomes line `at` (None: the last line); return the
+    copy's line number and its first two fields."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    copy = "\t".join(edit(lines[lineno - 1].split("\t")))
-    path.write_text("".join(line + "\n" for line in [*lines, copy]), encoding="utf-8")
-    return len(lines) + 1
+    fields = edit(lines[lineno - 1].split("\t"))
+    at = len(lines) + 1 if at is None else at
+    lines.insert(at - 1, "\t".join(fields))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return at, fields[:2]
 
 
 def test_read_graph_rejects_duplicate_node_line(small_graph, tmp_path):
-    write_graph(small_graph, tmp_path)
-    dup = _append_copy(
-        tmp_path / "nodes.tsv", 2, lambda f: [*f[:3], str(int(f[3]) + 100)]
-    )
-    with pytest.raises(GraphFormatError, match=rf"^nodes.tsv line {dup}: duplicate node "):
-        read_graph(tmp_path)
+    # Next to its original a copy is a repeat; after the last line it is
+    # out of key order.
+    for at, fault in ((3, "duplicate node {}"), (None, "node {} out of key order")):
+        write_graph(small_graph, tmp_path)
+        line, (node_id, _) = _add_copy(
+            tmp_path / "nodes.tsv", 2, at, lambda f: [*f[:3], str(int(f[3]) + 100)]
+        )
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(tmp_path)
+        assert str(err.value) == f"nodes.tsv line {line}: {fault.format(node_id)}"
 
 
 def test_read_graph_rejects_duplicate_edge_line(small_graph, tmp_path):
-    write_graph(small_graph, tmp_path)
-    dup = _append_copy(tmp_path / "edges.tsv", 1)
-    with pytest.raises(GraphFormatError, match=rf"^edges.tsv line {dup}: duplicate edge "):
-        read_graph(tmp_path)
+    for at, fault in ((2, "duplicate edge {}"), (None, "edge {} out of key order")):
+        write_graph(small_graph, tmp_path)
+        line, (a, b) = _add_copy(tmp_path / "edges.tsv", 1, at)
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(tmp_path)
+        assert str(err.value) == f"edges.tsv line {line}: {fault.format(f'{a} -> {b}')}"
 
 
 def test_edge_endpoints_must_be_nodes():
@@ -472,40 +483,52 @@ def test_round_trip_is_bit_exact_on_random_graphs(graph):
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
 
-def _in_order(keys):
-    keys = list(keys)
-    return keys == sorted(keys)
+def _out_edges(graph):
+    """Node id -> the to_ids of its edges, read through `offsets`, for
+    each node with edges, in row order."""
+    ids, dst, off = graph.ids, graph.columns.dst, graph.offsets
+    spans = ((ids[r], dst[off[r]:off[r + 1]]) for r in range(len(ids)))
+    return {node_id: tuple(ids[d] for d in to) for node_id, to in spans if to}
 
 
 @given(graph_parts(), st.data())
-def test_seal_orders_shuffled_input(parts, data):
+def test_seal_rejects_shuffled_input_that_edge_sort_orders(parts, data):
+    # The seal moves nothing, rejecting input out of key order and holding
+    # input in order as given; the global stage's sort orders edges.
     nodes, edges = parts
     ordered = graph_from(nodes, edges)
-    shuffled = graph_from(
-        data.draw(st.permutations(nodes)), data.draw(st.permutations(edges))
-    )
-    assert shuffled == ordered
-    for graph in (ordered, shuffled):
-        assert list(graph.nodes) == [n.id for n in nodes]
-        assert list(graph.edges) == [e.key for e in edges]
-        assert _in_order(graph.by_source)
-        assert all(_in_order(keys) for keys in graph.by_source.values())
-    assert list(shuffled.by_source.items()) == list(ordered.by_source.items())
-    assert stats(shuffled) == stats(ordered)
-    with tempfile.TemporaryDirectory() as tmp:
-        one, two = Path(tmp) / "one", Path(tmp) / "two"
-        write_graph(ordered, one)
-        write_graph(shuffled, two)
-        for name in ("nodes.tsv", "edges.tsv"):
-            assert (one / name).read_bytes() == (two / name).read_bytes()
-    # More than any type holds: every edge of each type, in stored order.
-    for n in (0, 1, 2, len(edges) + 1):
-        assert sample_for_annotation(shuffled, n, 7) == sample_for_annotation(ordered, n, 7)
+    assert list(ordered.nodes) == [n.id for n in nodes]
+    assert list(ordered.edges) == [e.key for e in edges]
+    shuffled_nodes = data.draw(st.permutations(nodes))
+    if shuffled_nodes != nodes:
+        with pytest.raises(ValueError, match="^node .* out of key order$"):
+            sealed(shuffled_nodes, [])
+    shuffled = data.draw(st.permutations(edges))
+    row = {n.id: r for r, n in enumerate(nodes)}
+    columns = columns_of(shuffled, row)
+    given_columns = columns.columns()
+    if shuffled != edges:
+        with pytest.raises(ValueError, match="^edge .* -> .* out of key order$"):
+            EntailmentGraph.from_parts(ordered.ids, ordered.frequency, columns)
+        assert all(map(operator.is_, columns.columns(), given_columns))
+        assert columns == columns_of(shuffled, row)
+    columns.sort(len(nodes))
+    assert columns == ordered.columns
+    ids, frequency, given_columns = list(ordered.ids), array("q", ordered.frequency), columns.columns()
+    graph = EntailmentGraph.from_parts(ids, frequency, columns)
+    assert graph.ids is ids and graph.frequency is frequency and graph.columns is columns
+    assert all(map(operator.is_, columns.columns(), given_columns))
+    assert graph == ordered
+    # `offsets` span each source's edges, to_ids ascending.
+    source_ref: dict[str, tuple[str, ...]] = {}
+    for a, b in sorted(e.key for e in shuffled):
+        source_ref[a] = (*source_ref.get(a, ()), b)
+    assert list(_out_edges(graph).items()) == list(source_ref.items())
 
 
-def test_seal_makes_no_second_copy_of_the_columns():
+def test_edge_sort_makes_no_second_copy_of_the_columns():
     # Shuffled edges are reordered a column at a time, each old column
-    # freed as its reordered copy replaces it: beyond its input the seal
+    # freed as its reordered copy replaces it: beyond its input the sort
     # allocates at most half the columns' own bytes, where a sorted copy
     # of every column alone would be all of them.
     rng = random.Random(3)
@@ -522,11 +545,12 @@ def test_seal_makes_no_second_copy_of_the_columns():
         size = sum(column.itemsize * len(column) for column in edges.columns())
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        graph = EntailmentGraph.from_parts(ids, array("q", [1] * n), edges)
+        edges.sort(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before <= size / 2
+    graph = EntailmentGraph.from_parts(ids, array("q", [1] * n), edges)
     assert graph.columns is edges
     assert list(graph.edges) == sorted(keys)
 
@@ -548,43 +572,67 @@ def _write_lines(directory, nodes, edges):
     )
 
 
-@given(graph_parts(), st.sampled_from(("node", "edge", "endpoint")), st.data())
-def test_seal_errors_read_alike_in_shuffled_input(parts, defect, data):
-    # The seal names the item given twice whatever the input order; a
-    # read names the first offending line in file order.
+def _first_fault(nodes, edges):
+    """(file, line, message) of the first line that a read of the nodes
+    and edges, written in the order given, rejects; or None."""
+    for i in range(1, len(nodes)):
+        node_id, before = nodes[i].id, nodes[i - 1].id
+        if node_id == before:
+            return "nodes.tsv", i + 1, f"duplicate node {node_id}"
+        if node_id < before:
+            return "nodes.tsv", i + 1, f"node {node_id} out of key order"
+    known = {n.id for n in nodes}
+    for i, e in enumerate(edges):
+        name = f"{e.from_id} -> {e.to_id}"
+        if not known.issuperset(e.key):
+            return "edges.tsv", i + 1, f"edge endpoint not among graph nodes: {name}"
+        if i and e.key == edges[i - 1].key:
+            return "edges.tsv", i + 1, f"duplicate edge {name}"
+        if i and e.key < edges[i - 1].key:
+            return "edges.tsv", i + 1, f"edge {name} out of key order"
+    return None
+
+
+@given(
+    graph_parts(), st.sampled_from(("node", "edge")),
+    st.sampled_from(("shuffled", "doubled", "endpoint")), st.data(),
+)
+def test_seal_errors_read_alike_in_shuffled_input(parts, kind, defect, data):
+    # Nodes or edges shuffled, one of them given twice, or an endpoint's
+    # node gone: the seal and a read name the same first fault, and the
+    # read names its line too.  The seal sees rows, so it names a gone
+    # endpoint as the row past the last node.
     nodes, edges = parts
-    if defect == "node":
-        if not nodes:
-            return
-        twice = data.draw(st.sampled_from(nodes))
-        nodes = [*nodes, twice]
-        message = f"duplicate node {twice.id}"
-    elif not edges:
-        return
-    elif defect == "edge":
-        twice = data.draw(st.sampled_from(edges))
-        edges = [*edges, twice]
-        message = f"duplicate edge {twice.from_id} -> {twice.to_id}"
-    nodes = data.draw(st.permutations(nodes))
-    edges = data.draw(st.permutations(edges))
     if defect == "endpoint":
-        gone = data.draw(st.sampled_from(edges)).from_id
+        if not edges:
+            return
+        gone = data.draw(st.sampled_from(data.draw(st.sampled_from(edges)).key))
         nodes = [n for n in nodes if n.id != gone]
-        first = next(e for e in edges if gone in e.key)
-        message = f"edge endpoint not among graph nodes: {first.from_id} -> {first.to_id}"
-        where = f"edges.tsv line {edges.index(first) + 1}"
     else:
-        with pytest.raises(ValueError) as err:
-            graph_from(nodes, edges)
-        assert str(err.value) == message
-        items = [n.id for n in nodes] if defect == "node" else [e.key for e in edges]
-        again = next(i for i, item in enumerate(items) if item in items[:i])
-        where = f"{defect}s.tsv line {again + 1}"
+        items = nodes if kind == "node" else edges
+        if not items:
+            return
+        if defect == "doubled":
+            at = data.draw(st.integers(0, len(items)))
+            items = [*items[:at], data.draw(st.sampled_from(items)), *items[at:]]
+        else:
+            items = data.draw(st.permutations(items))
+        nodes, edges = (items, edges) if kind == "node" else (nodes, items)
+    fault = _first_fault(nodes, edges)
     with tempfile.TemporaryDirectory() as tmp:
         _write_lines(Path(tmp) / "graph", nodes, edges)
+        if fault is None:
+            assert read_graph(Path(tmp) / "graph") == sealed(nodes, edges)
+            return
         with pytest.raises(GraphFormatError) as err:
             read_graph(Path(tmp) / "graph")
-    assert str(err.value) == f"{where}: {message}"
+    name, line, message = fault
+    assert str(err.value) == f"{name} line {line}: {message}"
+    if defect == "endpoint":
+        message = f"edge endpoint not among graph nodes: row {len(nodes)}"
+    with pytest.raises(ValueError) as err:
+        sealed(nodes, edges)
+    assert str(err.value) == message
 
 
 @given(graph_parts(), st.data())
@@ -608,11 +656,12 @@ def test_columnar_views_equal_a_dict_reference(parts, data):
     for g in (graph, again):
         assert list(g.nodes.items()) == list(node_ref.items())
         assert list(g.edges.items()) == list(edge_ref.items())
-        assert list(g.by_source.items()) == list(source_ref.items())
+        assert list(_out_edges(g).items()) == list(source_ref.items())
+        assert len(g.offsets) == len(nodes) + 1
         assert g.row_by_text == text_ref
         assert len(g.nodes) == len(node_ref) and len(g.edges) == len(edge_ref)
         assert all(key in g.edges and g.edges[key] == e for key, e in edge_ref.items())
-        assert absent[0] not in g.nodes and absent not in g.edges and absent[0] not in g.by_source
+        assert absent[0] not in g.nodes and absent not in g.edges and absent[0] not in _out_edges(g)
         assert all(type(e) is ScoredEdge for e in g.edges.values())
         assert _score_bits(g) == {
             key: tuple(float.hex(x) for x in e[2:6]) for key, e in edge_ref.items()
