@@ -28,10 +28,9 @@ from .rules import PredicateRule
 
 @dataclass(frozen=True)
 class PredicateForest:
-    """Acyclic specific->general predicate graph as adjacency in both
-    directions, with its tree count and the edges dropped to break cycles."""
+    """Acyclic specific->general predicate graph as each predicate's
+    parents, with its tree count and the edges dropped to break cycles."""
 
-    children: dict[str, tuple[str, ...]]  # general -> more-specific predicates
     parents: dict[str, tuple[str, ...]]  # specific -> more-general predicates
     n_trees: int
     dropped_edges: tuple[tuple[str, str], ...]
@@ -85,10 +84,6 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
         del edges[victim]
         parents[victim[0]].remove(victim[1])
 
-    children: dict[str, list[str]] = {}
-    for s, g in edges:
-        children.setdefault(g, []).append(s)
-
     # Count weakly connected components (the "trees" of the forest) by
     # union-find over the kept edges.
     root: dict[str, str] = {}
@@ -103,7 +98,6 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
     n_trees = sum(1 for node, up in root.items() if node == up)
 
     return PredicateForest(
-        children={g: tuple(sorted(c)) for g, c in children.items()},
         parents={s: tuple(sorted(p)) for s, p in parents.items() if p},
         n_trees=n_trees,
         dropped_edges=tuple(sorted(dropped)),
@@ -117,7 +111,8 @@ def extract_paths(
     listed overly-general roots removed before emission."""
     removed = set(general_roots)
     parents = forest.parents
-    sources = sorted(s for s in parents if s not in forest.children)
+    # The leaves: predicates that are no predicate's parent.
+    sources = sorted(set(parents).difference(*parents.values()))
     # Depth-first over root-ward chains with an explicit stack of partial
     # chains, in the order a recursive walk would emit them.  A recursive
     # closure would hold the forest in a reference cycle past the return.

@@ -9,8 +9,9 @@ The seven pattern rules live in one table, read by `decompose_surfaces`
 alone.  A `ScoredEdge` is a named tuple whose constructor checks every
 edge; `EdgeColumns` holds many edges as parallel arrays, with eventuality
 rows for endpoints and codes for type and provenance, and `check` runs
-the same checks over them.  `EdgeColumns.sort` is the one place edges
-are put in key order: the global stage sorts what it accepted, and the
+the same checks over them, screening each edge with `plausible`.
+`EdgeColumns.sort` is the one place edges are put in key order, always
+by counting sorts: the global stage sorts what it accepted, and the
 seal only checks that order.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import eq, lt, mul, sub
+from itertools import accumulate
+from operator import eq
 from typing import NamedTuple
 
 ENTAILS = "⊨"
@@ -327,17 +328,14 @@ class EdgeColumns:
 
     def sort(self, n: int) -> None:
         """Put the edges in (from row, to row) order, endpoints being rows
-        below n.  Out of order, they get stable counting sorts on the to
-        row, then the from row, and each column in turn is replaced by its
-        reordered copy; a pair given twice ends up in two neighbouring
-        positions."""
-        src, dst = self.src, self.dst
-        if not all(map(lt, zip(src, dst), zip(islice(src, 1, None), islice(dst, 1, None)))):
-            order = _placed(src, _placed(dst, range(len(dst)), _starts(dst, n)), _starts(src, n))
-            del src, dst  # each column is freed once its reordered copy replaces it
-            for name in self.__slots__:
-                column = getattr(self, name)
-                setattr(self, name, array(column.typecode, map(column.__getitem__, order)))
+        below n, by stable counting sorts on the to row, then the from
+        row; each column in turn is replaced by its reordered copy, and a
+        pair given twice ends up in two neighbouring positions."""
+        order = _placed(self.dst, range(len(self)), _starts(self.dst, n))
+        order = _placed(self.src, order, _starts(self.src, n))
+        for name in self.__slots__:
+            column = getattr(self, name)
+            setattr(self, name, array(column.typecode, map(column.__getitem__, order)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColumns):
@@ -352,19 +350,15 @@ class EdgeColumns:
         return tuple.__new__(ScoredEdge, (ids[self.src[i]], ids[self.dst[i]], *values, *labels))
 
     def check(self, ids) -> None:
-        """Run the ScoredEdge constructor's checks over every edge: passes
-        over whole columns screen them, and the first edge a screen stops
-        is built through the constructor, which raises its ValueError."""
+        """Run the ScoredEdge constructor's checks over every edge: a
+        self-loop or scores that are not `plausible` stop the screen, and
+        the first edge so stopped is built through the constructor, which
+        raises its ValueError."""
         codes = ((self.prov, PROVENANCES), (self.type, TYPE_LABELS))
         if any(max(column, default=0) >= len(names) for column, names in codes):
             raise ValueError("unknown provenance or type code")
         scores = (self.arg, self.pred, self.pen, self.local)
-        # col == col fails on a NaN.
-        in_unit = (c == c and 0.0 <= min(c, default=0) and max(c, default=1) <= 1.0 for c in scores)
-        product = map(mul, map(mul, self.pred, self.pen), self.arg)
-        drift = map(abs, map(sub, map(mul, self.local, self.local), product))
-        stopped = any(map(eq, self.src, self.dst)) or not all(in_unit)
-        if stopped or max(drift, default=0.0) > SCORE_IDENTITY_TOL:
+        if any(map(eq, self.src, self.dst)) or not all(map(plausible, *scores)):
             for i, (src, dst, *values) in enumerate(zip(self.src, self.dst, *scores)):
                 if src == dst or not plausible(*values):
                     ScoredEdge(*self.edge(i, ids))

@@ -7,14 +7,16 @@ assembles the run report.  Every stage is deterministic and runs in
 this process, so two builds from the same inputs are byte-identical.
 `BuildResult.stage_seconds` times each stage and `stage_peak_mb` holds
 the process's peak memory after each, and a stage's failure is a
-`StageError` tagged with its name.  The cyclic garbage collector is
-paused from ingest through the seal, and again for persist.  Output
+`StageError` tagged with its name.  `build` pauses the cyclic garbage
+collector from ingest through the seal, which make next to no reference
+cycles; persist runs with the collector as the caller left it.  Output
 files land atomically: nothing is moved into the output directory until
 the whole build has succeeded.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import tempfile
@@ -91,9 +93,17 @@ def _staged(meters: tuple[dict, dict], stage: str, fn, *args, **kwargs):
 
 
 def build(cfg: PipelineConfig) -> BuildResult:
-    """Run the full pipeline in memory and assemble the run report."""
-    with store.paused_collector():
+    """Run the full pipeline in memory and assemble the run report, with
+    the collector paused and then left as the caller had it.  Nothing
+    allocates after it is turned back on, so its first pass runs at the
+    caller's next allocation."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         return _build(cfg)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build(cfg: PipelineConfig) -> BuildResult:
@@ -191,12 +201,11 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
 
 
 def run_build(cfg: PipelineConfig) -> BuildResult:
-    """`build`, then `write_outputs` as the persist stage, each with the
-    collector paused.  It calls `build` by its module name, which
-    perfbench's trace wraps to time the in-memory build."""
+    """`build`, then `write_outputs` as the persist stage.  It calls
+    `build` by its module name, which perfbench's trace wraps to time the
+    in-memory build."""
     result = build(cfg)
     meters = (result.stage_seconds, result.stage_peak_mb)
-    with store.paused_collector():
-        _staged(meters, "persist", write_outputs, result, cfg.output_dir)
+    _staged(meters, "persist", write_outputs, result, cfg.output_dir)
     return result
 

@@ -18,20 +18,17 @@ the columns that build an `Eventuality` or a `ScoredEdge` on lookup.
 `read_graph` streams both files through `corpus.decoded_lines` straight
 into the columns: node lines through `corpus.parse_corpus_line` (whose
 regex fast path takes the canonical lines `write_graph` writes), edge
-lines through the `ScoredEdge` constructor's checks.  The cyclic garbage
-collector is paused (`paused_collector`) for a whole build as well as
-for a read.
+lines through the `ScoredEdge` constructor's checks.
 """
 
 from __future__ import annotations
 
-import gc
 import random
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Mapping
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import eq, ge
@@ -57,12 +54,14 @@ class NodeLookupError(KeyError):
     """Unknown or ambiguous eventuality reference in a query."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EntailmentGraph:
     ids: list[str]  # row -> node id, ascending
     frequency: array  # 'q'
     columns: EdgeColumns  # sorted by (from row, to row)
-    offsets: array  # 'I': row r's edges are offsets[r] up to offsets[r + 1]
+    # 'I': row r's edges are offsets[r] up to offsets[r + 1]; it follows
+    # from the columns, so equality leaves it out.
+    offsets: array = field(compare=False)
 
     @classmethod
     def from_parts(cls, ids: list[str], frequency: array, edges: EdgeColumns) -> "EntailmentGraph":
@@ -136,12 +135,6 @@ class EntailmentGraph:
             out[text] = -1 if text in out else r
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EntailmentGraph):
-            return NotImplemented
-        parts = (self.ids, self.frequency, self.columns)
-        return parts == (other.ids, other.frequency, other.columns)
-
 
 class _View(Mapping):
     """A read-only mapping over a graph's columns: `find` gives a key's
@@ -182,33 +175,6 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
             )
 
 
-class paused_collector:
-    """Context manager that pauses the cyclic garbage collector for its
-    block and leaves it as the caller had it, also when the block raises
-    or is nested: a build or a read makes next to no reference cycles.
-    `__exit__` allocates nothing after it turns the collector back on,
-    so its first pass runs at the caller's next allocation; a
-    `contextlib.contextmanager` generator would run it at once."""
-
-    def __enter__(self) -> None:
-        self._collecting = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        if self._collecting:
-            gc.enable()
-
-
-def read_graph(directory: str | Path) -> EntailmentGraph:
-    """Read a written graph.  A malformed line, a line that is not UTF-8,
-    an edge to an unknown node, or a node or an edge that does not ascend
-    in key order (given twice, or out of order) raises GraphFormatError
-    naming the file and the line: the first such line, nodes.tsv before
-    edges.tsv."""
-    with paused_collector():
-        return _read_graph(Path(directory))
-
-
 def _disorder(kind: str, item: str, same: bool) -> str:
     """The fault of a node or edge that does not ascend past the one
     before it: a repeat of it, or out of order."""
@@ -225,7 +191,13 @@ _TYPE_CODES = {label: code for code, label in enumerate(TYPE_LABELS)}
 _PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
 
 
-def _read_graph(directory: Path) -> EntailmentGraph:
+def read_graph(directory: str | Path) -> EntailmentGraph:
+    """Read a written graph.  A malformed line, a line that is not UTF-8,
+    an edge to an unknown node, or a node or an edge that does not ascend
+    in key order (given twice, or out of order) raises GraphFormatError
+    naming the file and the line: the first such line, nodes.tsv before
+    edges.tsv."""
+    directory = Path(directory)
     ids: list[str] = []
     frequency = array("q")
     row_of: dict[str, int] = {}

@@ -1,6 +1,7 @@
 """Decomposition, alignment, and edge-invariant tests for the core model."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -347,6 +348,51 @@ def test_edge_columns_reject_a_code_past_its_names(column, names):
     getattr(edges, column)[0] = len(names)
     with pytest.raises(ValueError, match="^unknown provenance or type code$"):
         edges.check(["s-v:a|b", "s-v:c|d"])
+
+
+_IDS = ["s-v:a|b", "s-v:c|d", "s-v:e|f", "s-v:g|h"]
+_UNIT = st.floats(min_value=0, max_value=1)
+_VALID_EDGES = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, len(_IDS) - 1), min_size=2, max_size=2, unique=True),
+        _UNIT, _UNIT, _UNIT,
+        st.integers(0, len(TYPE_LABELS) - 1),
+        st.integers(0, len(PROVENANCES) - 1),
+    ),
+    min_size=1, max_size=12,
+)
+_OUT_OF_UNIT = st.floats(max_value=-1e-9) | st.floats(min_value=1 + 1e-9)
+
+
+@given(_VALID_EDGES, st.data())
+def test_edge_columns_check_raises_the_first_faulty_edges_message(edges, data):
+    # Valid edges, then up to three faulty ones at random positions.
+    fields = [
+        [src, dst, arg, pred, pen, math.sqrt(pred * pen * arg), code, prov]
+        for (src, dst), arg, pred, pen, code, prov in edges
+    ]
+    faulty = data.draw(st.lists(st.integers(0, len(fields) - 1), max_size=3, unique=True))
+    for i in faulty:
+        edge = fields[i]
+        fault = data.draw(st.sampled_from(("out of range", "nan", "drift", "self-loop")))
+        if fault == "self-loop":
+            edge[1] = edge[0]
+        elif fault == "drift":  # local_score stays in [0, 1], its square moves >= 1/16
+            edge[5] += -0.25 if edge[5] >= 0.5 else 0.25
+        else:
+            value = math.nan if fault == "nan" else data.draw(_OUT_OF_UNIT)
+            edge[data.draw(st.integers(2, 5))] = value
+    columns = EdgeColumns()
+    for edge in fields:
+        columns.append(*edge)
+    if not faulty:
+        columns.check(_IDS)
+        return
+    src, dst, *scores, code, prov = fields[min(faulty)]
+    with pytest.raises(ValueError) as first:
+        ScoredEdge(_IDS[src], _IDS[dst], *scores, PROVENANCES[prov], TYPE_LABELS[code])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first.value))}$"):
+        columns.check(_IDS)
 
 
 def test_edge_fields_cannot_be_assigned():

@@ -268,6 +268,28 @@ def test_build_pauses_and_restores_the_collector(toy, tmp_path, monkeypatch, ena
     assert seen == [False, False]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_persist_leaves_the_collector_as_the_caller_left_it(toy, monkeypatch, enabled):
+    _, cfg, _ = toy
+    seen = []
+    write = pipeline.store.write_graph
+
+    def write_and_see(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return write(*args, **kwargs)
+
+    # write_outputs, the persist stage, writes the graph first.
+    monkeypatch.setattr(pipeline.store, "write_graph", write_and_see)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        run_build(cfg)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [enabled]
+
+
 def test_seal_failure_is_stage_tagged(tmp_path, capsys, monkeypatch):
     # The stage's first edge given again: next to itself it is a repeat,
     # after the last edge it is out of key order.
