@@ -16,8 +16,8 @@ that is not UTF-8 raises the reader's own error naming it.
 order, and interns predicates and argument terms to ints: a row is a
 pattern code, a predicate id, up to three term ids, a signature id, a
 frequency and P(eventuality | predicate), each in an `array` column.
-Candidate searches bisect one posting index over all rows, built one
-predicate's block at a time.
+Candidate searches probe one posting index over all rows, built one
+predicate's block at a time (`probe_postings`).
 
 `parse_corpus_line` first tries one regex per pattern that accepts only
 a canonical line: roles in `PATTERN_ROLES` order, tokens normalized and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import floordiv, mod
@@ -246,27 +246,63 @@ def _postings(by_pred, pattern, args, n_terms: int):
     return keys, rows, start
 
 
+def posting_base(index: CorpusIndex, pid: int, pattern: int) -> int:
+    """The posting key of predicate `pid`, `pattern`, slot 0 and term 0:
+    slot s and term t add s * len(index.terms) + t to it."""
+    return (pid * len(PATTERNS) + pattern) * MAX_ARITY * len(index.terms)
+
+
+def posting_table(index: CorpusIndex, pid: int) -> dict[int, list[int]]:
+    """Predicate `pid`'s block of the posting index as a hash table: each
+    key the block holds -> the key's rows, ascending."""
+    keys, rows = index.posting_keys, index.posting_rows
+    table: dict[int, list[int]] = {}
+    # By position: a slice of each block would be a transient per block.
+    for i in range(index.posting_start[pid], index.posting_start[pid + 1]):
+        table.setdefault(keys[i], []).append(rows[i])
+    return table
+
+
+def probe_keys(
+    lookup: Callable[[int], Iterable[int] | None],
+    base: int,
+    n_terms: int,
+    terms: Sequence[int],
+    slots: Iterable[tuple[int, int]],
+    related: Mapping[int, Iterable[int]],
+) -> dict[int, None]:
+    """For each slot pair (i, j), the rows that `lookup` gives for the
+    posting key of slot j and `terms[i]`, and of each term related to
+    it, in first-found order; `base` is the block's `posting_base`.
+    `lookup` is a `posting_table`'s `get`, or `probe_postings`' bisection."""
+    hits: dict[int, None] = {}
+    for i, j in slots:
+        term = terms[i]
+        slot_base = base + j * n_terms
+        for probe in (term, *related.get(term, ())):
+            found = lookup(slot_base + probe)
+            if found:
+                hits.update(dict.fromkeys(found))
+    return hits
+
+
 def probe_postings(
     index: CorpusIndex,
     pid: int,
     pattern: int,
-    slot_terms: Iterable[tuple[int, int]],
+    terms: Sequence[int],
+    slots: Iterable[tuple[int, int]],
     related: Mapping[int, Iterable[int]],
 ) -> dict[int, None]:
-    """The rows of predicate `pid` and one pattern holding, in one of the
-    given slots, the given term or one of its related terms, in
-    first-found order."""
+    """The rows of predicate `pid` and one pattern holding, in slot j of a
+    slot pair (i, j), `terms[i]` or a term related to it, in first-found
+    order: `probe_keys`, each key bisected in the predicate's block."""
     keys, rows = index.posting_keys, index.posting_rows
     lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
-    base = (pid * len(PATTERNS) + pattern) * MAX_ARITY
-    n_terms = len(index.terms)
-    hits: dict[int, None] = {}
-    for slot, term in slot_terms:
-        slot_base = (base + slot) * n_terms
-        for probe in (term, *related.get(term, ())):
-            key = slot_base + probe
-            first = bisect_left(keys, key, lo, hi)
-            last = bisect_left(keys, key + 1, first, hi)
-            if first < last:
-                hits.update(dict.fromkeys(rows[first:last]))
-    return hits
+
+    def lookup(key: int) -> array:
+        first = bisect_left(keys, key, lo, hi)
+        return rows[first:bisect_left(keys, key + 1, first, hi)]
+
+    base = posting_base(index, pid, pattern)
+    return probe_keys(lookup, base, len(index.terms), terms, slots, related)

@@ -8,21 +8,34 @@ become global edges.  Chain nodes are then expanded with same-predicate
 argument-generalization edges, which stay local.
 
 Neither step checks every eventuality pair: both probe one predicate's
-postings with a term and the terms it may entail, and score only the
-hits; the reported check counts are still the dense pair counts.
-Eventualities are index rows and terms are term ids throughout, and
-accepted edges are appended to `EdgeColumns`.
+postings with a term and the terms it may entail
+(`corpus.probe_postings`), and score only the hits; the reported check
+counts are still the dense pair counts.  Path inference probes every
+left row against the right predicate's block, so it looks the keys up
+in a hash table of that block (`corpus.posting_table`); the stage takes
+the pairs in right-predicate order, so it builds each table once and
+drops it before the next.  Expansion visits only the chain nodes that can
+gain an edge, and its probes, like BInc augmentation's, bisect: a block
+sees far fewer of them than it holds postings, so a table's build would
+cost more than it saves.  Eventualities are index rows and terms are
+term ids throughout, and accepted edges are appended to `EdgeColumns`.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, groupby
+from itertools import compress, count, groupby, islice
+from operator import itemgetter
 
-from .corpus import MAX_ARITY, CorpusIndex, probe_postings
+from .corpus import (
+    ARITY, MAX_ARITY, CorpusIndex, posting_base, posting_table, probe_keys, probe_postings,
+)
 from .local import TermProbs, argument_score, compose_edge
-from .model import GLOBAL, HYPOTHESES, LOCAL, PREMISES, EdgeColumns
+from .model import (
+    GLOBAL, HYPOTHESES, LOCAL, PATTERN_ROLES, PATTERNS, PREMISES, EdgeColumns,
+)
 from .rules import PredicateRule
 
 
@@ -135,6 +148,7 @@ def extract_paths(
 def infer_path_edges(
     index: CorpusIndex, path: tuple[str, ...], rule_scores: dict[tuple[str, str], float],
     probs: TermProbs, tau_a: float, tau_e: float,
+    tables: dict[int, dict[int, list[int]]] | None = None,
 ) -> tuple[EdgeColumns, int]:
     """Accepted global edges for one predicate path, plus the dense number
     of candidate pairs, |left| x |right| summed over the path edges.
@@ -144,27 +158,38 @@ def infer_path_edges(
     it is identical or its composed score also exceeds tau_e.  A passing
     pair has an aligned slot with identical or taxonomy-related terms, so
     only the right rows found under a left term or one of its concepts
-    are scored.
+    are scored.  They are looked up in the right predicate's posting
+    table, taken from `tables` (predicate id -> table) or built into it;
+    a caller that passes `tables` decides how long each table lives.
     """
+    if tables is None:
+        tables = {}
     edges = EdgeColumns()
     add = edges.append
     checks = 0
     pattern, args, cond = index.pattern, index.args, index.cond_prob
+    n_terms = len(index.terms)
     for pred_l, pred_r in zip(path, path[1:]):
         rule_score = rule_scores.get((pred_l, pred_r), 0.0)
         left = index.by_predicate.get(pred_l, ())
         right = index.by_predicate.get(pred_r, ())
         checks += len(left) * len(right)
-        pid_r = index.predicate_ids.get(pred_r)
+        if not left or not right:
+            continue
+        pid_r = index.predicate_ids[pred_r]
+        table = tables.get(pid_r)
+        if table is None:
+            table = tables[pid_r] = posting_table(index, pid_r)
         held = set(map(pattern.__getitem__, right))  # the patterns pred_r has rows of
+        bases = {pat: posting_base(index, pid_r, pat) for pat in held}
         for lid in left:
             args_l = args[lid * MAX_ARITY:(lid + 1) * MAX_ARITY]
             cond_l = cond[lid]
             for pat_r, slots, type_code in HYPOTHESES[pattern[lid]]:
-                if pat_r not in held:
+                base = bases.get(pat_r)
+                if base is None:
                     continue
-                probes = [(j, args_l[i]) for i, j in slots]
-                hits = probe_postings(index, pid_r, pat_r, probes, probs)
+                hits = probe_keys(table.get, base, n_terms, args_l, slots, probs)
                 for rid in hits:
                     args_r = args[rid * MAX_ARITY:(rid + 1) * MAX_ARITY]
                     identical, arg_score = argument_score(args_l, args_r, slots, probs)
@@ -176,13 +201,52 @@ def infer_path_edges(
     return edges, checks
 
 
+def _flags(values) -> int:
+    """0/1 values, one per row, as an int whose byte r is row r's value."""
+    return int.from_bytes(bytes(values), "little")
+
+
+def _reachable_rows(index: CorpusIndex, targets) -> int:
+    """The rows a premise of their own pattern can reach, as `_flags`:
+    those that hold one of the target terms in an argument slot, and
+    those that share predicate, pattern and signature with another row
+    (compound siblings).  Whole-column passes; no loop over rows."""
+    is_target = bytearray(len(index.terms))
+    for term in targets:
+        is_target[term] = 1
+    patterns = index.pattern.tobytes()
+
+    def by_pattern(flags) -> bytes:  # a flag per pattern code, read per row
+        return patterns.translate(bytes(flags).ljust(256, b"\0"))
+
+    reach = 0
+    for slot in range(MAX_ARITY):
+        # Slots past a pattern's arity hold term 0, which is masked off.
+        # The terms are streamed: a copied column, freed, would raise
+        # glibc's mmap threshold and with it the build's later peaks.
+        terms = map(is_target.__getitem__, islice(index.args, slot, None, MAX_ARITY))
+        reach |= _flags(by_pattern(arity > slot for arity in ARITY)) & _flags(terms)
+    # Siblings arise only where decomposition joins two tokens into one
+    # surface: in patterns with more roles than surfaces (the predicate
+    # and the arguments).  Counting only their rows spares a count over
+    # every row: 50 ms of 100k s-v-o rows, 2% of their build.
+    folds = by_pattern(len(PATTERN_ROLES[p]) > 1 + arity for p, arity in zip(PATTERNS, ARITY))
+    keys = zip(index.predicate, index.pattern, index.signature)
+    seen = Counter(compress(keys, folds))
+    shared = {key for key, n in seen.items() if n > 1}
+    if shared:
+        keys = zip(index.predicate, index.pattern, index.signature)
+        reach |= _flags(map(shared.__contains__, keys))
+    return reach
+
+
 def expand_with_argument_rules(
     index: CorpusIndex, chain_nodes, rule_by_pair: dict[tuple[int, int], float], tau_e: float
 ) -> tuple[EdgeColumns, int]:
     """Attach incoming same-predicate edges to chain nodes (any iterable
     of index rows), plus the dense number of candidates, the other
     eventualities of each node's predicate.  The nodes are marked over
-    the rows and taken predicate by predicate, in row order.
+    the rows and visited in row order.
 
     A candidate premise must relate every aligned term identically or
     through an argument rule, and its composed score (with identity
@@ -190,52 +254,68 @@ def expand_with_argument_rules(
     `argument_score`, where one identical slot saturates the noisy-OR, so
     expansion keeps its own slot loop.  Only premises whose first aligned
     term is the node's, or a source of a rule into it, are looked at.
+
+    A premise of the node's own pattern aligns every slot, so a node that
+    holds no rule's target term can only gain one from a row with its
+    predicate, pattern and signature: a compound sibling, as decomposition
+    folds `at|the-food` and `at-the|food` into one `at-the-food`.  Such a
+    node is probed for its own pattern only if it has a sibling, and it
+    is not visited at all unless its predicate also holds a premise of
+    another pattern for it.
     """
     rule_sources: dict[int, list[int]] = {}
     for (t_from, t_to), score in rule_by_pair.items():
         if score > 0.0:
             rule_sources.setdefault(t_to, []).append(t_from)
-    pattern, args, cond = index.pattern, index.args, index.cond_prob
-    marked = bytearray(len(index.ids))
+    pattern, predicate, args, cond = index.pattern, index.predicate, index.args, index.cond_prob
+    n_rows = len(index.ids)
+    marked = bytearray(n_rows)
     for node in chain_nodes:
         marked[node] = 1
+    others = [len(rows) - 1 for rows in index.by_predicate.values()]
+    checks = sum(map(others.__getitem__, compress(predicate, marked)))
+
+    held = set(zip(predicate, pattern))  # the (predicate, pattern) pairs that have rows
+    crossing = {  # those where the predicate holds a premise of another pattern
+        (pid, pat) for pid, pat in held
+        if any(other != pat and (pid, other) in held for other, _, _ in PREMISES[pat])
+    }
+    reach = visit = _reachable_rows(index, rule_sources)
+    if crossing:
+        visit |= _flags(map(crossing.__contains__, zip(predicate, pattern)))
+    visit = (visit & _flags(marked)).to_bytes(n_rows, "little")
+    reachable = reach.to_bytes(n_rows, "little")
 
     edges = EdgeColumns()
     add = edges.append
-    checks = 0
-    for pid, same_pred in enumerate(index.by_predicate.values()):
-        if not any(map(marked.__getitem__, same_pred)):
-            continue
-        held = set(map(pattern.__getitem__, same_pred))
-        n_other = len(same_pred) - 1
-        for node in compress(same_pred, map(marked.__getitem__, same_pred)):
-            checks += n_other
-            node_args = args[node * MAX_ARITY:(node + 1) * MAX_ARITY]
-            cond_node = cond[node]
-            for cand_pat, slots, type_code in PREMISES[pattern[node]]:
-                if cand_pat not in held:
-                    continue
-                first_from, first_to = slots[0]
-                hits = probe_postings(
-                    index, pid, cand_pat, [(first_from, node_args[first_to])], rule_sources
-                )
-                hits.pop(node, None)
-                for cand in hits:
-                    cand_args = args[cand * MAX_ARITY:(cand + 1) * MAX_ARITY]
-                    miss = 1.0
-                    for i, j in slots:
-                        t_from, t_to = cand_args[i], node_args[j]
-                        if t_from == t_to:
-                            miss = 0.0
-                            continue
-                        score = rule_by_pair.get((t_from, t_to), 0.0)
-                        if score <= 0.0:
-                            break
-                        miss *= 1.0 - score
-                    else:
-                        pen, local = compose_edge(1.0, cond[cand], cond_node, 1.0 - miss)
-                        if local > tau_e:
-                            add(cand, node, 1.0 - miss, 1.0, pen, local, type_code, LOCAL)
+    for node in compress(count(), visit):
+        pid, pat = predicate[node], pattern[node]
+        node_args = args[node * MAX_ARITY:(node + 1) * MAX_ARITY]
+        cond_node = cond[node]
+        for cand_pat, slots, type_code in PREMISES[pat]:
+            if (pid, cand_pat) not in held or (cand_pat == pat and not reachable[node]):
+                continue
+            first_from, first_to = slots[0]  # the candidate's slot, the node's
+            hits = probe_postings(
+                index, pid, cand_pat, node_args, [(first_to, first_from)], rule_sources
+            )
+            hits.pop(node, None)
+            for cand in hits:
+                cand_args = args[cand * MAX_ARITY:(cand + 1) * MAX_ARITY]
+                miss = 1.0
+                for i, j in slots:
+                    t_from, t_to = cand_args[i], node_args[j]
+                    if t_from == t_to:
+                        miss = 0.0
+                        continue
+                    score = rule_by_pair.get((t_from, t_to), 0.0)
+                    if score <= 0.0:
+                        break
+                    miss *= 1.0 - score
+                else:
+                    pen, local = compose_edge(1.0, cond[cand], cond_node, 1.0 - miss)
+                    if local > tau_e:
+                        add(cand, node, 1.0 - miss, 1.0, pen, local, type_code, LOCAL)
     return edges, checks
 
 
@@ -256,17 +336,26 @@ def run_global_stage(
 
     Each distinct predicate pair and each distinct chain node (an
     endpoint of its path's pair edges) is computed once however many
-    paths share it; the check counts stay the dense per-path sums.  No
+    paths share it; the check counts stay the dense per-path sums.  The
+    pairs go in right-predicate order, so each right predicate's posting
+    table is built once, and dropped before the next one is built.  No
     (from, to) pair is found twice: a path edge's pairs join two
     predicates, expansion's pairs one.
     """
     merged = EdgeColumns()
     pair_checks: dict[tuple[str, str], int] = {}
     pair_nodes: dict[tuple[str, str], array] = {}  # each pair's endpoint rows
-    for pair in sorted({pair for path in paths for pair in zip(path, path[1:])}):
-        edges, pair_checks[pair] = infer_path_edges(index, pair, rule_scores, probs, tau_a, tau_e)
-        merged.extend(edges)
-        pair_nodes[pair] = array("I", sorted(set(edges.src).union(edges.dst)))
+    tables: dict[int, dict[int, list[int]]] = {}  # the current right predicate's
+    pairs = sorted({pair for path in paths for pair in zip(path, path[1:])}, key=itemgetter(1, 0))
+    for _, group in groupby(pairs, itemgetter(1)):
+        tables.clear()
+        for pair in group:
+            edges, pair_checks[pair] = infer_path_edges(
+                index, pair, rule_scores, probs, tau_a, tau_e, tables
+            )
+            merged.extend(edges)
+            pair_nodes[pair] = array("I", sorted(set(edges.src).union(edges.dst)))
+    tables.clear()
 
     total_checks = total_exp = 0
     chain_nodes = bytearray(len(index.ids))  # 1 at each chain node's row

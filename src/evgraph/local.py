@@ -111,7 +111,7 @@ def _entailed_signatures(
         for other, slots, _ in HYPOTHESES[pattern[bid]]:
             if other not in held:
                 continue
-            hits = probe_postings(index, pid, other, [(j, args_b[i]) for i, j in slots], probs)
+            hits = probe_postings(index, pid, other, args_b, slots, probs)
             for eid in hits:
                 sig = signature[eid]
                 if sig in base or sig in entailed:

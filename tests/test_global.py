@@ -6,6 +6,7 @@ import gc
 import math
 import tempfile
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,16 @@ from hypothesis import strategies as st
 import evgraph.global_inference as gi
 from chains import iter_chains
 from columns import by_predicate, edge_dict, probs, row_of, rows, rule_table, type_label
-from evgraph.corpus import CorpusIndex, parse_corpus_line, probe_postings
+from evgraph.config import PipelineConfig
+from evgraph.corpus import (
+    MAX_ARITY,
+    CorpusIndex,
+    parse_corpus_line,
+    posting_base,
+    posting_table,
+    probe_keys,
+    probe_postings,
+)
 from evgraph.global_inference import (
     build_forest,
     expand_with_argument_rules,
@@ -25,14 +35,17 @@ from evgraph.global_inference import (
 )
 from evgraph.local import argument_score
 from evgraph.model import (
+    PATTERN_CODE,
     PATTERN_ROLES,
     PATTERNS,
     Eventuality,
     ScoredEdge,
     aligned_slots,
 )
+from evgraph.pipeline import build
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
+from evgraph.synth import write_layered_inputs
 
 
 def _index(lines):
@@ -479,6 +492,79 @@ def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
     ) == (False, 1.0)
 
 
+SIBLING_CORPUS = [
+    "s-v-o-p-o\tn1=boy;v1=eat;n2=apple;p1=at;n3=the-food\t1",
+    "s-v-o-p-o\tn1=boy;v1=eat;n2=apple;p1=at-the;n3=food\t1",
+    "s-v-o\tn1=boy;v1=eat;n2=apple\t1",
+    "s-v-o\tn1=boy;v1=consume;n2=apple\t1",
+    "s-v-o-p-o\tn1=boy;v1=consume;n2=apple;p1=at;n3=the-food\t1",
+]
+
+
+def test_expansion_links_compound_siblings(tmp_path):
+    # Both eat rows decompose to (boy, apple, at-the-food).  No argument
+    # rule targets a term of theirs, so only being compound siblings lets
+    # each reach the other as a same-pattern premise.
+    corpus = "".join(line + "\n" for line in SIBLING_CORPUS)
+    (tmp_path / "c.tsv").write_text(corpus, encoding="utf-8")
+    (tmp_path / "t.tsv").write_text("fruit\tapple\t5\n", encoding="utf-8")
+    (tmp_path / "h.tsv").write_text("eat\tconsume\thypernym\n", encoding="utf-8")
+    cfg = PipelineConfig(
+        corpus=str(tmp_path / "c.tsv"),
+        taxonomy=str(tmp_path / "t.tsv"),
+        verb_hierarchy=str(tmp_path / "h.tsv"),
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
+    graph = build(cfg).graph
+    one, other = "s-v-o-p-o:boy|eat|apple|at|the-food", "s-v-o-p-o:boy|eat|apple|at-the|food"
+    for key in ((one, other), (other, one)):
+        edge = graph.edges.get(key)
+        assert edge is not None and edge.provenance == "local"
+        assert edge.type_label == "s-v-o-p-o ⊨ s-v-o-p-o"
+
+
+def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
+    # Every row of the layered corpus is s-v-o, so every expansion probe
+    # is for a same-pattern premise: it may only go to a chain node that
+    # holds an argument rule's target term or has a compound sibling.
+    files = write_layered_inputs(tmp_path / "in", n_paths=4, per_predicate=12)
+    cfg = PipelineConfig(
+        corpus=str(files["corpus"]),
+        taxonomy=str(files["taxonomy"]),
+        verb_hierarchy=str(files["verb_hierarchy"]),
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
+    seen = {}
+
+    def count_expand(index, chain_nodes, rule_by_pair, tau_e):
+        probes = []
+
+        def count_probe(*args):
+            probes.append(args)
+            return probe_postings(*args)
+
+        monkeypatch.setattr(gi, "probe_postings", count_probe)
+        seen.update(index=index, nodes=list(chain_nodes), rules=rule_by_pair, probes=probes)
+        return expand_with_argument_rules(index, chain_nodes, rule_by_pair, tau_e)
+
+    monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
+    result = build(cfg)
+    assert result.report["counts"]["edges_by_provenance"]["local"] > 0
+    index = seen["index"]
+    targets = {index.terms[t] for (_, t), score in seen["rules"].items() if score > 0.0}
+    row = rows(index)
+    shapes = Counter((r.predicate, r.pattern, r.args) for r in row.values())
+    reachable = [
+        node
+        for node in map(index.ids.__getitem__, seen["nodes"])
+        if targets.intersection(row[node].args)
+        or shapes[(row[node].predicate, row[node].pattern, row[node].args)] > 1
+    ]
+    assert 0 < len(seen["probes"]) <= len(reachable) < len(seen["nodes"])
+
+
 # --- merged stage ------------------------------------------------------------
 
 
@@ -544,7 +630,8 @@ def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monke
     edges, _, _ = global_stage(
         index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
-    assert inferred == [("chew", "eat"), ("crunch", "chew"), ("munch", "chew")]
+    # Each distinct pair exactly once.
+    assert sorted(inferred) == [("chew", "eat"), ("crunch", "chew"), ("munch", "chew")]
     assert len(expanded) == len(set(expanded))
     endpoints = {
         node
@@ -556,29 +643,84 @@ def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monke
     assert "s-v-o:boy|chew|apple" in endpoints
 
 
+def test_global_stage_holds_one_posting_table_at_a_time(tmp_path, monkeypatch):
+    # chew is the right predicate of two pairs and eat of one: each gets
+    # one table, built after the last one is gone, and none is left by
+    # the time expansion runs.
+    index = _index(SHARED_CORPUS)
+    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    built = []
+
+    class Table(dict):
+        pass
+
+    def table(index, pid):
+        assert all(ref() is None for _, ref in built)
+        held = Table(posting_table(index, pid))
+        built.append((index.predicates[pid], weakref.ref(held)))
+        return held
+
+    def count_expand(*args):
+        assert all(ref() is None for _, ref in built)
+        return expand_with_argument_rules(*args)
+
+    monkeypatch.setattr(gi, "posting_table", table)
+    monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
+    global_stage(index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2)
+    assert [pred for pred, _ in built] == ["chew", "eat"]
+
+
 def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypatch):
     # An s-v-o corpus holds none of s-v-o's other counterparts (s-v-p-o as
     # a hypothesis; s-v-p-o and s-v-o-p-o as premises), so only s-v-o is
-    # probed: once per left eventuality per path edge, once per chain node.
+    # probed: in path inference, one table lookup per slot of each left
+    # eventuality and per concept of its term; in expansion, once per
+    # chain node that holds an argument rule's target term (food).
     index = _index(SHARED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
-    probes = []
+    term_probs = probs(index, store)
+    svo = PATTERN_CODE["s-v-o"]
+    lookups, probes = [], []
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
 
     def count_probe(*args):
         probes.append(args)
         return probe_postings(*args)
 
+    monkeypatch.setattr(gi, "posting_table", lambda *a: CountingTable(posting_table(*a)))
     monkeypatch.setattr(gi, "probe_postings", count_probe)
     nodes = set()
     for pair in (("chew", "eat"), ("crunch", "chew"), ("munch", "chew")):
-        probes.clear()
+        lookups.clear()
         edges, _ = infer(index, pair, SHARED_RULES, store, 0.3, 0.2)
-        assert len(probes) == len(index.by_predicate[pair[0]])
+        slot_terms = [
+            (slot, index.args[row * MAX_ARITY + slot])
+            for row in index.by_predicate[pair[0]] for slot in (0, 1)
+        ]
+        base = posting_base(index, index.predicate_ids[pair[1]], svo)
+        assert lookups == [
+            base + slot * len(index.terms) + probe
+            for slot, term in slot_terms
+            for probe in (term, *term_probs.get(term, ()))
+        ]
         nodes |= {node for key in edges for node in key}
     probes.clear()
     edges, _ = expand(index, nodes, SHARED_ARG_RULES, 0.2)
     assert nodes and edges
-    assert len(probes) == len(nodes)
+    assert len(probes) == len([node for node in nodes if node.endswith("|food")]) < len(nodes)
+    assert {probe[2] for probe in probes} == {svo}
+    # girl chew nut is a chain node with no rule-target term and no
+    # sibling, and no other chew node has its subject: it is not probed
+    # for its own pattern.
+    assert "s-v-o:girl|chew|nut" in nodes
+    girl = row_of(index, "s-v-o:girl|chew|nut")
+    node_args = index.args[girl * MAX_ARITY:(girl + 1) * MAX_ARITY]
+    chew = index.predicate_ids["chew"]
+    assert not [p for p in probes if p[1:3] == (chew, svo) and p[3] == node_args]
 
 
 def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):
@@ -601,7 +743,7 @@ def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):
 NOUNS = ("boy", "girl", "apple", "food", "nut")
 # Taxonomy concepts include terms that never occur in a corpus.
 CONCEPTS = NOUNS + ("at-food", "thing", "entity")
-INSTANCES = NOUNS + ("at-apple", "at-food", "on-nut")
+INSTANCES = NOUNS + ("at-apple", "at-food", "on-nut", "at-the-food")
 THRESHOLDS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
@@ -612,27 +754,42 @@ def _store(lines):
         return load_taxonomy(path)
 
 
+# Pattern -> the two roles whose tokens decomposition joins with "-".
+FOLDED = {"s-v-p-o": ("v1", "p1"), "s-v-o-p-o": ("p1", "n3"), "s-be-a-p-o": ("p1", "n2")}
+
+
 @st.composite
 def corpora(draw):
     """Small mixed-pattern corpora over few tokens, so that predicates,
-    terms and display texts collide often."""
+    terms and display texts collide often.  Hyphenated tokens make
+    compound siblings, and a record of a folding pattern may bring one
+    along: `at|the-food` and `at-the|food` give one prep-object term, and
+    `eat|at-the` and `eat-at|the` one predicate, which an s-v-o row with
+    the verb `eat-at` shares too."""
     merged = {}
     for _ in range(draw(st.integers(1, 16))):
         pattern = draw(st.sampled_from(PATTERNS))
         tokens = {
             "n1": draw(st.sampled_from(NOUNS)),
-            "n2": draw(st.sampled_from(NOUNS)),
-            "n3": draw(st.sampled_from(NOUNS)),
-            "v1": draw(st.sampled_from(("chew", "eat"))),
+            "n2": draw(st.sampled_from(NOUNS + ("the-food",))),
+            "n3": draw(st.sampled_from(NOUNS + ("the-food",))),
+            "v1": draw(st.sampled_from(("chew", "eat", "eat-at"))),
             "a1": draw(st.sampled_from(("ripe", "red"))),
-            "p1": draw(st.sampled_from(("at", "on"))),
+            "p1": draw(st.sampled_from(("at", "on", "at-the", "the"))),
         }
-        roles = {r: tokens[r] for r in PATTERN_ROLES[pattern]}
-        ev = Eventuality.create(pattern, roles, draw(st.integers(1, 5)))
-        prev = merged.get(ev.id)
-        if prev is not None:
-            ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
-        merged[ev.id] = ev
+        records = [{r: tokens[r] for r in PATTERN_ROLES[pattern]}]
+        if pattern in FOLDED and draw(st.booleans()):
+            # The joined surface split at another hyphen, if it has one.
+            a, b = FOLDED[pattern]
+            words = f"{records[0][a]}-{records[0][b]}".split("-")
+            cut = draw(st.integers(1, len(words) - 1))
+            records.append({**records[0], a: "-".join(words[:cut]), b: "-".join(words[cut:])})
+        for roles in records:
+            ev = Eventuality.create(pattern, roles, draw(st.integers(1, 5)))
+            prev = merged.get(ev.id)
+            if prev is not None:
+                ev = Eventuality(ev.pattern, ev.tokens, prev.frequency + ev.frequency)
+            merged[ev.id] = ev
     return CorpusIndex.build({e.id: e.frequency for e in merged.values()})
 
 
@@ -704,6 +861,27 @@ def test_indexed_expansion_equals_dense_reference(index, data, tau_e):
     assert expand(index, nodes, rule_by_pair, tau_e) == dense_expansion(
         index, nodes, rule_by_pair, tau_e
     )
+
+
+@given(corpora(), taxonomies, st.data())
+def test_posting_table_lookups_equal_probe_postings(index, store, data):
+    # Path inference looks each key up in the right predicate's table;
+    # expansion and BInc augmentation bisect.  Both find the same rows in
+    # the same order.
+    pid = data.draw(st.integers(0, len(index.predicates) - 1))
+    pattern = data.draw(st.integers(0, len(PATTERNS) - 1))
+    slot = st.integers(0, MAX_ARITY - 1)
+    terms = data.draw(st.lists(st.integers(0, len(index.terms) - 1), min_size=MAX_ARITY, max_size=MAX_ARITY))
+    slots = data.draw(st.lists(st.tuples(slot, slot), max_size=4))
+    related = probs(index, store)
+    table = posting_table(index, pid)
+    base = posting_base(index, pid, pattern)
+    assert list(probe_keys(table.get, base, len(index.terms), terms, slots, related)) == list(
+        probe_postings(index, pid, pattern, terms, slots, related)
+    )
+    assert all(rows == sorted(rows) for rows in table.values())
+    lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
+    assert sum(map(len, table.values())) == hi - lo
 
 
 @given(corpora(), taxonomies, st.data())
