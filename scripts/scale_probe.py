@@ -20,6 +20,8 @@ build's own peak resident memory: the child's high-water mark (VmHWM)
 of the memory it maps after it starts, so the generation's peak, which
 Linux carries into a child's `ru_maxrss`, is not part of it.  The
 build forks nothing.  `gen_max_rss_mb` is the generating process's peak.
+The inputs and outputs go to a temp directory that is removed after the
+run, or to `--dir`, which keeps them and is reported as `work_dir`.
 """
 
 import argparse
@@ -69,15 +71,26 @@ def main() -> int:
     parser.add_argument("--paths", type=int, default=1000)
     parser.add_argument("--path-len", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dir", type=Path, default=None, help="work dir (default: temp)")
+    parser.add_argument(
+        "--dir", type=Path, default=None,
+        help="work dir to keep (default: a temp dir, removed after the run)",
+    )
     parser.add_argument("--build-from", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.build_from is not None:
         json.dump(build(args.build_from), sys.stdout)
         return 0
 
+    if args.dir is not None:
+        return probe(args, args.dir)
+    with tempfile.TemporaryDirectory(prefix="evgraph-scale-") as work:
+        return probe(args, Path(work))
+
+
+def probe(args: argparse.Namespace, work: Path) -> int:
+    """Generate the inputs under `work`, build them in a child process and
+    print the report; `work_dir` is named only when `--dir` keeps it."""
     per_predicate = max(1, args.eventualities // (args.paths * args.path_len))
-    work = args.dir or Path(tempfile.mkdtemp(prefix="evgraph-scale-"))
     t0 = time.perf_counter()
     files = write_layered_inputs(
         work / "inputs",
@@ -95,17 +108,15 @@ def main() -> int:
     if child.returncode != 0:
         sys.stderr.write(child.stderr)
         return child.returncode
-    json.dump(
-        {
-            "corpus_records": n_records,
-            **json.loads(child.stdout),
-            "gen_seconds": round(gen_seconds, 3),
-            "gen_max_rss_mb": peak_rss_mb(),
-            "work_dir": str(work),
-        },
-        sys.stdout,
-        indent=2,
-    )
+    report = {
+        "corpus_records": n_records,
+        **json.loads(child.stdout),
+        "gen_seconds": round(gen_seconds, 3),
+        "gen_max_rss_mb": peak_rss_mb(),
+    }
+    if args.dir is not None:
+        report["work_dir"] = str(work)
+    json.dump(report, sys.stdout, indent=2)
     print()
     return 0
 

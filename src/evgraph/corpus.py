@@ -17,7 +17,10 @@ order, and interns predicates and argument terms to ints: a row is a
 pattern code, a predicate id, up to three term ids, a signature id, a
 frequency and P(eventuality | predicate), each in an `array` column.
 Candidate searches probe one posting index over all rows, built one
-predicate's block at a time (`probe_postings`).
+predicate's block at a time.  Its key layout stays in this module: a
+search names a predicate, a pattern and slot pairs (`probe_keys`), and
+either bisects the block (`probe_postings`) or hashes it first
+(`posting_table`); `global_inference` says which search does which.
 
 `parse_corpus_line` first tries one regex per pattern that accepts only
 a canonical line: roles in `PATTERN_ROLES` order, tokens normalized and
@@ -265,16 +268,19 @@ def posting_table(index: CorpusIndex, pid: int) -> dict[int, list[int]]:
 
 def probe_keys(
     lookup: Callable[[int], Iterable[int] | None],
-    base: int,
-    n_terms: int,
+    index: CorpusIndex,
+    pid: int,
+    pattern: int,
     terms: Sequence[int],
     slots: Iterable[tuple[int, int]],
     related: Mapping[int, Iterable[int]],
 ) -> dict[int, None]:
-    """For each slot pair (i, j), the rows that `lookup` gives for the
-    posting key of slot j and `terms[i]`, and of each term related to
-    it, in first-found order; `base` is the block's `posting_base`.
-    `lookup` is a `posting_table`'s `get`, or `probe_postings`' bisection."""
+    """The rows of predicate `pid` and one pattern holding, in slot j of a
+    slot pair (i, j), `terms[i]` or a term related to it, in first-found
+    order, as `lookup` gives them for each posting key.  `lookup` is a
+    `posting_table`'s `get`, or `probe_postings`' bisection."""
+    n_terms = len(index.terms)
+    base = posting_base(index, pid, pattern)
     hits: dict[int, None] = {}
     for i, j in slots:
         term = terms[i]
@@ -294,9 +300,7 @@ def probe_postings(
     slots: Iterable[tuple[int, int]],
     related: Mapping[int, Iterable[int]],
 ) -> dict[int, None]:
-    """The rows of predicate `pid` and one pattern holding, in slot j of a
-    slot pair (i, j), `terms[i]` or a term related to it, in first-found
-    order: `probe_keys`, each key bisected in the predicate's block."""
+    """`probe_keys`, each key bisected in predicate `pid`'s block."""
     keys, rows = index.posting_keys, index.posting_rows
     lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
 
@@ -304,5 +308,4 @@ def probe_postings(
         first = bisect_left(keys, key, lo, hi)
         return rows[first:bisect_left(keys, key + 1, first, hi)]
 
-    base = posting_base(index, pid, pattern)
-    return probe_keys(lookup, base, len(index.terms), terms, slots, related)
+    return probe_keys(lookup, index, pid, pattern, terms, slots, related)

@@ -7,18 +7,31 @@ predicates: pairs that pass the argument filter and the acceptance test
 become global edges.  Chain nodes are then expanded with same-predicate
 argument-generalization edges, which stay local.
 
-Neither step checks every eventuality pair: both probe one predicate's
-postings with a term and the terms it may entail
-(`corpus.probe_postings`), and score only the hits; the reported check
+Neither step checks every eventuality pair: both look a term and the
+terms it may entail up in one predicate's block of the posting index
+(`corpus.probe_keys`), and score only the hits; the reported check
 counts are still the dense pair counts.  Path inference probes every
-left row against the right predicate's block, so it looks the keys up
-in a hash table of that block (`corpus.posting_table`); the stage takes
-the pairs in right-predicate order, so it builds each table once and
-drops it before the next.  Expansion visits only the chain nodes that can
-gain an edge, and its probes, like BInc augmentation's, bisect: a block
-sees far fewer of them than it holds postings, so a table's build would
-cost more than it saves.  Eventualities are index rows and terms are
-term ids throughout, and accepted edges are appended to `EdgeColumns`.
+left row against the right predicate's block, so it hashes the block
+(`corpus.posting_table`).  `run_global_stage` owns those tables: it
+takes the pairs in right-predicate order, builds each right predicate's
+table once, passes it to every pair of the group and drops it before
+the next is built.  Expansion, which visits only the chain nodes that
+can gain an edge, and BInc augmentation bisect (`corpus.probe_postings`):
+a block sees far fewer of their probes than it holds postings, so a
+table's build would cost more than it saves.  Eventualities are index
+rows and terms are term ids throughout, and accepted edges are appended
+to `EdgeColumns`.
+
+Not kept, each measured on a 2-vCPU box with identical outputs:
+- a hash table for every search, the posting index deleted: the
+  `chains-100k` build 2.50-2.71 -> 2.80-3.33 s (4 alternating runs),
+  the local stage 0.15 -> up to 0.27 s;
+- bisect for path inference: 0.46-0.64 s against 0.32-0.45 s hashed,
+  the `forest-wide` global-stage median 0.112 -> 0.127 s (3 runs);
+- expansion through `argument_score` plus an all-slots rule check: the
+  `chains-100k` global stage 0.80-0.83 -> 0.98-1.46 s;
+- every row counted in `_reachable_rows`: the same siblings in 37-55 ms
+  against 5-10 ms on `chains-100k`.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from itertools import compress, count, groupby, islice
 from operator import itemgetter
 
 from .corpus import (
-    ARITY, MAX_ARITY, CorpusIndex, posting_base, posting_table, probe_keys, probe_postings,
+    ARITY, MAX_ARITY, CorpusIndex, posting_table, probe_keys, probe_postings,
 )
 from .local import TermProbs, argument_score, compose_edge
 from .model import (
@@ -146,59 +159,44 @@ def extract_paths(
 
 
 def infer_path_edges(
-    index: CorpusIndex, path: tuple[str, ...], rule_scores: dict[tuple[str, str], float],
-    probs: TermProbs, tau_a: float, tau_e: float,
-    tables: dict[int, dict[int, list[int]]] | None = None,
+    index: CorpusIndex, pair: tuple[str, str], rule_scores: dict[tuple[str, str], float],
+    probs: TermProbs, tau_a: float, tau_e: float, table: dict[int, list[int]],
 ) -> tuple[EdgeColumns, int]:
-    """Accepted global edges for one predicate path, plus the dense number
-    of candidate pairs, |left| x |right| summed over the path edges.
+    """Accepted global edges for one predicate path edge (left, right),
+    plus the dense number of candidate pairs, |left| x |right|.
 
     A pair passes the argument filter when its aligned arguments are
     identical or its argument score exceeds tau_a, and is accepted when
     it is identical or its composed score also exceeds tau_e.  A passing
     pair has an aligned slot with identical or taxonomy-related terms, so
     only the right rows found under a left term or one of its concepts
-    are scored.  They are looked up in the right predicate's posting
-    table, taken from `tables` (predicate id -> table) or built into it;
-    a caller that passes `tables` decides how long each table lives.
+    are scored.  They are looked up in `table`, the right predicate's
+    `posting_table`.
     """
-    if tables is None:
-        tables = {}
+    pred_l, pred_r = pair
+    left = index.by_predicate.get(pred_l, ())
+    right = index.by_predicate.get(pred_r, ())
     edges = EdgeColumns()
     add = edges.append
-    checks = 0
+    rule_score = rule_scores.get(pair, 0.0)
+    pid_r = index.predicate_ids.get(pred_r)
     pattern, args, cond = index.pattern, index.args, index.cond_prob
-    n_terms = len(index.terms)
-    for pred_l, pred_r in zip(path, path[1:]):
-        rule_score = rule_scores.get((pred_l, pred_r), 0.0)
-        left = index.by_predicate.get(pred_l, ())
-        right = index.by_predicate.get(pred_r, ())
-        checks += len(left) * len(right)
-        if not left or not right:
-            continue
-        pid_r = index.predicate_ids[pred_r]
-        table = tables.get(pid_r)
-        if table is None:
-            table = tables[pid_r] = posting_table(index, pid_r)
-        held = set(map(pattern.__getitem__, right))  # the patterns pred_r has rows of
-        bases = {pat: posting_base(index, pid_r, pat) for pat in held}
-        for lid in left:
-            args_l = args[lid * MAX_ARITY:(lid + 1) * MAX_ARITY]
-            cond_l = cond[lid]
-            for pat_r, slots, type_code in HYPOTHESES[pattern[lid]]:
-                base = bases.get(pat_r)
-                if base is None:
+    held = set(map(pattern.__getitem__, right))  # the patterns pred_r has rows of
+    for lid in left:
+        args_l = args[lid * MAX_ARITY:(lid + 1) * MAX_ARITY]
+        cond_l = cond[lid]
+        for pat_r, slots, type_code in HYPOTHESES[pattern[lid]]:
+            if pat_r not in held:
+                continue
+            for rid in probe_keys(table.get, index, pid_r, pat_r, args_l, slots, probs):
+                args_r = args[rid * MAX_ARITY:(rid + 1) * MAX_ARITY]
+                identical, arg_score = argument_score(args_l, args_r, slots, probs)
+                if not identical and arg_score <= tau_a:
                     continue
-                hits = probe_keys(table.get, base, n_terms, args_l, slots, probs)
-                for rid in hits:
-                    args_r = args[rid * MAX_ARITY:(rid + 1) * MAX_ARITY]
-                    identical, arg_score = argument_score(args_l, args_r, slots, probs)
-                    if not identical and arg_score <= tau_a:
-                        continue
-                    pen, local = compose_edge(rule_score, cond_l, cond[rid], arg_score)
-                    if identical or local > tau_e:
-                        add(lid, rid, arg_score, rule_score, pen, local, type_code, GLOBAL)
-    return edges, checks
+                pen, local = compose_edge(rule_score, cond_l, cond[rid], arg_score)
+                if identical or local > tau_e:
+                    add(lid, rid, arg_score, rule_score, pen, local, type_code, GLOBAL)
+    return edges, len(left) * len(right)
 
 
 def _flags(values) -> int:
@@ -228,8 +226,7 @@ def _reachable_rows(index: CorpusIndex, targets) -> int:
         reach |= _flags(by_pattern(arity > slot for arity in ARITY)) & _flags(terms)
     # Siblings arise only where decomposition joins two tokens into one
     # surface: in patterns with more roles than surfaces (the predicate
-    # and the arguments).  Counting only their rows spares a count over
-    # every row: 50 ms of 100k s-v-o rows, 2% of their build.
+    # and the arguments), so only their rows are counted.
     folds = by_pattern(len(PATTERN_ROLES[p]) > 1 + arity for p, arity in zip(PATTERNS, ARITY))
     keys = zip(index.predicate, index.pattern, index.signature)
     seen = Counter(compress(keys, folds))
@@ -254,6 +251,8 @@ def expand_with_argument_rules(
     `argument_score`, where one identical slot saturates the noisy-OR, so
     expansion keeps its own slot loop.  Only premises whose first aligned
     term is the node's, or a source of a rule into it, are looked at.
+    The slot loop breaks at the first slot without a rule, which is
+    where it saves over scoring every hit.
 
     A premise of the node's own pattern aligns every slot, so a node that
     holds no rule's target term can only gain one from a row with its
@@ -336,26 +335,23 @@ def run_global_stage(
 
     Each distinct predicate pair and each distinct chain node (an
     endpoint of its path's pair edges) is computed once however many
-    paths share it; the check counts stay the dense per-path sums.  The
-    pairs go in right-predicate order, so each right predicate's posting
-    table is built once, and dropped before the next one is built.  No
-    (from, to) pair is found twice: a path edge's pairs join two
-    predicates, expansion's pairs one.
+    paths share it; the check counts stay the dense per-path sums, read
+    off each pair's span of the merged columns.  A right predicate with
+    no rows gets an empty table.  No (from, to) pair is found twice: a
+    path edge's pairs join two predicates, expansion's pairs one.
     """
     merged = EdgeColumns()
-    pair_checks: dict[tuple[str, str], int] = {}
-    pair_nodes: dict[tuple[str, str], array] = {}  # each pair's endpoint rows
-    tables: dict[int, dict[int, list[int]]] = {}  # the current right predicate's
+    spans: dict[tuple[str, str], tuple[int, int, int]] = {}  # pair -> first, end, checks
     pairs = sorted({pair for path in paths for pair in zip(path, path[1:])}, key=itemgetter(1, 0))
-    for _, group in groupby(pairs, itemgetter(1)):
-        tables.clear()
+    for pred_r, group in groupby(pairs, itemgetter(1)):
+        pid_r = index.predicate_ids.get(pred_r)
+        table = {} if pid_r is None else posting_table(index, pid_r)
         for pair in group:
-            edges, pair_checks[pair] = infer_path_edges(
-                index, pair, rule_scores, probs, tau_a, tau_e, tables
-            )
+            first = len(merged)
+            edges, checks = infer_path_edges(index, pair, rule_scores, probs, tau_a, tau_e, table)
             merged.extend(edges)
-            pair_nodes[pair] = array("I", sorted(set(edges.src).union(edges.dst)))
-    tables.clear()
+            spans[pair] = first, len(merged), checks
+        del table
 
     total_checks = total_exp = 0
     chain_nodes = bytearray(len(index.ids))  # 1 at each chain node's row
@@ -363,12 +359,12 @@ def run_global_stage(
     for path in paths:
         nodes: set[int] = set()
         for pair in zip(path, path[1:]):
-            total_checks += pair_checks[pair]
-            nodes.update(pair_nodes[pair])
+            first, end, checks = spans[pair]
+            total_checks += checks
+            nodes.update(merged.src[first:end], merged.dst[first:end])
         for node in nodes:
             chain_nodes[node] = 1
         total_exp += sum(others[index.predicate[node]] for node in nodes)
-    del pair_nodes
 
     rows = array("I", compress(count(), chain_nodes))
     merged.extend(expand_with_argument_rules(index, rows, rule_by_pair, tau_e)[0])

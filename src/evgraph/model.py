@@ -289,10 +289,6 @@ class ScoredEdge(_EdgeFields):
     # `_replace` builds through `_make`; both go through the checks.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.from_id, self.to_id)
-
 
 class EdgeColumns:
     """Edges as parallel arrays: from row and to row (eventuality rows),

@@ -66,8 +66,9 @@ def edge_dict(index, edges: EdgeColumns) -> dict[tuple[str, str], ScoredEdge]:
     out = {}
     for i in range(len(edges)):
         edge = ScoredEdge(*edges.edge(i, index.ids))
-        assert edge.key not in out, edge.key
-        out[edge.key] = edge
+        key = (edge.from_id, edge.to_id)
+        assert key not in out, key
+        out[key] = edge
     return out
 
 
@@ -96,7 +97,9 @@ def sealed(nodes, edges) -> EntailmentGraph:
 def graph_from(nodes, edges) -> EntailmentGraph:
     """`sealed` over the nodes and edges put in key order first, as the
     seal requires."""
-    return sealed(sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: e.key))
+    return sealed(
+        sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: (e.from_id, e.to_id))
+    )
 
 
 def signature_texts(index) -> dict[int, str]:

@@ -401,27 +401,46 @@ def test_criterion_07_builds_are_byte_identical(tmp_path):
 # --- criterion 8: scale and quadratic candidate growth -------------------------
 
 
-def _probe(tmp_path, tag, eventualities, paths):
+def _run_probe(*args, tmpdir=None):
+    """scale_probe.py's JSON report; `tmpdir` is its TMPDIR."""
     # The probe imports evgraph from this checkout, installed or not.
     pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    if tmpdir is not None:
+        env["TMPDIR"] = str(tmpdir)
     run = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "scripts" / "scale_probe.py"),
-            "--eventualities",
-            str(eventualities),
-            "--paths",
-            str(paths),
-            "--dir",
-            str(tmp_path / tag),
-        ],
+        [sys.executable, str(REPO_ROOT / "scripts" / "scale_probe.py"), *args],
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        env=env,
     )
     return json.loads(run.stdout)
+
+
+def _probe(tmp_path, tag, eventualities, paths):
+    return _run_probe(
+        "--eventualities", str(eventualities), "--paths", str(paths), "--dir", str(tmp_path / tag)
+    )
+
+
+def test_scale_probe_keeps_its_work_dir_only_under_dir(tmp_path):
+    # Without --dir the probe works in a temp dir and removes it; with
+    # --dir it keeps the inputs and the built outputs there.
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    size = ("--eventualities", "300", "--paths", "10")
+    report = _run_probe(*size, tmpdir=tmp)
+    assert report["edges_total"] > 0 and "work_dir" not in report
+    assert list(tmp.iterdir()) == []
+    kept = tmp_path / "kept"
+    report = _run_probe(*size, "--dir", str(kept), tmpdir=tmp)
+    assert report["work_dir"] == str(kept)
+    assert list(tmp.iterdir()) == []
+    inputs = sorted(path.name for path in (kept / "inputs").iterdir())
+    assert inputs == ["corpus.tsv", "hierarchy.tsv", "taxonomy.tsv"]
+    assert sorted(path.name for path in (kept / "out").iterdir()) == sorted(OUTPUT_FILES)
 
 
 def test_criterion_08_scale_and_quadratic_growth(tmp_path):

@@ -1,5 +1,6 @@
 """The benchmark's traced run (perfbench/trace_run.py) wraps evgraph
-functions by name; every name it patches must still exist where it looks.
+functions by name; every name it patches must still exist where it looks,
+and each call must hold what the trace reads at the positions it reads.
 Its build settings (perfbench/harness.py) must still make a config."""
 
 import importlib
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from evgraph import pipeline
 from evgraph.config import PipelineConfig
+from evgraph.model import EdgeColumns
+from evgraph.synth import write_layered_inputs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +39,34 @@ def test_bench_build_config_constructs(monkeypatch, tmp_path, workload):
     files = {name: tmp_path / name for name in ("corpus", "taxonomy", "verb_hierarchy")}
     cfg = PipelineConfig(**harness.build_config(wl, files, tmp_path / "out", wl.workers))
     assert cfg.workers == wl.workers
+
+
+def test_traced_calls_hold_what_the_trace_reads(trace_run, tmp_path):
+    # The traced run reads each infer_path_edges call's args[1] as a path
+    # edge and res[0] as its edges, and each expand_with_argument_rules
+    # call's args[1] as chain-node rows: a signature that moved them
+    # would corrupt path_edges and chain_nodes without an error.
+    files = write_layered_inputs(tmp_path / "inputs", n_paths=4, per_predicate=6, seed=1)
+    cfg = PipelineConfig(
+        corpus=str(files["corpus"]),
+        taxonomy=str(files["taxonomy"]),
+        verb_hierarchy=str(files["verb_hierarchy"]),
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
+    tracer = trace_run.Tracer()
+    with tracer.patched(trace_run.BUILD_TARGETS):
+        result = pipeline.build(cfg)
+    path_edges = {pair for path in result.paths for pair in zip(path, path[1:])}
+    infer_calls = tracer.calls["global_inference.infer_path_edges"]
+    assert path_edges and infer_calls
+    for args, _, res in infer_calls:
+        assert isinstance(args[1], tuple) and len(args[1]) == 2 and args[1] in path_edges
+        assert isinstance(res[0], EdgeColumns)
+    assert sum(len(res[0]) for _, _, res in infer_calls) > 0
+    expand_calls = tracer.calls["global_inference.expand_with_argument_rules"]
+    assert expand_calls
+    for args, _, res in expand_calls:
+        rows = list(args[1])
+        assert rows and all(0 <= row < len(args[0].ids) for row in rows)
+        assert isinstance(res[0], EdgeColumns)

@@ -75,9 +75,20 @@ def _children(forest):
 
 
 def infer(index, path, rule_scores, store, tau_a, tau_e):
-    """infer_path_edges on a string-keyed taxonomy, its edges keyed by ids."""
-    edges, checks = infer_path_edges(index, path, rule_scores, probs(index, store), tau_a, tau_e)
-    return edge_dict(index, edges), checks
+    """infer_path_edges over each pair of a path on a string-keyed
+    taxonomy, each right predicate's table built through
+    `gi.posting_table`: the edges keyed by ids, and the summed checks."""
+    term_probs = probs(index, store)
+    edges, checks = {}, 0
+    for pair in zip(path, path[1:]):
+        pid = index.predicate_ids.get(pair[1])
+        table = {} if pid is None else gi.posting_table(index, pid)
+        pair_edges, pair_checks = infer_path_edges(
+            index, pair, rule_scores, term_probs, tau_a, tau_e, table
+        )
+        edges.update(edge_dict(index, pair_edges))
+        checks += pair_checks
+    return edges, checks
 
 
 def expand(index, node_ids, rule_by_pair, tau_e):
@@ -670,6 +681,20 @@ def test_global_stage_holds_one_posting_table_at_a_time(tmp_path, monkeypatch):
     assert [pred for pred, _ in built] == ["chew", "eat"]
 
 
+def test_global_stage_passes_over_a_predicate_without_rows(tmp_path):
+    # ghost and spirit have no corpus rows: the paths naming them, on
+    # either side of a pair, add no edge and no check, and building
+    # spirit's (empty) posting table raises nothing.
+    index = _index(SHARED_CORPUS)
+    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    assert "ghost" not in index.predicate_ids and "spirit" not in index.predicate_ids
+    stage = [SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2]
+    paths = SHARED_PATHS + (("ghost", "eat"), ("eat", "spirit"), ("ghost", "spirit"))
+    with_absent = global_stage(index, paths, *stage)
+    assert with_absent == global_stage(index, SHARED_PATHS, *stage)
+    assert with_absent[0] and with_absent[1] and with_absent[2]
+
+
 def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypatch):
     # An s-v-o corpus holds none of s-v-o's other counterparts (s-v-p-o as
     # a hypothesis; s-v-p-o and s-v-o-p-o as premises), so only s-v-o is
@@ -875,8 +900,7 @@ def test_posting_table_lookups_equal_probe_postings(index, store, data):
     slots = data.draw(st.lists(st.tuples(slot, slot), max_size=4))
     related = probs(index, store)
     table = posting_table(index, pid)
-    base = posting_base(index, pid, pattern)
-    assert list(probe_keys(table.get, base, len(index.terms), terms, slots, related)) == list(
+    assert list(probe_keys(table.get, index, pid, pattern, terms, slots, related)) == list(
         probe_postings(index, pid, pattern, terms, slots, related)
     )
     assert all(rows == sorted(rows) for rows in table.values())

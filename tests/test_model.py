@@ -409,7 +409,8 @@ def test_edge_keyword_and_positional_construction_agree():
         "s-v:a|b", "s-v:c|d", 0.25, 0.64, 1.0, e.local_score, "local", type_label("s-v", "s-v")
     )
     assert positional == e and hash(positional) == hash(e)
-    assert positional.key == e.key == ("s-v:a|b", "s-v:c|d")
+    assert (positional.from_id, positional.to_id) == ("s-v:a|b", "s-v:c|d")
+    assert (e.from_id, e.to_id) == ("s-v:a|b", "s-v:c|d")
     # Tuple behaviour is part of the API: an edge equals the plain tuple
     # of its fields and orders by them, from_id first.
     assert e == tuple(e) and len(e) == 8 and hash(e) == hash(tuple(e))

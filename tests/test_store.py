@@ -459,7 +459,7 @@ def graph_parts(draw):
         edges.append(
             ScoredEdge(a.id, b.id, arg, pred, pen, score, provenance, type_label(a.pattern, b.pattern))
         )
-    return sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: e.key)
+    return sorted(nodes, key=lambda n: n.id), sorted(edges, key=lambda e: (e.from_id, e.to_id))
 
 
 scored_graphs = graph_parts().map(lambda parts: graph_from(*parts))
@@ -500,7 +500,7 @@ def test_seal_rejects_shuffled_input_that_edge_sort_orders(parts, data):
     nodes, edges = parts
     ordered = graph_from(nodes, edges)
     assert list(ordered.nodes) == [n.id for n in nodes]
-    assert list(ordered.edges) == [e.key for e in edges]
+    assert list(ordered.edges) == [(e.from_id, e.to_id) for e in edges]
     shuffled_nodes = data.draw(st.permutations(nodes))
     if shuffled_nodes != nodes:
         with pytest.raises(ValueError, match="^node .* out of key order$"):
@@ -523,7 +523,7 @@ def test_seal_rejects_shuffled_input_that_edge_sort_orders(parts, data):
     assert graph == ordered
     # `offsets` span each source's edges, to_ids ascending.
     source_ref: dict[str, tuple[str, ...]] = {}
-    for a, b in sorted(e.key for e in shuffled):
+    for a, b in sorted((e.from_id, e.to_id) for e in shuffled):
         source_ref[a] = (*source_ref.get(a, ()), b)
     assert list(_out_edges(graph).items()) == list(source_ref.items())
 
@@ -586,11 +586,12 @@ def _first_fault(nodes, edges):
     known = {n.id for n in nodes}
     for i, e in enumerate(edges):
         name = f"{e.from_id} -> {e.to_id}"
-        if not known.issuperset(e.key):
+        key, before = (e.from_id, e.to_id), (edges[i - 1].from_id, edges[i - 1].to_id)
+        if not known.issuperset(key):
             return "edges.tsv", i + 1, f"edge endpoint not among graph nodes: {name}"
-        if i and e.key == edges[i - 1].key:
+        if i and key == before:
             return "edges.tsv", i + 1, f"duplicate edge {name}"
-        if i and e.key < edges[i - 1].key:
+        if i and key < before:
             return "edges.tsv", i + 1, f"edge {name} out of key order"
     return None
 
@@ -608,7 +609,8 @@ def test_seal_errors_read_alike_in_shuffled_input(parts, kind, defect, data):
     if defect == "endpoint":
         if not edges:
             return
-        gone = data.draw(st.sampled_from(data.draw(st.sampled_from(edges)).key))
+        edge = data.draw(st.sampled_from(edges))
+        gone = data.draw(st.sampled_from((edge.from_id, edge.to_id)))
         nodes = [n for n in nodes if n.id != gone]
     else:
         items = nodes if kind == "node" else edges
@@ -644,7 +646,7 @@ def test_columnar_views_equal_a_dict_reference(parts, data):
     nodes, edges = parts
     graph = graph_from(data.draw(st.permutations(nodes)), data.draw(st.permutations(edges)))
     node_ref = {n.id: n for n in nodes}
-    edge_ref = {e.key: e for e in edges}
+    edge_ref = {(e.from_id, e.to_id): e for e in edges}
     source_ref: dict[str, tuple[str, ...]] = {}
     for a, b in edge_ref:
         source_ref[a] = (*source_ref.get(a, ()), b)
