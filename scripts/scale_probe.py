@@ -3,8 +3,8 @@
 edge count and the dense check counts as JSON on stdout.
 
 `candidate_checks` and `expansion_checks` are the pairs an exhaustive
-global stage would check (|left| x |right| per path edge, the rest of
-the predicate per chain node, summed over paths), not the pairs scored:
+global stage would check (|left| x |right| per distinct predicate pair,
+the rest of the predicate per distinct chain node), not the pairs scored:
 the build only scores candidates found in its posting lists, so its
 time follows the edges it accepts rather than these counts.
 

@@ -1,26 +1,28 @@
 """Transitive inference along predicate entailment paths.
 
 The scored predicate rules form a forest (specific -> general, cycles
-broken on the weakest edge); its maximal chains become predicate paths,
-and each distinct path edge relates the eventualities of its two
-predicates: pairs that pass the argument filter and the acceptance test
-become global edges.  Chain nodes are then expanded with same-predicate
-argument-generalization edges, which stay local.
+broken on the weakest edge).  Each kept forest edge clear of the listed
+general roots (`forest_pairs`: the distinct edges of the maximal chains,
+which `extract_paths` lists for `paths.tsv` alone) relates the
+eventualities of its two predicates: pairs that pass the argument filter
+and the acceptance test become global edges.  Their endpoints, the chain
+nodes, are then expanded with same-predicate argument-generalization
+edges, which stay local.
 
 Neither step checks every eventuality pair: both look a term and the
 terms it may entail up in one predicate's block of the posting index
 (`corpus.probe_keys`), and score only the hits; the reported check
-counts are still the dense pair counts.  Path inference probes every
-left row against the right predicate's block, so it hashes the block
-(`corpus.posting_table`).  `run_global_stage` owns those tables: it
-takes the pairs in right-predicate order, builds each right predicate's
-table once, passes it to every pair of the group and drops it before
-the next is built.  Expansion, which visits only the chain nodes that
-can gain an edge, and BInc augmentation bisect (`corpus.probe_postings`):
-a block sees far fewer of their probes than it holds postings, so a
-table's build would cost more than it saves.  Eventualities are index
-rows and terms are term ids throughout, and accepted edges are appended
-to `EdgeColumns`.
+counts are still the dense counts of each distinct pair and chain node.
+Path inference probes every left row against the right predicate's
+block, so it hashes the block (`corpus.posting_table`).
+`run_global_stage` owns those tables: it takes the pairs in
+right-predicate order, builds each right predicate's table once, passes
+it to every pair of the group and drops it before the next is built.
+Expansion, which visits only the chain nodes that can gain an edge, and
+BInc augmentation bisect (`corpus.probe_postings`): a block sees far
+fewer of their probes than it holds postings, so a table's build would
+cost more than it saves.  Eventualities are index rows and terms are
+term ids throughout, and accepted edges are appended to `EdgeColumns`.
 
 Not kept, each measured on a 2-vCPU box with identical outputs:
 - a hash table for every search, the posting index deleted: the
@@ -39,7 +41,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, groupby, islice
+from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter
 
 from .corpus import (
@@ -156,6 +158,14 @@ def extract_paths(
     cut = removed.__contains__
     runs = (tuple(run) for chain in chains for gone, run in groupby(chain, cut) if not gone)
     return tuple(sorted({run for run in runs if len(run) >= 2}))
+
+
+def forest_pairs(forest: PredicateForest, general_roots: tuple[str, ...] = ()) -> list:
+    """The kept (specific, general) forest edges that touch no listed
+    root: the distinct adjacent pairs of `extract_paths`."""
+    removed = set(general_roots)
+    edges = ((s, g) for s, gs in sorted(forest.parents.items()) for g in gs)
+    return [edge for edge in edges if removed.isdisjoint(edge)]
 
 
 def infer_path_edges(
@@ -326,47 +336,34 @@ class GlobalResult:
 
 
 def run_global_stage(
-    index: CorpusIndex, paths: tuple[tuple[str, ...], ...],
-    rule_scores: dict[tuple[str, str], float], probs: TermProbs,
-    rule_by_pair: dict[tuple[int, int], float], tau_a: float, tau_e: float,
+    index: CorpusIndex, pairs, rule_scores: dict[tuple[str, str], float],
+    probs: TermProbs, rule_by_pair: dict[tuple[int, int], float], tau_a: float, tau_e: float,
 ) -> GlobalResult:
-    """Run path inference plus expansion over every path and merge, in
-    the seal's (from row, to row) order, so the seal moves nothing.
-
-    Each distinct predicate pair and each distinct chain node (an
-    endpoint of its path's pair edges) is computed once however many
-    paths share it; the check counts stay the dense per-path sums, read
-    off each pair's span of the merged columns.  A right predicate with
-    no rows gets an empty table.  No (from, to) pair is found twice: a
-    path edge's pairs join two predicates, expansion's pairs one.
+    """Path inference over each of `pairs`, a collection of distinct
+    (left, right) predicate pairs, then expansion over the endpoints of
+    their edges, merged in the seal's (from row, to row) order, so the
+    seal moves nothing.  The check counts are dense: |left| x |right|
+    per pair, and the other rows of each chain node's predicate.  No
+    (from, to) pair is found twice: a pair's edges join two predicates,
+    expansion's one.
     """
     merged = EdgeColumns()
-    spans: dict[tuple[str, str], tuple[int, int, int]] = {}  # pair -> first, end, checks
-    pairs = sorted({pair for path in paths for pair in zip(path, path[1:])}, key=itemgetter(1, 0))
-    for pred_r, group in groupby(pairs, itemgetter(1)):
+    checks = 0
+    for pred_r, group in groupby(sorted(pairs, key=itemgetter(1, 0)), itemgetter(1)):
         pid_r = index.predicate_ids.get(pred_r)
         table = {} if pid_r is None else posting_table(index, pid_r)
         for pair in group:
-            first = len(merged)
-            edges, checks = infer_path_edges(index, pair, rule_scores, probs, tau_a, tau_e, table)
+            edges, n = infer_path_edges(index, pair, rule_scores, probs, tau_a, tau_e, table)
             merged.extend(edges)
-            spans[pair] = first, len(merged), checks
+            checks += n
         del table
 
-    total_checks = total_exp = 0
     chain_nodes = bytearray(len(index.ids))  # 1 at each chain node's row
-    others = [len(index.by_predicate[p]) - 1 for p in index.predicates]
-    for path in paths:
-        nodes: set[int] = set()
-        for pair in zip(path, path[1:]):
-            first, end, checks = spans[pair]
-            total_checks += checks
-            nodes.update(merged.src[first:end], merged.dst[first:end])
-        for node in nodes:
-            chain_nodes[node] = 1
-        total_exp += sum(others[index.predicate[node]] for node in nodes)
-
+    for node in chain(merged.src, merged.dst):
+        chain_nodes[node] = 1
     rows = array("I", compress(count(), chain_nodes))
-    merged.extend(expand_with_argument_rules(index, rows, rule_by_pair, tau_e)[0])
+    expanded, expansion_checks = expand_with_argument_rules(index, rows, rule_by_pair, tau_e)
+    merged.extend(expanded)
+    del expanded  # not held through the sort
     merged.sort(len(index.ids))
-    return GlobalResult(merged, total_checks, total_exp)
+    return GlobalResult(merged, checks, expansion_checks)

@@ -139,7 +139,8 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         paths = gi.extract_paths(forest, cfg.general_roots)
         rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr_scored}
         result = gi.run_global_stage(
-            index, paths, rule_scores, probs, rule_by_pair, cfg.tau_a, cfg.tau_e
+            index, gi.forest_pairs(forest, cfg.general_roots), rule_scores, probs,
+            rule_by_pair, cfg.tau_a, cfg.tau_e,
         )
         return forest.n_trees, len(forest.dropped_edges), paths, result
 

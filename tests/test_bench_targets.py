@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from evgraph import global_inference as gi
 from evgraph import pipeline
 from evgraph.config import PipelineConfig
 from evgraph.model import EdgeColumns
@@ -20,6 +21,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def trace_run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("trace_run")
+
+
+@pytest.fixture
+def layered(tmp_path):
+    """The config of a small layered build."""
+    files = write_layered_inputs(tmp_path / "inputs", n_paths=4, per_predicate=6, seed=1)
+    return PipelineConfig(
+        corpus=str(files["corpus"]),
+        taxonomy=str(files["taxonomy"]),
+        verb_hierarchy=str(files["verb_hierarchy"]),
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
 
 
 def test_traced_names_exist(trace_run):
@@ -41,22 +55,14 @@ def test_bench_build_config_constructs(monkeypatch, tmp_path, workload):
     assert cfg.workers == wl.workers
 
 
-def test_traced_calls_hold_what_the_trace_reads(trace_run, tmp_path):
+def test_traced_calls_hold_what_the_trace_reads(trace_run, layered):
     # The traced run reads each infer_path_edges call's args[1] as a path
     # edge and res[0] as its edges, and each expand_with_argument_rules
     # call's args[1] as chain-node rows: a signature that moved them
     # would corrupt path_edges and chain_nodes without an error.
-    files = write_layered_inputs(tmp_path / "inputs", n_paths=4, per_predicate=6, seed=1)
-    cfg = PipelineConfig(
-        corpus=str(files["corpus"]),
-        taxonomy=str(files["taxonomy"]),
-        verb_hierarchy=str(files["verb_hierarchy"]),
-        output_dir=str(tmp_path / "out"),
-        min_pred_freq=1,
-    )
     tracer = trace_run.Tracer()
     with tracer.patched(trace_run.BUILD_TARGETS):
-        result = pipeline.build(cfg)
+        result = pipeline.build(layered)
     path_edges = {pair for path in result.paths for pair in zip(path, path[1:])}
     infer_calls = tracer.calls["global_inference.infer_path_edges"]
     assert path_edges and infer_calls
@@ -70,3 +76,15 @@ def test_traced_calls_hold_what_the_trace_reads(trace_run, tmp_path):
         rows = list(args[1])
         assert rows and all(0 <= row < len(args[0].ids) for row in rows)
         assert isinstance(res[0], EdgeColumns)
+
+
+def test_traced_global_stage_reruns_to_the_same_result(trace_run, layered):
+    # The traced run calls run_global_stage again on the traced call's own
+    # arguments and compares the results: an argument the first call
+    # used up, such as a generator of pairs, would make them differ.
+    tracer = trace_run.Tracer()
+    with tracer.patched(trace_run.BUILD_TARGETS):
+        pipeline.build(layered)
+    [(args, kwargs, traced)] = tracer.calls["global_inference.run_global_stage"]
+    assert len(traced.edges) > 0
+    assert gi.run_global_stage(*args, **kwargs) == traced

@@ -30,6 +30,7 @@ from evgraph.global_inference import (
     build_forest,
     expand_with_argument_rules,
     extract_paths,
+    forest_pairs,
     infer_path_edges,
     run_global_stage,
 )
@@ -101,11 +102,16 @@ def expand(index, node_ids, rule_by_pair, tau_e):
     return edge_dict(index, edges), checks
 
 
-def global_stage(index, paths, rule_scores, store, rule_by_pair, tau_a, tau_e):
+def path_pairs(paths):
+    """The distinct adjacent pairs of the paths, sorted."""
+    return sorted({pair for path in paths for pair in zip(path, path[1:])})
+
+
+def global_stage(index, pairs, rule_scores, store, rule_by_pair, tau_a, tau_e):
     """run_global_stage on string-keyed tables: its edges, which it
     returns in the seal's key order, and its two check counts."""
     result = run_global_stage(
-        index, paths, rule_scores, probs(index, store), rule_table(index, rule_by_pair),
+        index, pairs, rule_scores, probs(index, store), rule_table(index, rule_by_pair),
         tau_a, tau_e,
     )
     edges = edge_dict(index, result.edges)
@@ -215,6 +221,35 @@ def test_paths_branching_tree_enumerates_all_maximal_chains():
         _scored(("x", "m", 0.9), ("y", "m", 0.9), ("m", "r", 0.9))
     )
     assert extract_paths(forest) == (("x", "m", "r"), ("y", "m", "r"))
+
+
+@pytest.mark.parametrize(
+    "roots, pairs", [((), [("chew", "eat"), ("crunch", "chew")]), (("eat",), [("crunch", "chew")])]
+)
+def test_forest_pairs_of_the_demo_forest(roots, pairs):
+    forest = build_forest(_scored(("crunch", "chew", 0.9), ("chew", "eat", 0.9)))
+    assert forest_pairs(forest, roots) == pairs
+    assert set(pairs) == set(path_pairs(extract_paths(forest, roots)))
+
+
+PREDICATES = ("a", "b", "c", "d", "e", "f")
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(PREDICATES), st.sampled_from(PREDICATES), st.floats(0.0, 1.0)),
+        max_size=12,
+    ).map(lambda rules: _scored(*((a, b, s) for a, b, s in rules if a != b))),
+    st.lists(st.sampled_from(PREDICATES), max_size=3, unique=True).map(tuple),
+)
+def test_forest_pairs_are_the_distinct_path_pairs(rules, roots):
+    # Random rule sets have cycles and multiple parents: the kept forest
+    # edges that touch no listed root are exactly the pairs the maximal
+    # chains, cut at the roots, hold.
+    forest = build_forest(rules)
+    pairs = forest_pairs(forest, roots)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(path_pairs(extract_paths(forest, roots)))
 
 
 # --- candidate pairs of one path edge ------------------------------------------
@@ -579,13 +614,46 @@ def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
 # --- merged stage ------------------------------------------------------------
 
 
+def _diamond_ladder(directory, d):
+    """d diamonds x_i -> a_i, b_i -> x_{i+1}: 3d + 1 predicates of three
+    s-v-o rows each, all with the same subject-object pairs, and 2**d
+    maximal chains."""
+    directory.mkdir()
+    preds = [f"x{i}" for i in range(d + 1)] + [f"{s}{i}" for i in range(d) for s in "ab"]
+    corpus = [f"s-v-o\tn1=s{k};v1={pred};n2=o{k}\t1" for pred in preds for k in range(3)]
+    hierarchy = [
+        line for i in range(d) for mid in (f"a{i}", f"b{i}")
+        for line in (f"x{i}\t{mid}\thypernym", f"{mid}\tx{i + 1}\thypernym")
+    ]
+    for name, lines in (("c.tsv", corpus), ("t.tsv", ["thing\ts0\t1"]), ("h.tsv", hierarchy)):
+        (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return PipelineConfig(
+        corpus=str(directory / "c.tsv"),
+        taxonomy=str(directory / "t.tsv"),
+        verb_hierarchy=str(directory / "h.tsv"),
+        output_dir=str(directory / "out"),
+        min_pred_freq=1,
+    )
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_global_stage_counts_grow_with_forest_edges_not_paths(tmp_path, d):
+    # 4d forest edges of 3 x 3 dense pairs each, three identical ones
+    # accepted; every row is a chain node with two other rows.
+    counts = build(_diamond_ladder(tmp_path / "ladder", d)).report["counts"]
+    assert counts["paths"] == 2**d
+    assert counts["candidate_checks"] == 36 * d
+    assert counts["expansion_checks"] == 6 * (3 * d + 1)
+    assert counts["edges_total"] == 12 * d
+
+
 def test_run_global_stage_worker_invariance(tmp_path):
     index = _index(MIXED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
-    paths = (("chew", "eat"),)
+    pairs = [("chew", "eat")]
     rule_scores = {("chew", "eat"): 0.7}
     tr = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
-    _, checks, _ = global_stage(index, paths, rule_scores, store, tr, 0.3, 0.2)
+    _, checks, _ = global_stage(index, pairs, rule_scores, store, tr, 0.3, 0.2)
     assert checks == 16
 
 
@@ -602,28 +670,30 @@ SHARED_CORPUS = [
     "s-v-o\tn1=girl;v1=eat;n2=food\t2",
 ]
 SHARED_PATHS = (("crunch", "chew", "eat"), ("munch", "chew", "eat"))
+SHARED_PAIRS = path_pairs(SHARED_PATHS)  # chew -> eat once
 SHARED_RULES = {("crunch", "chew"): 0.8, ("munch", "chew"): 0.6, ("chew", "eat"): 0.7}
 SHARED_ARG_RULES = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
 
 
-def _per_path_reference(index, paths, rule_scores, store, rule_by_pair, tau_a, tau_e):
-    """The stage computed path by path, shared pairs and nodes again each
-    time: merged edges and the summed check counts."""
-    merged = {}
-    checks = exp_checks = 0
-    for path in paths:
-        edges, c = infer(index, path, rule_scores, store, tau_a, tau_e)
-        nodes = {node for key in edges for node in key}
-        local_edges, e = expand(index, nodes, rule_by_pair, tau_e)
-        merged.update(edges)
-        merged.update(local_edges)
+def _per_pair_reference(index, pairs, rule_scores, store, rule_by_pair, tau_a, tau_e):
+    """The stage computed pair by pair, each pair's right table built
+    afresh, then one expansion over the union of the pairs' endpoints:
+    merged edges, the summed pair checks and the expansion's checks of
+    the distinct nodes."""
+    edges, checks = {}, 0
+    for pair in pairs:
+        pair_edges, c = infer(index, pair, rule_scores, store, tau_a, tau_e)
+        edges.update(pair_edges)
         checks += c
-        exp_checks += e
+    nodes = {node for key in edges for node in key}
+    local_edges, exp_checks = expand(index, nodes, rule_by_pair, tau_e)
+    merged = {**edges, **local_edges}
     return tuple(merged[k] for k in sorted(merged)), checks, exp_checks
 
 
 def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monkeypatch):
-    # Both paths share chew -> eat; boy chew apple is a chain node of both.
+    # chew is the right predicate of two pairs and the left of one; boy
+    # chew apple is an endpoint of edges on both sides of chew.
     index = _index(SHARED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     inferred, expanded = [], []
@@ -639,7 +709,7 @@ def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monke
     monkeypatch.setattr(gi, "infer_path_edges", count_infer)
     monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
     edges, _, _ = global_stage(
-        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+        index, SHARED_PAIRS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
     # Each distinct pair exactly once.
     assert sorted(inferred) == [("chew", "eat"), ("crunch", "chew"), ("munch", "chew")]
@@ -677,21 +747,21 @@ def test_global_stage_holds_one_posting_table_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gi, "posting_table", table)
     monkeypatch.setattr(gi, "expand_with_argument_rules", count_expand)
-    global_stage(index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2)
+    global_stage(index, SHARED_PAIRS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2)
     assert [pred for pred, _ in built] == ["chew", "eat"]
 
 
 def test_global_stage_passes_over_a_predicate_without_rows(tmp_path):
-    # ghost and spirit have no corpus rows: the paths naming them, on
-    # either side of a pair, add no edge and no check, and building
-    # spirit's (empty) posting table raises nothing.
+    # ghost and spirit have no corpus rows: the pairs naming them, on
+    # either side, add no edge and no check, and building spirit's
+    # (empty) posting table raises nothing.
     index = _index(SHARED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     assert "ghost" not in index.predicate_ids and "spirit" not in index.predicate_ids
     stage = [SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2]
-    paths = SHARED_PATHS + (("ghost", "eat"), ("eat", "spirit"), ("ghost", "spirit"))
-    with_absent = global_stage(index, paths, *stage)
-    assert with_absent == global_stage(index, SHARED_PATHS, *stage)
+    pairs = SHARED_PAIRS + [("ghost", "eat"), ("eat", "spirit"), ("ghost", "spirit")]
+    with_absent = global_stage(index, pairs, *stage)
+    assert with_absent == global_stage(index, SHARED_PAIRS, *stage)
     assert with_absent[0] and with_absent[1] and with_absent[2]
 
 
@@ -748,17 +818,17 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
     assert not [p for p in probes if p[1:3] == (chew, svo) and p[3] == node_args]
 
 
-def test_run_global_stage_counts_are_dense_per_path_sums(tmp_path):
+def test_run_global_stage_counts_are_dense_per_pair_sums(tmp_path):
     index = _index(SHARED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     result = global_stage(
-        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+        index, SHARED_PAIRS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
-    edges, checks, exp_checks = _per_path_reference(
-        index, SHARED_PATHS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
+    edges, checks, exp_checks = _per_pair_reference(
+        index, SHARED_PAIRS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
-    # per path: 2x3 for crunch or munch -> chew, then 3x3 for the shared chew -> eat
-    assert result[1] == checks == 2 * (2 * 3 + 3 * 3)
+    # 2x3 for each of crunch and munch -> chew, 3x3 once for the shared chew -> eat
+    assert result[1] == checks == 2 * 3 + 2 * 3 + 3 * 3
     assert result[2] == exp_checks
     assert result[0] == edges
 
@@ -909,18 +979,15 @@ def test_posting_table_lookups_equal_probe_postings(index, store, data):
 
 
 @given(corpora(), taxonomies, st.data())
-def test_global_stage_equals_per_path_reference(index, store, data):
+def test_global_stage_equals_per_pair_reference(index, store, data):
     # Short paths over few predicates, so that paths share edges and nodes.
     preds = sorted(index.by_predicate)
     path = st.lists(st.sampled_from(preds), max_size=4, unique=True)
     paths = tuple(
         sorted({tuple(p) for p in data.draw(st.lists(path, max_size=4)) if len(p) >= 2})
     )
-    rule_scores = {
-        pair: data.draw(st.floats(0.0, 1.0))
-        for path in paths
-        for pair in zip(path, path[1:])
-    }
+    pairs = path_pairs(paths)
+    rule_scores = {pair: data.draw(st.floats(0.0, 1.0)) for pair in pairs}
     terms = sorted(index.terms)
     rule_by_pair = {
         (a, b): data.draw(st.floats(0.01, 1.0))
@@ -928,7 +995,7 @@ def test_global_stage_equals_per_path_reference(index, store, data):
             st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(terms)), max_size=6)
         )
     }
-    result = global_stage(index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2)
-    assert result == _per_path_reference(
-        index, paths, rule_scores, store, rule_by_pair, 0.3, 0.2
+    result = global_stage(index, pairs, rule_scores, store, rule_by_pair, 0.3, 0.2)
+    assert result == _per_pair_reference(
+        index, pairs, rule_scores, store, rule_by_pair, 0.3, 0.2
     )
