@@ -20,6 +20,10 @@ build's own peak resident memory: the child's high-water mark (VmHWM)
 of the memory it maps after it starts, so the generation's peak, which
 Linux carries into a child's `ru_maxrss`, is not part of it.  The
 build forks nothing.  `gen_max_rss_mb` is the generating process's peak.
+`read_seconds` and `read_max_rss_mb` are the time and the peak resident
+memory (VmHWM) of one `read_graph` of the build's outputs, the read path
+`stats`, `sample` and `query` pay on every call; it runs in another
+fresh child process (`--read-from`), so its peak is the read's own.
 The inputs and outputs go to a temp directory that is removed after the
 run, or to `--dir`, which keeps them and is reported as `work_dir`.
 """
@@ -34,6 +38,7 @@ from pathlib import Path
 
 from evgraph.config import PipelineConfig
 from evgraph.pipeline import peak_rss_mb, run_build
+from evgraph.store import read_graph
 from evgraph.synth import write_layered_inputs
 
 
@@ -65,6 +70,14 @@ def build(work: Path) -> dict:
     }
 
 
+def read(out: Path) -> dict:
+    """Read the graph written under `out` once and report the read's own
+    costs."""
+    t0 = time.perf_counter()
+    read_graph(out)
+    return {"read_seconds": round(time.perf_counter() - t0, 3), "read_max_rss_mb": peak_rss_mb()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--eventualities", type=int, default=100_000)
@@ -76,9 +89,13 @@ def main() -> int:
         help="work dir to keep (default: a temp dir, removed after the run)",
     )
     parser.add_argument("--build-from", type=Path, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--read-from", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.build_from is not None:
         json.dump(build(args.build_from), sys.stdout)
+        return 0
+    if args.read_from is not None:
+        json.dump(read(args.read_from), sys.stdout)
         return 0
 
     if args.dir is not None:
@@ -88,8 +105,9 @@ def main() -> int:
 
 
 def probe(args: argparse.Namespace, work: Path) -> int:
-    """Generate the inputs under `work`, build them in a child process and
-    print the report; `work_dir` is named only when `--dir` keeps it."""
+    """Generate the inputs under `work`, build and read them in child
+    processes and print the report; `work_dir` is named only when `--dir`
+    keeps it."""
     per_predicate = max(1, args.eventualities // (args.paths * args.path_len))
     t0 = time.perf_counter()
     files = write_layered_inputs(
@@ -102,18 +120,16 @@ def probe(args: argparse.Namespace, work: Path) -> int:
     gen_seconds = time.perf_counter() - t0
     with open(files["corpus"], encoding="utf-8") as fh:
         n_records = sum(1 for _ in fh)
-    child = subprocess.run(
-        [sys.executable, __file__, "--build-from", str(work)], capture_output=True, text=True
-    )
-    if child.returncode != 0:
-        sys.stderr.write(child.stderr)
-        return child.returncode
-    report = {
-        "corpus_records": n_records,
-        **json.loads(child.stdout),
-        "gen_seconds": round(gen_seconds, 3),
-        "gen_max_rss_mb": peak_rss_mb(),
-    }
+    report = {"corpus_records": n_records}
+    for flag, path in (("--build-from", work), ("--read-from", work / "out")):
+        child = subprocess.run(
+            [sys.executable, __file__, flag, str(path)], capture_output=True, text=True
+        )
+        if child.returncode != 0:
+            sys.stderr.write(child.stderr)
+            return child.returncode
+        report.update(json.loads(child.stdout))
+    report.update(gen_seconds=round(gen_seconds, 3), gen_max_rss_mb=peak_rss_mb())
     if args.dir is not None:
         report["work_dir"] = str(work)
     json.dump(report, sys.stdout, indent=2)

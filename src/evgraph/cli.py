@@ -97,14 +97,22 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
 
-        graph = read_graph(cfg.output_dir)
+        try:
+            graph = read_graph(cfg.output_dir)
+        except (GraphFormatError, OSError) as exc:
+            print(f"error[graph]: {exc}", file=sys.stderr)
+            return 1
         if args.command == "stats":
             sys.stdout.write(format_stats(stats(graph)))
         elif args.command == "sample":
             lines = sample_for_annotation(graph, args.n, cfg.seed)
             text = "".join(line + "\n" for line in lines)
             if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
+                try:
+                    Path(args.out).write_text(text, encoding="utf-8")
+                except OSError as exc:
+                    print(f"error[sample]: {exc}", file=sys.stderr)
+                    return 1
             else:
                 sys.stdout.write(text)
         elif args.command == "query":
@@ -119,9 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except StageError as exc:
         print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
-        return 1
-    except (GraphFormatError, FileNotFoundError) as exc:
-        print(f"error[graph]: {exc}", file=sys.stderr)
         return 1
     except NodeLookupError as exc:
         print(f"error[query]: {exc.args[0]}", file=sys.stderr)

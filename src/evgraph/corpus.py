@@ -23,10 +23,11 @@ either bisects the block (`probe_postings`) or hashes it first
 (`posting_table`); `global_inference` says which search does which.
 
 `parse_corpus_line` first tries one regex per pattern that accepts only
-a canonical line: roles in `PATTERN_ROLES` order, tokens normalized and
-a plain frequency.  Every other line takes the general parser, which
-normalizes the tokens and is the only source of error messages, so both
-paths return the same result.
+a canonical line: roles in `PATTERN_ROLES` order, tokens normalized, a
+plain frequency and a "\n" or "\r\n" ending; it tries a line again with
+its roles sorted into that order.  Every other line takes the general
+parser, which normalizes the tokens and is the only source of error
+messages, so both paths return the same result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from operator import floordiv, mod
 from pathlib import Path
 
@@ -60,10 +61,12 @@ _TOKEN = f"{_WORD}(?: {_WORD})*"
 _CANONICAL = {
     pattern: re.compile(
         f"{re.escape(pattern)}\t{';'.join(f'{role}=({_TOKEN})' for role in roles)}"
-        r"\t([1-9][0-9]{0,17})\n?"
+        r"\t([1-9][0-9]{0,17})\r?\n?"
     )
     for pattern, roles in PATTERN_ROLES.items()
 }
+# Pattern -> role -> its rank in `PATTERN_ROLES` order.
+_ROLE_RANK = {pattern: dict(zip(roles, count())) for pattern, roles in PATTERN_ROLES.items()}
 
 
 def parse_corpus_line(line: str, lineno: int) -> tuple[str, int]:
@@ -73,6 +76,12 @@ def parse_corpus_line(line: str, lineno: int) -> tuple[str, int]:
     canonical = _CANONICAL.get(pattern)
     if canonical is not None and line == line.lower():
         match = canonical.fullmatch(line)
+        if match is None and line.count("\t") == 2:
+            # The line again, its role=token chunks in the pattern's role order.
+            head, roles, tail = line.split("\t")
+            rank = _ROLE_RANK[pattern].get
+            roles = sorted(roles.split(";"), key=lambda chunk: rank(chunk.partition("=")[0], -1))
+            match = canonical.fullmatch(f"{head}\t{';'.join(roles)}\t{tail}")
         if match is not None:
             groups = match.groups()
             return f"{pattern}:{'|'.join(groups[:-1])}", int(groups[-1])

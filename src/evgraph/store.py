@@ -15,28 +15,34 @@ rejects the first node or edge out of order; `read_graph` names the
 first line out of order.  Edges are sorted once, by the global stage
 (`EdgeColumns.sort`).  `nodes` and `edges` are read-only mappings over
 the columns that build an `Eventuality` or a `ScoredEdge` on lookup.
-`read_graph` streams both files through `corpus.decoded_lines` straight
-into the columns: node lines through `corpus.parse_corpus_line` (whose
-regex fast path takes the canonical lines `write_graph` writes), edge
-lines through the `ScoredEdge` constructor's checks.
+`read_graph` parses the files `write_graph` writes by columns, a chunk
+of whole lines at a time: one regex per node line, whose role field
+back-references the id's tokens, and one split per edge chunk, whose
+every eighth field makes a column.  The checks then run over the
+columns: `EdgeColumns.check`, and key order once, in `from_parts`.  The
+chunks are small (`_CHUNK_BYTES`) and the edge columns sized once, as a
+larger chunk or a regrown column leaves freed memory behind that raises
+the read's peak.  Any other file, valid or not, is read again line by
+line, by the reader that alone names a faulty line.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, count, islice, repeat
 from operator import eq, ge
 from pathlib import Path
 
-from .corpus import corpus_line, decoded_lines, parse_corpus_line
+from .corpus import _TOKEN, corpus_line, decoded_lines, parse_corpus_line
 from .model import LOCAL, PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge, _starts
-from .model import display_text, plausible, split_id
+from .model import PATTERN_ROLES, display_text, split_id
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
@@ -190,6 +196,20 @@ def _file_lines(directory: Path, name: str):
 _TYPE_CODES = {label: code for code, label in enumerate(TYPE_LABELS)}
 _PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
 
+# Pattern -> the regex of a node line as `write_graph` writes it, whose
+# role field back-references the id's tokens: group 1 is the id, the last
+# group the frequency.
+_NODE_LINES = {
+    pattern: re.compile(
+        f"({pattern}:{'[|]'.join([f'({_TOKEN})'] * len(roles))})\t{pattern}\t"
+        + ";".join(f"{role}=\\{group}" for group, role in enumerate(roles, 2))
+        + r"\t([1-9][0-9]{0,17})"
+    )
+    for pattern, roles in PATTERN_ROLES.items()
+}
+# Files are parsed in chunks of whole lines of about this many bytes.
+_CHUNK_BYTES = 16 * 1024
+
 
 def read_graph(directory: str | Path) -> EntailmentGraph:
     """Read a written graph.  A malformed line, a line that is not UTF-8,
@@ -198,10 +218,72 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
     naming the file and the line: the first such line, nodes.tsv before
     edges.tsv."""
     directory = Path(directory)
+    graph = _read_columns(directory)
+    return _read_lines(directory) if graph is None else graph
+
+
+def _chunks(path: Path):
+    """A file's text in chunks of whole lines, each without its last
+    newline; ValueError for bytes not UTF-8 or no newline at the end."""
+    rest = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHUNK_BYTES):
+            lines, newline, rest = (rest + block).rpartition(b"\n")
+            if newline:
+                yield lines.decode("utf-8")
+    if rest:
+        raise ValueError("no newline at the end")
+
+
+def _read_columns(directory: Path) -> EntailmentGraph | None:
+    """The graph, parsed by columns from files as `write_graph` writes
+    them, or None for any other files, which `_read_lines` reads."""
+    ids, frequency = [], array("q")
+    try:
+        for text in _chunks(directory / NODE_FILE):
+            if text != text.lower():
+                return None
+            for line in text.split("\n"):
+                match = _NODE_LINES[line.partition(":")[0]].fullmatch(line)
+                if match is None:
+                    return None
+                ids.append(match[1])
+                frequency.append(int(match[match.lastindex]))
+        row = dict(zip(ids, count())).__getitem__
+        # Per column, in `EdgeColumns` order: its parse and its field in a line.
+        codes = _TYPE_CODES.__getitem__, _PROVENANCE_CODES.__getitem__
+        parses = (row, row, float, float, float, float, *codes)
+        reads = tuple(zip(parses, (0, 1, 4, 5, 6, 7, 2, 3)))
+        with open(directory / EDGE_FILE, "rb") as fh:
+            n = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
+        # Each column is sized once: one regrown chunk by chunk leaves its
+        # old copies behind, raising the read's peak.
+        edges = EdgeColumns()
+        for name in edges.__slots__:
+            setattr(edges, name, array(getattr(edges, name).typecode, [0]) * n)
+        end = 0
+        for text in _chunks(directory / EDGE_FILE):
+            lines = text.split("\n")
+            # The fields line up with the columns only if each line has eight.
+            if list(map(str.count, lines, repeat("\t"))).count(7) != len(lines):
+                return None
+            fields = "\t".join(lines).split("\t")
+            start, end = end, end + len(lines)
+            for column, (read, at) in zip(edges.columns(), reads):
+                column[start:end] = array(column.typecode, map(read, fields[at::8]))
+        del row, parses, reads
+        edges.check(ids)
+        # A count that differs: the file changed while it was read.
+        return EntailmentGraph.from_parts(ids, frequency, edges) if end == n else None
+    except (OSError, KeyError, ValueError):
+        return None
+
+
+def _read_lines(directory: Path) -> EntailmentGraph:
+    """`read_graph` one line at a time: the only source of its errors."""
     ids: list[str] = []
     frequency = array("q")
     row_of: dict[str, int] = {}
-    last_id = ""
     for lineno, line in _file_lines(directory, NODE_FILE):
         if line.count("\t") != 3:
             raise _fault(NODE_FILE, lineno, "expected 4 fields")
@@ -213,39 +295,27 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
             raise GraphFormatError(f"{NODE_FILE} {exc}") from exc
         if parsed_id != node_id:
             raise _fault(NODE_FILE, lineno, f"id {node_id!r} does not match tokens")
-        if node_id <= last_id:
-            raise _fault(NODE_FILE, lineno, _disorder("node", node_id, node_id == last_id))
+        if ids and node_id <= ids[-1]:
+            raise _fault(NODE_FILE, lineno, _disorder("node", node_id, node_id == ids[-1]))
         row_of[node_id] = len(ids)
-        last_id = node_id
         ids.append(node_id)
         frequency.append(freq)
 
     n = len(ids)
     edges = EdgeColumns()
-    last_from, src, last_key = None, None, -1
+    last_key = -1
     for lineno, line in _file_lines(directory, EDGE_FILE):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 8:
             raise _fault(EDGE_FILE, lineno, "expected 8 fields")
         from_id, to_id, label, provenance = parts[:4]
         try:
-            a, p, f, loc = map(float, parts[4:])
+            scores = tuple(map(float, parts[4:]))
+            ScoredEdge(from_id, to_id, *scores, provenance, label)
         except ValueError as exc:
             raise _fault(EDGE_FILE, lineno, exc) from exc
-        code, prov = _TYPE_CODES.get(label), _PROVENANCE_CODES.get(provenance)
-        if from_id != last_from:
-            src, last_from = row_of.get(from_id), from_id
-        dst = row_of.get(to_id)
-        # A screen for the common case; a line it stops gets the
-        # ScoredEdge constructor's checks, which name the fault.
-        if not (
-            from_id != to_id and code is not None and prov is not None and plausible(a, p, f, loc)
-            and src is not None and dst is not None
-        ):
-            try:
-                ScoredEdge(from_id, to_id, a, p, f, loc, provenance, label)
-            except ValueError as exc:
-                raise _fault(EDGE_FILE, lineno, exc) from exc
+        src, dst = row_of.get(from_id), row_of.get(to_id)
+        if src is None or dst is None:
             message = f"edge endpoint not among graph nodes: {from_id} -> {to_id}"
             raise _fault(EDGE_FILE, lineno, message)
         key = src * n + dst
@@ -253,7 +323,7 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
             message = _disorder("edge", f"{from_id} -> {to_id}", key == last_key)
             raise _fault(EDGE_FILE, lineno, message)
         last_key = key
-        edges.append(src, dst, a, p, f, loc, code, prov)
+        edges.append(src, dst, *scores, _TYPE_CODES[label], _PROVENANCE_CODES[provenance])
     del row_of
     return EntailmentGraph.from_parts(ids, frequency, edges)
 

@@ -433,6 +433,7 @@ def test_scale_probe_keeps_its_work_dir_only_under_dir(tmp_path):
     size = ("--eventualities", "300", "--paths", "10")
     report = _run_probe(*size, tmpdir=tmp)
     assert report["edges_total"] > 0 and "work_dir" not in report
+    assert report["read_seconds"] >= 0 and report["read_max_rss_mb"] > 0
     assert list(tmp.iterdir()) == []
     kept = tmp_path / "kept"
     report = _run_probe(*size, "--dir", str(kept), tmpdir=tmp)

@@ -144,6 +144,21 @@ def test_canonical_line_skips_general_parser(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        CANONICAL.replace("n1=ice cream;v1=melt", "v1=melt;n1=ice cream"),
+        "s-v-o-p-o\tn3=σας;p1=in;n2=crème brûlée;v1=melt;n1=ice cream\t12",
+    ],
+)
+def test_reordered_line_skips_general_parser(monkeypatch, line):
+    def general(line, lineno):
+        raise AssertionError(f"general parser called on {line!r}")
+
+    monkeypatch.setattr(corpus, "_parse_general", general)
+    assert parse_corpus_line(line, 1) == parse_corpus_line(CANONICAL, 1)
+
+
 def test_read_merges_duplicate_records(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text(

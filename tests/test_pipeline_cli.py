@@ -491,6 +491,30 @@ def test_cli_stats_without_build(tmp_path, capsys):
     assert "error[graph]" in capsys.readouterr().err
 
 
+def test_cli_graph_file_that_is_a_directory_is_a_graph_error(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    nodes = tmp_path / "out" / "nodes.tsv"
+    nodes.unlink()
+    nodes.mkdir()
+    capsys.readouterr()
+    assert main(["stats", "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[graph]: [Errno 21] Is a directory: ")
+    assert captured.out == ""
+
+
+def test_cli_sample_out_not_written_is_a_sample_error(tmp_path, capsys):
+    cfg_file = _toy_config_file(tmp_path)
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "missing" / "sample.tsv"
+    assert main(["sample", "--config", str(cfg_file), "--n", "1", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[sample]: [Errno 2] No such file or directory: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv"])
 @pytest.mark.parametrize(
     "command", [["stats"], ["sample", "--n", "1"], ["query", "boy crunch food", "boy eat food"]]

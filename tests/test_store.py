@@ -10,14 +10,16 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from columns import columns_of, graph_from, sealed, type_label
 from evgraph import store
+from evgraph.config import PipelineConfig
 from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
 from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots
+from evgraph.pipeline import run_build
 from evgraph.store import (
     EntailmentGraph,
     GraphFormatError,
@@ -30,7 +32,8 @@ from evgraph.store import (
     stats,
     write_graph,
 )
-from randomtoy import eventualities
+from evgraph.synth import write_toy_inputs
+from randomtoy import eventualities, write_random_toy
 
 
 def node(n1, v1, n2, freq=1):
@@ -187,17 +190,24 @@ def test_crlf_line_endings_read_alike(small_graph, tmp_path):
 def test_read_graph_leaves_the_collector_as_the_caller_left_it(
     small_graph, tmp_path, monkeypatch, enabled
 ):
+    # The good graph is read by columns; the bad one by columns up to its
+    # edges, then again line by line.
     write_graph(small_graph, tmp_path / "good")
     write_graph(small_graph, tmp_path / "bad")
     (tmp_path / "bad" / "edges.tsv").write_text("cut\n", encoding="utf-8")
-    seen = []
-    parse = store.parse_corpus_line
+    seen = {"_chunks": [], "parse_corpus_line": []}
 
-    def parse_and_see(line, lineno):
-        seen.append(gc.isenabled())
-        return parse(line, lineno)
+    def see(name):
+        call = getattr(store, name)
 
-    monkeypatch.setattr(store, "parse_corpus_line", parse_and_see)
+        def call_and_see(*args):
+            seen[name].append(gc.isenabled())
+            return call(*args)
+
+        monkeypatch.setattr(store, name, call_and_see)
+
+    for name in seen:
+        see(name)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -208,7 +218,8 @@ def test_read_graph_leaves_the_collector_as_the_caller_left_it(
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
-    assert seen and all(state is enabled for state in seen)
+    for states in seen.values():
+        assert states and all(state is enabled for state in states)
 
 
 def test_dangling_edge_endpoint_is_format_error(small_graph, tmp_path):
@@ -436,10 +447,13 @@ conditionals = st.floats(1e-9, 1.0)
 
 
 @st.composite
-def graph_parts(draw):
-    """The nodes and edges of a random graph, each list in key order."""
+def graph_parts(draw, min_nodes=0, min_edges=0):
+    """The nodes and edges of a random graph, each list in key order;
+    at least `min_edges` edges where the nodes admit as many."""
     drawn = draw(
-        st.lists(eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)), max_size=10)
+        st.lists(
+            eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)), min_size=min_nodes, max_size=10
+        )
     )
     nodes = list({n.id: n for n in drawn}.values())
     admissible = [
@@ -448,7 +462,10 @@ def graph_parts(draw):
         for b in nodes
         if a.id != b.id and aligned_slots(a.pattern, b.pattern) is not None
     ]
-    pairs = draw(st.lists(st.sampled_from(admissible), unique=True)) if admissible else []
+    pairs = []
+    if admissible:
+        least = min(min_edges, len(admissible))
+        pairs = draw(st.lists(st.sampled_from(admissible), min_size=least, unique=True))
     edges = []
     for a, b in pairs:
         pred, c_from, c_to, arg = (
@@ -670,3 +687,123 @@ def test_columnar_views_equal_a_dict_reference(parts, data):
         assert _score_bits(g) == {
             key: tuple(float.hex(x) for x in e[2:6]) for key, e in edge_ref.items()
         }
+
+
+def _read_lines_only(directory):
+    raise AssertionError(f"{directory} read line by line")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_built_graphs_are_read_by_columns(tmp_path, monkeypatch, seed):
+    # The demo (no seed) and random toy corpora, built and written, never
+    # take the per-line reader.
+    inputs = tmp_path / "inputs"
+    files = write_toy_inputs(inputs) if seed is None else write_random_toy(inputs, seed)
+    config = PipelineConfig(
+        **{key: str(path) for key, path in files.items()},
+        output_dir=str(tmp_path / "out"),
+        min_pred_freq=1,
+    )
+    built = run_build(config).graph
+    assert len(built.columns) > 0
+    monkeypatch.setattr(store, "_read_lines", _read_lines_only)
+    assert read_graph(tmp_path / "out") == built
+
+
+@given(scored_graphs, st.sampled_from((store._CHUNK_BYTES, 1, 2, 3, 50)))
+def test_written_graphs_are_read_by_columns(graph, chunk_bytes):
+    # Tiny chunks make lines straddle chunk boundaries.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        write_graph(graph, Path(tmp))
+        patch.setattr(store, "_read_lines", _read_lines_only)
+        patch.setattr(store, "_CHUNK_BYTES", chunk_bytes)
+        assert read_graph(Path(tmp)) == graph
+
+
+# Values an edited field takes, besides a field of another line.
+FIELD_EDITS = (
+    "", "x", "S-V:X|Y", "0.5", " 0.5", "1.5", "-0.0", "nan", "1e0", "1_0", "global", "local", "07",
+)
+CORRUPTIONS = (
+    "drop", "repeat", "swap", "edit", "shift", "crlf", "bom", "blank", "no newline", "not utf-8",
+    "upper", "reorder",
+)
+
+
+def _corrupt(draw, raw: bytes, corruption: str) -> bytes:
+    """A graph file's bytes with one corruption; one that needs a line
+    adds a blank line to a file with none."""
+    lines = raw.decode("utf-8").split("\n")[:-1]
+    if corruption == "crlf":
+        return raw.replace(b"\n", b"\r\n")
+    if corruption == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if corruption == "no newline":
+        return raw[:-1]
+    if corruption == "blank" or not lines:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", " \t "))))
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+    if corruption == "not utf-8":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + b"\xff" + raw[at:]
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split("\t")
+    j = draw(st.integers(0, len(fields) - 1))
+    if corruption == "drop":
+        del lines[i]
+    elif corruption == "repeat":
+        lines.insert(i, lines[i])
+    elif corruption == "swap":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[k] = lines[k], lines[i]
+    elif corruption == "edit":
+        others = [field for line in lines for field in line.split("\t")]
+        fields[j] = draw(st.sampled_from(FIELD_EDITS) | st.sampled_from(others))
+    elif corruption == "shift":
+        # The line's first field moved to the end of the line before it.
+        if i:
+            lines[i - 1] += "\t" + fields.pop(0)
+            lines[i] = "\t".join(fields)
+    elif corruption == "upper":
+        # In a node line, a token in upper case in the id and in the role
+        # field alike; in an edge line, one field.
+        if len(fields) == 4:
+            token = draw(st.sampled_from(fields[0].partition(":")[2].split("|")))
+            fields = [field.replace(token, token.upper()) for field in fields]
+        else:
+            fields[j] = fields[j].upper()
+    else:
+        # The role=token chunks of a node line's role field, or the
+        # fields of an edge line, in another order.
+        if len(fields) == 4:
+            fields[2] = ";".join(draw(st.permutations(fields[2].split(";"))))
+        else:
+            fields = draw(st.permutations(fields))
+    if corruption in ("edit", "upper", "reorder"):
+        lines[i] = "\t".join(fields)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _read_outcome(read, directory):
+    try:
+        return "ok", read(directory)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@settings(max_examples=40)
+@given(
+    graph_parts(min_nodes=4, min_edges=2).map(lambda parts: graph_from(*parts)),
+    st.sampled_from(("nodes.tsv", "edges.tsv")), st.sampled_from((store._CHUNK_BYTES, 1, 50)),
+    st.data(),
+)
+def test_both_read_paths_agree_on_corrupted_files(corruption, graph, name, chunk_bytes, data):
+    # Whatever a column parse takes, a read returns what the per-line
+    # reader returns, or raises its error.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        write_graph(graph, Path(tmp))
+        path = Path(tmp) / name
+        path.write_bytes(_corrupt(data.draw, path.read_bytes(), corruption))
+        patch.setattr(store, "_CHUNK_BYTES", chunk_bytes)
+        assert _read_outcome(read_graph, Path(tmp)) == _read_outcome(store._read_lines, Path(tmp))
