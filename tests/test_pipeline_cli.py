@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -288,6 +289,26 @@ def test_persist_leaves_the_collector_as_the_caller_left_it(toy, monkeypatch, en
     finally:
         gc.enable() if was_enabled else gc.disable()
     assert seen == [enabled]
+
+
+def test_build_pins_the_mmap_threshold_first(toy, monkeypatch):
+    _, cfg, _ = toy
+    seen = []
+    monkeypatch.setattr(pipeline, "pin_mmap_threshold", lambda: seen.append("pin"))
+    ingest = pipeline.CorpusIndex.from_file
+    monkeypatch.setattr(
+        pipeline.CorpusIndex, "from_file", lambda *a: seen.append("ingest") or ingest(*a)
+    )
+    build(cfg)
+    assert seen == ["pin", "ingest"]
+
+
+def test_pin_mmap_threshold_takes_on_glibc():
+    try:
+        glibc = bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        glibc = False
+    assert pipeline.pin_mmap_threshold() is glibc
 
 
 def test_seal_failure_is_stage_tagged(tmp_path, capsys, monkeypatch):
