@@ -92,7 +92,8 @@ def make_config(
     """Coerce raw string settings into a validated PipelineConfig.
 
     Relative paths resolve against base_dir (the config file's directory).
-    The three input paths are only mandatory for commands that build.
+    The three input paths are only mandatory for commands that build.  An
+    empty value keeps a key's default, but an empty general_roots is none.
     """
     base = Path(base_dir)
     known = set(config_keys())
@@ -102,7 +103,7 @@ def make_config(
     kwargs: dict[str, object] = {}
     for f in fields(PipelineConfig):
         key = external_key(f.name)
-        if key not in raw or raw[key] == "":
+        if key not in raw or (raw[key] == "" and f.name != "general_roots"):
             continue
         value = raw[key]
         if f.name in INT_FIELDS or f.name in UNIT_FIELDS:

@@ -3,7 +3,7 @@
 The scored predicate rules form a forest (specific -> general, cycles
 broken on the weakest edge).  Each kept forest edge clear of the listed
 general roots (`forest_pairs`: the distinct edges of the maximal chains,
-which `extract_paths` lists for `paths.tsv` alone) relates the
+which `extract_paths` streams into `paths.tsv` at persist) relates the
 eventualities of its two predicates: pairs that pass the argument filter
 and the acceptance test become global edges.  Their endpoints, the chain
 nodes, are then expanded with same-predicate argument-generalization
@@ -132,40 +132,40 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
     )
 
 
-def extract_paths(
-    forest: PredicateForest, general_roots: tuple[str, ...] = ()
-) -> tuple[tuple[str, ...], ...]:
-    """Maximal specific-first predicate chains, with edges touching the
-    listed overly-general roots removed before emission."""
+def _cut(forest: PredicateForest, general_roots: tuple[str, ...]):
+    """The forest less the listed roots: each kept predicate's kept
+    parents, the sorted starts of its runs (leaves and parents of a root)
+    and their ends (tops and children of a root)."""
     removed = set(general_roots)
     parents = forest.parents
-    # The leaves: predicates that are no predicate's parent.
-    sources = sorted(set(parents).difference(*parents.values()))
-    # Depth-first over root-ward chains with an explicit stack of partial
-    # chains, in the order a recursive walk would emit them.  A recursive
-    # closure would hold the forest in a reference cycle past the return.
-    chains: list[tuple[str, ...]] = []
-    stack = [(source,) for source in reversed(sources)]
-    while stack:
-        trail = stack.pop()
-        nexts = parents.get(trail[-1])
-        if nexts:
-            stack.extend([trail + (nxt,) for nxt in reversed(nexts)])
-        else:
-            chains.append(trail)
+    generals = set().union(*parents.values())
+    nodes = generals.union(parents) - removed
+    kept = {p: tuple(g for g in parents.get(p, ()) if g not in removed) for p in nodes}
+    starts = set(parents).difference(generals).union(*(parents.get(r, ()) for r in removed))
+    ends = {p for p, gs in kept.items() if not gs or len(gs) < len(parents[p])}
+    return kept, sorted(starts - removed), ends
 
-    # Cut each chain at the removed roots; keep the runs of two or more.
-    cut = removed.__contains__
-    runs = (tuple(run) for chain in chains for gone, run in groupby(chain, cut) if not gone)
-    return tuple(sorted({run for run in runs if len(run) >= 2}))
+
+def extract_paths(forest: PredicateForest, general_roots: tuple[str, ...] = ()):
+    """The lines of `paths.tsv`, lazily: each maximal specific-first chain
+    cut at the listed roots into runs of two or more, each run once, in
+    sorted order.  A run is a walk of the forest less the roots from a
+    start to an end (`_cut`), and each such walk is a run, so a pre-order
+    walk from the sorted starts over sorted parents yields them in order."""
+    kept, starts, ends = _cut(forest, general_roots)
+    stack = [(start, start) for start in reversed(starts)]  # (partial line, last predicate)
+    while stack:
+        line, node = stack.pop()
+        if node in ends and "\t" in line:
+            yield line + "\n"
+        stack.extend((f"{line}\t{g}", g) for g in reversed(kept[node]))
 
 
 def forest_pairs(forest: PredicateForest, general_roots: tuple[str, ...] = ()) -> list:
     """The kept (specific, general) forest edges that touch no listed
-    root: the distinct adjacent pairs of `extract_paths`."""
-    removed = set(general_roots)
-    edges = ((s, g) for s, gs in sorted(forest.parents.items()) for g in gs)
-    return [edge for edge in edges if removed.isdisjoint(edge)]
+    root (`_cut`): the distinct adjacent pairs of `extract_paths`."""
+    kept, _, _ = _cut(forest, general_roots)
+    return [(s, g) for s, gs in sorted(kept.items()) for g in gs]
 
 
 def infer_path_edges(

@@ -3,15 +3,16 @@ scoring -> global inference -> seal -> persistence.
 
 The seal stage runs the `ScoredEdge` checks over the accepted edge
 columns, seals them with the index's ids into an `EntailmentGraph`, and
-assembles the run report.  Every stage is deterministic and runs in
-this process, so two builds from the same inputs are byte-identical.
-`BuildResult.stage_seconds` times each stage and `stage_peak_mb` holds
-the process's peak memory after each, and a stage's failure is a
-`StageError` tagged with its name.  `build` pauses the cyclic garbage
-collector from ingest through the seal, which make next to no reference
-cycles; persist runs with the collector as the caller left it.  Output
-files land atomically: nothing is moved into the output directory until
-the whole build has succeeded.
+assembles the run report, whose path count is the number of lines the
+walk that persist streams into `paths.tsv` yields (`gi.extract_paths`).
+Every stage is deterministic and runs in this process, so two builds
+from the same inputs are byte-identical.  `BuildResult.stage_seconds`
+times each stage and `stage_peak_mb` holds the process's peak memory
+after each, and a stage's failure is a `StageError` tagged with its
+name.  `build` pauses the cyclic garbage collector from ingest through
+the seal, which make next to no reference cycles; persist runs with the
+collector as the caller left it.  Output files land atomically: nothing
+is moved into the output directory until the whole build has succeeded.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class BuildResult:
     graph: store.EntailmentGraph
     argument_rules: tuple[rules.ArgumentRule, ...]
     predicate_rules: tuple[rules.PredicateRule, ...]
-    paths: tuple[tuple[str, ...], ...]
+    forest: gi.PredicateForest  # walked again at persist for `paths.tsv`
+    general_roots: tuple[str, ...]
     report: dict
     # Wall seconds, and peak resident MB after it (None without /proc), per
     # stage; in no output file, so builds stay byte-identical.
@@ -153,15 +155,13 @@ def _build(cfg: PipelineConfig) -> BuildResult:
 
     def _global_stage():
         forest = gi.build_forest(pr_scored)
-        paths = gi.extract_paths(forest, cfg.general_roots)
         rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr_scored}
-        result = gi.run_global_stage(
+        return forest, gi.run_global_stage(
             index, gi.forest_pairs(forest, cfg.general_roots), rule_scores, probs,
             rule_by_pair, cfg.tau_a, cfg.tau_e,
         )
-        return forest.n_trees, len(forest.dropped_edges), paths, result
 
-    n_trees, n_dropped, paths, result = _staged(meters, "global", _global_stage)
+    forest, result = _staged(meters, "global", _global_stage)
 
     def _seal_stage():
         result.edges.check(index.ids)
@@ -176,9 +176,9 @@ def _build(cfg: PipelineConfig) -> BuildResult:
                 "predicates_by_kind": dict(Counter(index.predicate_kind.values())),
                 "argument_rules": len(tr),
                 "predicate_rules": len(pr),
-                "trees": n_trees,
-                "dropped_forest_edges": n_dropped,
-                "paths": len(paths),
+                "trees": forest.n_trees,
+                "dropped_forest_edges": len(forest.dropped_edges),
+                "paths": sum(1 for _ in gi.extract_paths(forest, cfg.general_roots)),
                 "edges_total": len(graph.edges),
                 "edges_by_provenance": dict(sorted(by_prov.items())),
                 "candidate_checks": result.candidate_checks,
@@ -191,7 +191,7 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         return graph, report
 
     graph, report = _staged(meters, "seal", _seal_stage)
-    return BuildResult(graph, tr, pr_scored, paths, report, *meters)
+    return BuildResult(graph, tr, pr_scored, forest, cfg.general_roots, report, *meters)
 
 
 def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
@@ -206,8 +206,7 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
             result.predicate_rules, staging / PREDICATE_RULES_FILE
         )
         with open(staging / PATHS_FILE, "w", encoding="utf-8") as fh:
-            for path in result.paths:
-                fh.write("\t".join(path) + "\n")
+            fh.writelines(gi.extract_paths(result.forest, result.general_roots))
         with open(staging / REPORT_FILE, "w", encoding="utf-8") as fh:
             json.dump(result.report, fh, indent=2, sort_keys=True)
             fh.write("\n")

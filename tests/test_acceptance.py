@@ -20,7 +20,7 @@ from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
 from evgraph.local import FeatureVector, argument_score, binc, compose_edge
 from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces
-from evgraph.pipeline import OUTPUT_FILES, build
+from evgraph.pipeline import OUTPUT_FILES, build, run_build
 from evgraph.resources import load_taxonomy
 from evgraph.store import (
     query_entails,
@@ -273,7 +273,7 @@ def _read_merged_corpus(path):
     return merged
 
 
-def _oracle_global_edges(files, result, tau_a, tau_e):
+def _oracle_global_edges(files, result, out_dir, tau_a, tau_e):
     merged = _read_merged_corpus(files["corpus"])
     probs = {}
     totals = {}
@@ -300,7 +300,8 @@ def _oracle_global_edges(files, result, tau_a, tau_e):
 
     rule_scores = {(r.from_pred, r.to_pred): r.score for r in result.predicate_rules}
     expected = set()
-    for path in result.paths:
+    for line in (out_dir / "paths.tsv").read_text(encoding="utf-8").splitlines():
+        path = line.split("\t")
         for p_l, p_r in zip(path, path[1:]):
             lefts = [e for e in evs if e[2] == p_l]
             rights = [e for e in evs if e[2] == p_r]
@@ -346,11 +347,11 @@ def test_criterion_06_global_edges_equal_exhaustive_oracle(tmp_path):
             tau_a=tau_a,
             tau_e=tau_e,
         )
-        result = build(cfg)
+        result = run_build(cfg)
         index = CorpusIndex.from_file(files["corpus"])
         assert len(index.ids) <= 50
         got = {key for key, e in result.graph.edges.items() if e.provenance == "global"}
-        expected = _oracle_global_edges(files, result, tau_a, tau_e)
+        expected = _oracle_global_edges(files, result, Path(cfg.output_dir), tau_a, tau_e)
         assert got == expected, f"case {case}"
         nonempty += bool(expected)
     assert nonempty >= 8  # the comparison must not be vacuous

@@ -63,7 +63,7 @@ def test_traced_calls_hold_what_the_trace_reads(trace_run, layered):
     tracer = trace_run.Tracer()
     with tracer.patched(trace_run.BUILD_TARGETS):
         result = pipeline.build(layered)
-    path_edges = {pair for path in result.paths for pair in zip(path, path[1:])}
+    path_edges = set(gi.forest_pairs(result.forest, layered.general_roots))
     infer_calls = tracer.calls["global_inference.infer_path_edges"]
     assert path_edges and infer_calls
     for args, _, res in infer_calls:

@@ -7,6 +7,7 @@ import math
 import tempfile
 import weakref
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,7 @@ from evgraph.model import (
     ScoredEdge,
     aligned_slots,
 )
-from evgraph.pipeline import build
+from evgraph.pipeline import build, run_build
 from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 from evgraph.synth import write_layered_inputs
@@ -107,6 +108,35 @@ def path_pairs(paths):
     return sorted({pair for path in paths for pair in zip(path, path[1:])})
 
 
+def _lines(*paths):
+    """The `paths.tsv` lines of the paths, in the order given."""
+    return ["\t".join(path) + "\n" for path in paths]
+
+
+def _runs(lines):
+    """The paths of `paths.tsv` lines."""
+    return [tuple(line[:-1].split("\t")) for line in lines]
+
+
+def _reference_paths(forest, general_roots=()):
+    """Every maximal specific-first chain, each cut at the listed roots
+    into its runs; the runs of two or more, once each, sorted."""
+    removed = set(general_roots)
+    parents = forest.parents
+    leaves = sorted(set(parents).difference(*parents.values()))
+    chains = []
+    stack = [(leaf,) for leaf in leaves]
+    while stack:
+        trail = stack.pop()
+        if parents.get(trail[-1]):
+            stack.extend(trail + (nxt,) for nxt in parents[trail[-1]])
+        else:
+            chains.append(trail)
+    cut = removed.__contains__
+    runs = (tuple(run) for chain in chains for gone, run in groupby(chain, cut) if not gone)
+    return sorted({run for run in runs if len(run) >= 2})
+
+
 def global_stage(index, pairs, rule_scores, store, rule_by_pair, tau_a, tau_e):
     """run_global_stage on string-keyed tables: its edges, which it
     returns in the seal's key order, and its two check counts."""
@@ -143,7 +173,7 @@ def test_forest_groups_one_tree():
         "see": ("glimpse",),
         "smell": ("sniff",),
     }
-    assert extract_paths(forest) == (
+    assert list(extract_paths(forest)) == _lines(
         ("glimpse", "see", "perceive"),
         ("sniff", "smell", "perceive"),
     )
@@ -153,7 +183,7 @@ def test_forest_empty():
     forest = build_forest(())
     assert forest.parents == {} and _children(forest) == {}
     assert forest.n_trees == 0 and forest.dropped_edges == ()
-    assert extract_paths(forest) == ()
+    assert list(extract_paths(forest)) == _lines()
 
 
 def test_forest_breaks_two_cycle_on_lowest_score():
@@ -185,7 +215,7 @@ def test_extract_paths_frees_the_forest_without_the_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        assert extract_paths(forest) == (("crunch", "chew", "eat"), ("sip", "eat"))
+        assert list(extract_paths(forest)) == _lines(("crunch", "chew", "eat"), ("sip", "eat"))
         del forest
         assert ref() is None
     finally:
@@ -195,32 +225,32 @@ def test_extract_paths_frees_the_forest_without_the_collector():
 
 def test_paths_specific_first_chain():
     forest = build_forest(_scored(("crunch", "chew", 0.9), ("chew", "eat", 0.9)))
-    assert extract_paths(forest) == (("crunch", "chew", "eat"),)
+    assert list(extract_paths(forest)) == _lines(("crunch", "chew", "eat"))
 
 
 def test_paths_remove_edges_touching_listed_roots():
     forest = build_forest(_scored(("crunch", "chew", 0.9), ("chew", "eat", 0.9)))
-    assert extract_paths(forest, ("eat",)) == (("crunch", "chew"),)
+    assert list(extract_paths(forest, ("eat",))) == _lines(("crunch", "chew"))
 
 
 def test_paths_listed_root_in_middle_splits_chain():
     forest = build_forest(
         _scored(("a", "b", 0.9), ("b", "c", 0.9), ("c", "d", 0.9), ("d", "e", 0.9))
     )
-    assert extract_paths(forest, ("c",)) == (("a", "b"), ("d", "e"))
+    assert list(extract_paths(forest, ("c",))) == _lines(("a", "b"), ("d", "e"))
 
 
 def test_single_edge_tree_removed_entirely_by_root_listing():
     forest = build_forest(_scored(("a", "b", 0.9)))
-    assert extract_paths(forest, ("b",)) == ()
-    assert extract_paths(forest) == (("a", "b"),)
+    assert list(extract_paths(forest, ("b",))) == _lines()
+    assert list(extract_paths(forest)) == _lines(("a", "b"))
 
 
 def test_paths_branching_tree_enumerates_all_maximal_chains():
     forest = build_forest(
         _scored(("x", "m", 0.9), ("y", "m", 0.9), ("m", "r", 0.9))
     )
-    assert extract_paths(forest) == (("x", "m", "r"), ("y", "m", "r"))
+    assert list(extract_paths(forest)) == _lines(("x", "m", "r"), ("y", "m", "r"))
 
 
 @pytest.mark.parametrize(
@@ -229,7 +259,7 @@ def test_paths_branching_tree_enumerates_all_maximal_chains():
 def test_forest_pairs_of_the_demo_forest(roots, pairs):
     forest = build_forest(_scored(("crunch", "chew", 0.9), ("chew", "eat", 0.9)))
     assert forest_pairs(forest, roots) == pairs
-    assert set(pairs) == set(path_pairs(extract_paths(forest, roots)))
+    assert set(pairs) == set(path_pairs(_runs(extract_paths(forest, roots))))
 
 
 PREDICATES = ("a", "b", "c", "d", "e", "f")
@@ -249,7 +279,41 @@ def test_forest_pairs_are_the_distinct_path_pairs(rules, roots):
     forest = build_forest(rules)
     pairs = forest_pairs(forest, roots)
     assert len(pairs) == len(set(pairs))
-    assert set(pairs) == set(path_pairs(extract_paths(forest, roots)))
+    assert set(pairs) == set(path_pairs(_runs(extract_paths(forest, roots))))
+
+
+MANY_PREDICATES = tuple("abcdefghi")
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(MANY_PREDICATES), st.sampled_from(MANY_PREDICATES),
+            st.floats(0.0, 1.0),
+        ),
+        max_size=24,
+    ).map(lambda rules: _scored(*((a, b, s) for a, b, s in rules if a != b))),
+    st.lists(st.sampled_from(MANY_PREDICATES), max_size=4, unique=True).map(tuple),
+)
+def test_extract_paths_equals_the_chain_reference(rules, roots):
+    # The walk of the forest less the roots yields the lines of every
+    # maximal chain's runs, deduplicated and sorted, on rule sets with
+    # cycles and multiple parents; its pairs are the runs' pairs.
+    forest = build_forest(rules)
+    reference = _reference_paths(forest, roots)
+    assert list(extract_paths(forest, roots)) == _lines(*reference)
+    assert forest_pairs(forest, roots) == path_pairs(reference)
+
+
+def test_extract_paths_yields_its_first_line_before_the_rest():
+    # A d = 40 diamond ladder has 2**40 paths: only a lazy walk returns.
+    d = 40
+    forest = build_forest(_scored(*(
+        (a, b, 0.5) for i in range(d) for mid in (f"a{i}", f"b{i}")
+        for a, b in ((f"x{i}", mid), (mid, f"x{i + 1}"))
+    )))
+    first = ("x0",) + tuple(p for i in range(d) for p in (f"a{i}", f"x{i + 1}"))
+    assert next(extract_paths(forest)) == _lines(first)[0]
 
 
 # --- candidate pairs of one path edge ------------------------------------------
@@ -645,6 +709,17 @@ def test_global_stage_counts_grow_with_forest_edges_not_paths(tmp_path, d):
     assert counts["candidate_checks"] == 36 * d
     assert counts["expansion_checks"] == 6 * (3 * d + 1)
     assert counts["edges_total"] == 12 * d
+
+
+@pytest.mark.parametrize("roots, n_paths", [((), 2**10), (("x3", "a7"), 2**3 + 2 * 2**3 * 5 + 2**2)])
+def test_report_counts_the_lines_of_paths_tsv(tmp_path, roots, n_paths):
+    # x0 is the one leaf and x10 the one top.  x3 cuts every chain: runs
+    # x0..a2|b2 below it, and above it runs from a3|b3 that end at x7
+    # (a child of a7) or go on by b7 to x10, and runs x8..x10 from a7.
+    cfg = _diamond_ladder(tmp_path / "ladder", 10)
+    result = run_build(PipelineConfig(**{**cfg.__dict__, "general_roots": roots}))
+    lines = Path(cfg.output_dir, "paths.tsv").read_text(encoding="utf-8").splitlines()
+    assert result.report["counts"]["paths"] == len(lines) == n_paths
 
 
 def test_run_global_stage_worker_invariance(tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from evgraph import pipeline
 from evgraph.cli import _effective_config, build_parser, main
 from evgraph.config import (
+    DEFAULT_GENERAL_ROOTS,
     INT_FIELDS,
     PATH_FIELDS,
     UNIT_FIELDS,
@@ -389,7 +390,7 @@ def test_build_is_pure_of_worker_count(toy):
         PipelineConfig(**{**cfg.__dict__, "workers": 2})
     )
     assert one.graph == two.graph
-    assert one.paths == two.paths
+    assert one.forest == two.forest
 
 
 def test_states_patterns_build_end_to_end(tmp_path):
@@ -717,6 +718,33 @@ def test_general_roots_are_normalized(tmp_path, capsys):
         assert main(["build", "--config", str(cfg_file)]) == 0
         built.append(capsys.readouterr().out.split(" edges ")[0])
     assert built == ["built 13", "built 13"]
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_empty_general_roots_in_a_config_file_list_none(tmp_path, capsys, value):
+    raw = {"corpus": "c", "taxonomy": "t", "verb_hierarchy": "h", "output_dir": "o"}
+    assert make_config({**raw, "general_roots": value}, tmp_path).general_roots == ()
+    assert make_config(raw, tmp_path).general_roots == DEFAULT_GENERAL_ROOTS
+    cfg_file = _toy_config_file(tmp_path, general_roots=value)
+    assert "general_roots=" in cfg_file.read_text(encoding="utf-8")
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["general_roots"] == []
+
+
+def test_empty_general_roots_flag_lists_none(tmp_path, capsys):
+    # The file's root cuts the demo chain; an empty flag puts it back.
+    cfg_file = _toy_config_file(tmp_path, general_roots="eat")
+    paths = tmp_path / "out" / "paths.tsv"
+    assert main(["build", "--config", str(cfg_file)]) == 0
+    assert paths.read_text(encoding="utf-8") == "crunch\tchew\n"
+    assert main(["build", "--config", str(cfg_file), "--general_roots", ""]) == 0
+    capsys.readouterr()
+    assert paths.read_text(encoding="utf-8") == "crunch\tchew\teat\n"
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["general_roots"] == []
+    assert report["counts"]["paths"] == 1
 
 
 def test_cli_tau_of_one_is_a_config_error(tmp_path, capsys):
