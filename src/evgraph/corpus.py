@@ -18,16 +18,27 @@ pattern code, a predicate id, up to three term ids, a signature id, a
 frequency and P(eventuality | predicate), each in an `array` column.
 Candidate searches probe one posting index over all rows, built one
 predicate's block at a time.  Its key layout stays in this module: a
-search names a predicate, a pattern and slot pairs (`probe_keys`), and
-either bisects the block (`probe_postings`) or hashes it first
-(`posting_table`); `global_inference` says which search does which.
+search of one predicate and one pattern over fixed slot pairs is bound
+once (`posting_probe`) and then takes a row's terms; it looks its keys
+up in the predicate's block hashed (`posting_table`), or bisects the
+(predicate, pattern) block, whose bounds are found when it is bound.
+`global_inference` says which search does which.
 
-`parse_corpus_line` first tries one regex per pattern that accepts only
-a canonical line: roles in `PATTERN_ROLES` order, tokens normalized, a
-plain frequency and a "\n" or "\r\n" ending; it tries a line again with
-its roles sorted into that order.  Every other line takes the general
-parser, which normalizes the tokens and is the only source of error
-messages, so both paths return the same result.
+`parse_corpus_line` tries two regexes of a line's pattern, each taking
+only lines with normalized tokens, a plain frequency and a "\n" or
+"\r\n" ending: first that of the last role order other than
+`PATTERN_ROLES` a line of the pattern had, compiled when that order
+changes (80% of `forest-wide` lines write `v1` last; no `chains-100k`
+line does), then that of the canonical order.  Every other line takes
+the general parser, which normalizes the tokens and is the only source
+of error messages, so every path returns the same result.
+
+Not kept, measured on a 2-vCPU box with the same results: reading the
+corpus in 16 KiB chunks of whole lines, as `read_graph` does, with the
+same per-line parse.  `read_corpus` of `chains-100k` took 0.218 s
+against 0.242 s (medians of 15 in-process rounds): the parse, not the
+decoding, is most of the read, and chunks would need their own
+byte-order mark, blank-line and UTF-8 error handling.
 """
 
 from __future__ import annotations
@@ -37,8 +48,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import floordiv, mod
+from itertools import repeat
+from operator import floordiv, itemgetter, mod
 from pathlib import Path
 
 from .model import (
@@ -56,36 +67,51 @@ class CorpusError(ValueError):
 _WORD = r"[^\s" + re.escape("".join(RESERVED_CHARS)) + "]+"
 _TOKEN = f"{_WORD}(?: {_WORD})*"
 
-# Pattern -> the regex of its canonical lines.  Frequencies of more than 18
-# digits take the general path, which owns int()'s digit limit.
-_CANONICAL = {
-    pattern: re.compile(
-        f"{re.escape(pattern)}\t{';'.join(f'{role}=({_TOKEN})' for role in roles)}"
-        r"\t([1-9][0-9]{0,17})\r?\n?"
-    )
-    for pattern, roles in PATTERN_ROLES.items()
-}
-# Pattern -> role -> its rank in `PATTERN_ROLES` order.
-_ROLE_RANK = {pattern: dict(zip(roles, count())) for pattern, roles in PATTERN_ROLES.items()}
+
+def _line_regex(pattern: str, order) -> tuple[re.Pattern, Callable]:
+    """The regex of `pattern`'s lines with roles in `order`, and the
+    getter of their tokens in `PATTERN_ROLES` order from its groups.
+    Frequencies of over 18 digits go to the general parser."""
+    chunks = ";".join(f"{role}=({_TOKEN})" for role in order)
+    regex = re.compile(f"{re.escape(pattern)}\t{chunks}\t([1-9][0-9]{{0,17}})\r?\n?")
+    return regex, itemgetter(*map(order.index, PATTERN_ROLES[pattern]))
+
+
+# Pattern -> `_line_regex` of its canonical lines: roles in `PATTERN_ROLES`
+# order, tokens normalized, a plain frequency and a "\n" or "\r\n" ending.
+_CANONICAL = {pattern: _line_regex(pattern, roles) for pattern, roles in PATTERN_ROLES.items()}
+# Pattern -> `_line_regex` of the last role order of a line of it that was
+# not canonical, tried first; the canonical one until there is one.
+_REORDERED = dict(_CANONICAL)
 
 
 def parse_corpus_line(line: str, lineno: int) -> tuple[str, int]:
     """One corpus line as (eventuality id, frequency); CorpusError names
     the line."""
     pattern = line.partition("\t")[0]
-    canonical = _CANONICAL.get(pattern)
-    if canonical is not None and line == line.lower():
-        match = canonical.fullmatch(line)
-        if match is None and line.count("\t") == 2:
-            # The line again, its role=token chunks in the pattern's role order.
-            head, roles, tail = line.split("\t")
-            rank = _ROLE_RANK[pattern].get
-            roles = sorted(roles.split(";"), key=lambda chunk: rank(chunk.partition("=")[0], -1))
-            match = canonical.fullmatch(f"{head}\t{';'.join(roles)}\t{tail}")
+    if pattern in _CANONICAL and line == line.lower():
+        regex, tokens = _REORDERED[pattern]
+        match = regex.fullmatch(line)
+        if match is None:
+            regex, tokens = _CANONICAL[pattern]
+            match = regex.fullmatch(line)
+        if match is None and (order := _role_order(pattern, line)):
+            regex, tokens = _REORDERED[pattern] = _line_regex(pattern, order)
+            match = regex.fullmatch(line)
         if match is not None:
             groups = match.groups()
-            return f"{pattern}:{'|'.join(groups[:-1])}", int(groups[-1])
+            return f"{pattern}:{'|'.join(tokens(groups))}", int(groups[-1])
     return _parse_general(line, lineno)
+
+
+def _role_order(pattern: str, line: str) -> tuple[str, ...] | None:
+    """The roles of a line in the order it gives them, if they are its
+    pattern's in another order; None otherwise."""
+    fields = line.split("\t")
+    chunks = fields[1].split(";") if len(fields) == 3 else ()
+    order = tuple(chunk.partition("=")[0] for chunk in chunks)
+    roles = PATTERN_ROLES[pattern]
+    return order if order != roles and sorted(order) == sorted(roles) else None
 
 
 def _parse_general(line: str, lineno: int) -> tuple[str, int]:
@@ -275,46 +301,37 @@ def posting_table(index: CorpusIndex, pid: int) -> dict[int, list[int]]:
     return table
 
 
-def probe_keys(
-    lookup: Callable[[int], Iterable[int] | None],
-    index: CorpusIndex,
-    pid: int,
-    pattern: int,
-    terms: Sequence[int],
-    slots: Iterable[tuple[int, int]],
-    related: Mapping[int, Iterable[int]],
-) -> dict[int, None]:
-    """The rows of predicate `pid` and one pattern holding, in slot j of a
-    slot pair (i, j), `terms[i]` or a term related to it, in first-found
-    order, as `lookup` gives them for each posting key.  `lookup` is a
-    `posting_table`'s `get`, or `probe_postings`' bisection."""
+def posting_probe(
+    index: CorpusIndex, pid: int, pattern: int, slots: Iterable[tuple[int, int]],
+    related: Mapping[int, Iterable[int]], table: dict[int, list[int]] | None = None,
+) -> Callable[[Sequence[int]], dict[int, None]]:
+    """A search of predicate `pid`'s postings of one pattern, bound once:
+    given a row's `terms`, the rows that hold, in slot j of a slot pair
+    (i, j), `terms[i]` or a term related to it, in first-found order.
+    Each posting key is looked up in `table`, `pid`'s `posting_table`,
+    or else bisected in the block of `pid` and `pattern`."""
     n_terms = len(index.terms)
     base = posting_base(index, pid, pattern)
-    hits: dict[int, None] = {}
-    for i, j in slots:
-        term = terms[i]
-        slot_base = base + j * n_terms
-        for probe in (term, *related.get(term, ())):
-            found = lookup(slot_base + probe)
-            if found:
-                hits.update(dict.fromkeys(found))
-    return hits
+    bases = [(i, base + j * n_terms) for i, j in slots]
+    if table is not None:
+        lookup = table.get
+    else:
+        keys, rows, start = index.posting_keys, index.posting_rows, index.posting_start
+        lo = bisect_left(keys, base, start[pid], start[pid + 1])
+        hi = bisect_left(keys, base + MAX_ARITY * n_terms, lo, start[pid + 1])
 
+        def lookup(key: int) -> array:
+            first = bisect_left(keys, key, lo, hi)
+            return rows[first:bisect_left(keys, key + 1, first, hi)]
 
-def probe_postings(
-    index: CorpusIndex,
-    pid: int,
-    pattern: int,
-    terms: Sequence[int],
-    slots: Iterable[tuple[int, int]],
-    related: Mapping[int, Iterable[int]],
-) -> dict[int, None]:
-    """`probe_keys`, each key bisected in predicate `pid`'s block."""
-    keys, rows = index.posting_keys, index.posting_rows
-    lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
+    def probe(terms: Sequence[int]) -> dict[int, None]:
+        hits: dict[int, None] = {}
+        for i, slot_base in bases:
+            term = terms[i]
+            for key in (term, *related.get(term, ())):
+                found = lookup(slot_base + key)
+                if found:
+                    hits.update(dict.fromkeys(found))
+        return hits
 
-    def lookup(key: int) -> array:
-        first = bisect_left(keys, key, lo, hi)
-        return rows[first:bisect_left(keys, key + 1, first, hi)]
-
-    return probe_keys(lookup, index, pid, pattern, terms, slots, related)
+    return probe

@@ -10,19 +10,22 @@ nodes, are then expanded with same-predicate argument-generalization
 edges, which stay local.
 
 Neither step checks every eventuality pair: both look a term and the
-terms it may entail up in one predicate's block of the posting index
-(`corpus.probe_keys`), and score only the hits; the reported check
-counts are still the dense counts of each distinct pair and chain node.
-Path inference probes every left row against the right predicate's
-block, so it hashes the block (`corpus.posting_table`).
-`run_global_stage` owns those tables: it takes the pairs in
-right-predicate order, builds each right predicate's table once, passes
-it to every pair of the group and drops it before the next is built.
-Expansion, which visits only the chain nodes that can gain an edge, and
-BInc augmentation bisect (`corpus.probe_postings`): a block sees far
-fewer of their probes than it holds postings, so a table's build would
-cost more than it saves.  Eventualities are index rows and terms are
-term ids throughout, and accepted edges are appended to `EdgeColumns`.
+terms it may entail up in one predicate's block of the posting index,
+and score only the hits; the reported check counts are still the dense
+counts of each distinct pair and chain node.  Each search is bound once
+per (pair, pattern) or (predicate, pattern) block (`corpus.posting_probe`)
+and then takes a row's terms.  Path inference probes every left row
+against the right predicate's block, so it hashes the block
+(`corpus.posting_table`).  `run_global_stage` owns those tables: it
+takes the pairs in right-predicate order, builds each right predicate's
+table once, passes it to every pair of the group and drops it before
+the next is built.  Expansion, which visits only the chain nodes that
+can gain an edge, one (predicate, pattern) block at a time, and BInc
+augmentation bisect: a block sees far fewer of their probes than it
+holds postings, so a table's build would cost more than it saves.
+Eventualities are index rows and terms are term ids throughout.  A
+pair's accepted edges are collected as rows and made into
+`EdgeColumns` by column; expansion appends each of its edges.
 
 Not kept, each measured on a 2-vCPU box with identical outputs:
 - a hash table for every search, the posting index deleted: the
@@ -44,9 +47,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter
 
-from .corpus import (
-    ARITY, MAX_ARITY, CorpusIndex, posting_table, probe_keys, probe_postings,
-)
+from .corpus import ARITY, MAX_ARITY, CorpusIndex, posting_probe, posting_table
 from .local import TermProbs, argument_score, compose_edge
 from .model import (
     GLOBAL, HYPOTHESES, LOCAL, PATTERN_ROLES, PATTERNS, PREMISES, EdgeColumns,
@@ -186,27 +187,32 @@ def infer_path_edges(
     pred_l, pred_r = pair
     left = index.by_predicate.get(pred_l, ())
     right = index.by_predicate.get(pred_r, ())
-    edges = EdgeColumns()
-    add = edges.append
     rule_score = rule_scores.get(pair, 0.0)
     pid_r = index.predicate_ids.get(pred_r)
     pattern, args, cond = index.pattern, index.args, index.cond_prob
     held = set(map(pattern.__getitem__, right))  # the patterns pred_r has rows of
+    # Left pattern -> a probe of each counterpart pred_r has rows of.
+    probes = {
+        pat_l: [
+            (posting_probe(index, pid_r, pat_r, slots, probs, table), slots, type_code)
+            for pat_r, slots, type_code in HYPOTHESES[pat_l] if pat_r in held
+        ]
+        for pat_l in set(map(pattern.__getitem__, left))
+    }
+    found = []  # an (src, dst, arg, pred, pen, local, type, prov) row per edge
     for lid in left:
         args_l = args[lid * MAX_ARITY:(lid + 1) * MAX_ARITY]
         cond_l = cond[lid]
-        for pat_r, slots, type_code in HYPOTHESES[pattern[lid]]:
-            if pat_r not in held:
-                continue
-            for rid in probe_keys(table.get, index, pid_r, pat_r, args_l, slots, probs):
+        for probe, slots, type_code in probes[pattern[lid]]:
+            for rid in probe(args_l):
                 args_r = args[rid * MAX_ARITY:(rid + 1) * MAX_ARITY]
                 identical, arg_score = argument_score(args_l, args_r, slots, probs)
                 if not identical and arg_score <= tau_a:
                     continue
                 pen, local = compose_edge(rule_score, cond_l, cond[rid], arg_score)
                 if identical or local > tau_e:
-                    add(lid, rid, arg_score, rule_score, pen, local, type_code, GLOBAL)
-    return edges, len(left) * len(right)
+                    found.append((lid, rid, arg_score, rule_score, pen, local, type_code, GLOBAL))
+    return EdgeColumns(found), len(left) * len(right)
 
 
 def _flags(values) -> int:
@@ -253,7 +259,8 @@ def expand_with_argument_rules(
     """Attach incoming same-predicate edges to chain nodes (any iterable
     of index rows), plus the dense number of candidates, the other
     eventualities of each node's predicate.  The nodes are marked over
-    the rows and visited in row order.
+    the rows and visited one (predicate, pattern) block at a time, each
+    in row order.
 
     A candidate premise must relate every aligned term identically or
     through an argument rule, and its composed score (with identity
@@ -295,36 +302,44 @@ def expand_with_argument_rules(
     visit = (visit & _flags(marked)).to_bytes(n_rows, "little")
     reachable = reach.to_bytes(n_rows, "little")
 
+    def block(row: int) -> tuple[int, int]:
+        return predicate[row], pattern[row]
+
     edges = EdgeColumns()
-    add = edges.append
-    for node in compress(count(), visit):
-        pid, pat = predicate[node], pattern[node]
-        node_args = args[node * MAX_ARITY:(node + 1) * MAX_ARITY]
-        cond_node = cond[node]
-        for cand_pat, slots, type_code in PREMISES[pat]:
-            if (pid, cand_pat) not in held or (cand_pat == pat and not reachable[node]):
-                continue
-            first_from, first_to = slots[0]  # the candidate's slot, the node's
-            hits = probe_postings(
-                index, pid, cand_pat, node_args, [(first_to, first_from)], rule_sources
-            )
-            hits.pop(node, None)
-            for cand in hits:
-                cand_args = args[cand * MAX_ARITY:(cand + 1) * MAX_ARITY]
-                miss = 1.0
-                for i, j in slots:
-                    t_from, t_to = cand_args[i], node_args[j]
-                    if t_from == t_to:
-                        miss = 0.0
-                        continue
-                    score = rule_by_pair.get((t_from, t_to), 0.0)
-                    if score <= 0.0:
-                        break
-                    miss *= 1.0 - score
-                else:
-                    pen, local = compose_edge(1.0, cond[cand], cond_node, 1.0 - miss)
-                    if local > tau_e:
-                        add(cand, node, 1.0 - miss, 1.0, pen, local, type_code, LOCAL)
+    # The nodes a predicate at a time, each in row order, which is id order,
+    # so a (predicate, pattern) block comes in one run: its probes are bound once.
+    nodes_by_pred = filter(visit.__getitem__, chain.from_iterable(index.by_predicate.values()))
+    for (pid, pat), nodes in groupby(nodes_by_pred, block):
+        probes = [
+            # The node's term of the first slot pair, in the candidate's slot.
+            (posting_probe(index, pid, cand_pat, [slots[0][::-1]], rule_sources), cand_pat, slots,
+             type_code)
+            for cand_pat, slots, type_code in PREMISES[pat] if (pid, cand_pat) in held
+        ]
+        for node in nodes:
+            node_args = args[node * MAX_ARITY:(node + 1) * MAX_ARITY]
+            cond_node = cond[node]
+            for probe, cand_pat, slots, type_code in probes:
+                if cand_pat == pat and not reachable[node]:
+                    continue
+                hits = probe(node_args)
+                hits.pop(node, None)
+                for cand in hits:
+                    cand_args = args[cand * MAX_ARITY:(cand + 1) * MAX_ARITY]
+                    miss = 1.0
+                    for i, j in slots:
+                        t_from, t_to = cand_args[i], node_args[j]
+                        if t_from == t_to:
+                            miss = 0.0
+                            continue
+                        score = rule_by_pair.get((t_from, t_to), 0.0)
+                        if score <= 0.0:
+                            break
+                        miss *= 1.0 - score
+                    else:
+                        pen, local = compose_edge(1.0, cond[cand], cond_node, 1.0 - miss)
+                        if local > tau_e:
+                            edges.append(cand, node, 1.0 - miss, 1.0, pen, local, type_code, LOCAL)
     return edges, checks
 
 

@@ -17,7 +17,10 @@ it).  Expansion's stricter argument-rule check has its own slot loop.
 
 The scorers read the corpus index's rows and term ids; term
 probabilities come keyed by term id (`rules.term_probabilities`).
-Signature augmentation probes the same postings as the global stage.
+`predicate_score` counts each predicate's signatures once per rule and
+builds both feature vectors from those counts.  Signature augmentation
+probes the same postings as the global stage, each search bound once
+per predicate and pattern (`corpus.posting_probe`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .corpus import MAX_ARITY, CorpusIndex, probe_postings
+from .corpus import MAX_ARITY, CorpusIndex, posting_probe
 from .model import HYPOTHESES
 from .rules import PredicateRule
 
@@ -103,16 +106,19 @@ def _entailed_signatures(
     signature, pattern, args = index.signature, index.pattern, index.args
     rows = index.by_predicate[predicate]
     held = set(map(pattern.__getitem__, rows))  # the patterns the predicate has rows of
+    # Pattern -> a probe of each counterpart the predicate has rows of.
+    probes = {
+        pat: [(posting_probe(index, pid, other, slots, probs), slots)
+              for other, slots, _ in HYPOTHESES[pat] if other in held]
+        for pat in held
+    }
     entailed: set[int] = set()
     for bid in rows:
         if signature[bid] not in base:
             continue
         args_b = args[bid * MAX_ARITY:(bid + 1) * MAX_ARITY]
-        for other, slots, _ in HYPOTHESES[pattern[bid]]:
-            if other not in held:
-                continue
-            hits = probe_postings(index, pid, other, args_b, slots, probs)
-            for eid in hits:
+        for probe, slots in probes[pattern[bid]]:
+            for eid in probe(args_b):
                 sig = signature[eid]
                 if sig in base or sig in entailed:
                     continue
@@ -124,17 +130,18 @@ def _entailed_signatures(
 
 
 def build_feature_vector(
-    index: CorpusIndex, predicate: str, other: str, aug_lambda: float, probs: TermProbs
+    index: CorpusIndex, predicate: str, counts: dict[int, int], other_counts: dict[int, int],
+    aug_lambda: float, probs: TermProbs,
 ) -> FeatureVector:
-    """Context vector for `predicate` scored against `other`.
+    """Context vector for `predicate` scored against another predicate,
+    given both predicates' `signature_counts`.
 
     Base features are the argument signatures the two predicates share
     exactly; one augmentation pass then adds every signature of
     `predicate` entailed by a base signature with probability > lambda.
     Weights are positive PMI; zero-weight features are dropped.
     """
-    counts = signature_counts(index, predicate)
-    features = counts.keys() & signature_counts(index, other).keys()
+    features = counts.keys() & other_counts.keys()
     if features and len(features) < len(counts):
         features |= _entailed_signatures(index, predicate, features, aug_lambda, probs)
     pred_count = index.predicate_freq.get(predicate, 0)
@@ -171,8 +178,9 @@ def predicate_score(
     """BInc over the pair-contextual feature vectors; identity scores 1.0."""
     if pred_i == pred_j:
         return 1.0
-    u = build_feature_vector(index, pred_i, pred_j, aug_lambda, probs)
-    v = build_feature_vector(index, pred_j, pred_i, aug_lambda, probs)
+    counts_i, counts_j = signature_counts(index, pred_i), signature_counts(index, pred_j)
+    u = build_feature_vector(index, pred_i, counts_i, counts_j, aug_lambda, probs)
+    v = build_feature_vector(index, pred_j, counts_j, counts_i, aug_lambda, probs)
     return binc(u, v)
 
 

@@ -13,6 +13,12 @@ the same checks over them, screening each edge with `plausible`.
 `EdgeColumns.sort` is the one place edges are put in key order, always
 by counting sorts: the global stage sorts what it accepted, and the
 seal only checks that order.
+
+Not kept, measured on a 2-vCPU box: gathering each column in the sort
+through `operator.itemgetter(*order)`.  On the 132,000 `chains-100k`
+edges in isolation it took 0.06 s against 0.13 s, but it boxes the
+order and a whole column at once, at the global sort, which sets the
+build's peak: 9.6 MB traced against 1.1 MB.
 """
 
 from __future__ import annotations
@@ -297,10 +303,13 @@ class EdgeColumns:
 
     __slots__ = ("src", "dst", "arg", "pred", "pen", "local", "type", "prov")
 
-    def __init__(self) -> None:
+    def __init__(self, rows=()) -> None:
+        """The edges of (src, dst, arg, pred, pen, local, type, prov) rows."""
         self.src, self.dst = array("I"), array("I")
         self.arg, self.pred, self.pen, self.local = (array("d") for _ in range(4))
         self.type, self.prov = array("B"), array("B")
+        for column, values in zip(self.columns(), zip(*rows)):
+            column.extend(values)
 
     def columns(self) -> tuple[array, ...]:
         return tuple(getattr(self, name) for name in self.__slots__)

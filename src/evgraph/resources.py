@@ -70,16 +70,6 @@ def load_taxonomy(path: str | Path) -> TaxonomyStore:
     return TaxonomyStore(probs=probs)
 
 
-def conceptualize(store: TaxonomyStore, term: str, k: int) -> list[tuple[str, float]]:
-    """Top-k concepts of a term by co-occurrence probability.
-
-    Ties break lexicographically on the concept; unknown terms give [].
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return list(store.probs.get(normalize_token(term), {}).items())[:k]
-
-
 @dataclass(frozen=True)
 class VerbHierarchyStore:
     """specific verb -> its general verbs (sorted), plus the light-verb list."""

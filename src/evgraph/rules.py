@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .corpus import CorpusIndex
 from .model import COMPOUND_SEP, VERB_PREP
-from .resources import TaxonomyStore, VerbHierarchyStore, conceptualize
+from .resources import TaxonomyStore, VerbHierarchyStore
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +47,17 @@ def build_argument_rules(
 ) -> tuple[ArgumentRule, ...]:
     """Top-k conceptualizations that land back in the term vocabulary.
 
-    Scores <= tau are dropped (the configuration keeps tau in [0, 1));
+    The terms, corpus surfaces, are normalized, so each is looked up as it
+    is.  Scores <= tau are dropped (the configuration keeps tau in [0, 1));
     identity rules are implicit and never stored.
     """
-    rules = []
-    for term in sorted(terms):
-        for concept, prob in conceptualize(store, term, k):
-            if concept == term or concept not in terms:
-                continue
-            if prob > tau:
-                rules.append(ArgumentRule(term, concept, prob))
+    probs = store.probs
+    rules = [
+        ArgumentRule(term, concept, prob)
+        for term in sorted(terms) if term in probs
+        for concept, prob in islice(probs[term].items(), k)
+        if concept != term and concept in terms and prob > tau
+    ]
     rules.sort(key=lambda r: (r.from_term, r.to_term))
     return tuple(rules)
 

@@ -1,5 +1,8 @@
 """Corpus parsing and index statistics."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +160,74 @@ def test_reordered_line_skips_general_parser(monkeypatch, line):
 
     monkeypatch.setattr(corpus, "_parse_general", general)
     assert parse_corpus_line(line, 1) == parse_corpus_line(CANONICAL, 1)
+
+
+@st.composite
+def reordered_lines(draw):
+    """Corpus lines of all seven patterns, each with its roles in one of up
+    to three orders drawn for its pattern, so that the order of a
+    pattern's lines changes mid-file.  About one line in five has a defect
+    the general parser rejects (a frequency that is 0 or no number, or an
+    empty token) and the role order of the pattern's line before it."""
+    orders = {
+        pattern: draw(st.lists(st.permutations(roles), min_size=1, max_size=3))
+        for pattern, roles in PATTERN_ROLES.items()
+    }
+    words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    last, lines, defective = {}, [], []
+    for lineno in range(1, draw(st.integers(1, 40)) + 1):
+        pattern = draw(st.sampled_from(PATTERNS))
+        defect = draw(st.sampled_from((None, None, None, None, "frequency", "empty")))
+        order = last.get(pattern) if defect else None
+        order = last[pattern] = order or draw(st.sampled_from(orders[pattern]))
+        tokens = [draw(words) for _ in order]
+        frequency = draw(st.sampled_from(("1", "3", "42")))
+        if defect == "frequency":
+            frequency = draw(st.sampled_from(("0", "x")))
+        elif defect == "empty":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = ""
+        if defect:
+            defective.append(lineno)
+        chunks = ";".join(f"{role}={token}" for role, token in zip(order, tokens))
+        lines.append(f"{pattern}\t{chunks}\t{frequency}\n")
+    return lines, defective
+
+
+def _numbered_outcome(parse, line, lineno):
+    try:
+        return "ok", parse(line, lineno)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@given(reordered_lines())
+def test_remembered_role_orders_parse_as_the_general_parser(drawn):
+    # Only the defective lines reach the general parser, and every line
+    # parses to its (id, frequency) or raises its error naming the line.
+    lines, defective = drawn
+    general, called = corpus._parse_general, []
+
+    def counted(line, lineno):
+        called.append(lineno)
+        return general(line, lineno)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_parse_general", counted)
+        outcomes = [_numbered_outcome(parse_corpus_line, line, n) for n, line in enumerate(lines, 1)]
+    assert called == defective
+    assert outcomes == [_numbered_outcome(general, line, n) for n, line in enumerate(lines, 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        if defective:
+            with pytest.raises(CorpusError) as err:
+                read_corpus(path)
+            assert str(err.value) == outcomes[defective[0] - 1][1]
+        else:
+            merged = {}
+            for _, (eid, frequency) in outcomes:
+                merged[eid] = merged.get(eid, 0) + frequency
+            assert read_corpus(path) == merged
 
 
 def test_read_merges_duplicate_records(tmp_path):

@@ -23,9 +23,8 @@ from evgraph.corpus import (
     CorpusIndex,
     parse_corpus_line,
     posting_base,
+    posting_probe,
     posting_table,
-    probe_keys,
-    probe_postings,
 )
 from evgraph.global_inference import (
     build_forest,
@@ -634,6 +633,30 @@ def test_expansion_links_compound_siblings(tmp_path):
         assert edge.type_label == "s-v-o-p-o ⊨ s-v-o-p-o"
 
 
+def counted_probe(probes, lookups=None):
+    """`posting_probe` that appends each search's (index, pid, pattern,
+    terms, slots, related) to `probes`, and each key a table is asked
+    for to `lookups`."""
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    def bind(index, pid, pattern, slots, related, table=None):
+        if table is not None and lookups is not None:
+            table = CountingTable(table)
+        probe = posting_probe(index, pid, pattern, slots, related, table)
+
+        def counted(terms):
+            probes.append((index, pid, pattern, terms, slots, related))
+            return probe(terms)
+
+        return counted
+
+    return bind
+
+
 def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
     # Every row of the layered corpus is s-v-o, so every expansion probe
     # is for a same-pattern premise: it may only go to a chain node that
@@ -650,12 +673,7 @@ def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
 
     def count_expand(index, chain_nodes, rule_by_pair, tau_e):
         probes = []
-
-        def count_probe(*args):
-            probes.append(args)
-            return probe_postings(*args)
-
-        monkeypatch.setattr(gi, "probe_postings", count_probe)
+        monkeypatch.setattr(gi, "posting_probe", counted_probe(probes))
         seen.update(index=index, nodes=list(chain_nodes), rules=rule_by_pair, probes=probes)
         return expand_with_argument_rules(index, chain_nodes, rule_by_pair, tau_e)
 
@@ -851,18 +869,7 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
     term_probs = probs(index, store)
     svo = PATTERN_CODE["s-v-o"]
     lookups, probes = [], []
-
-    class CountingTable(dict):
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
-
-    def count_probe(*args):
-        probes.append(args)
-        return probe_postings(*args)
-
-    monkeypatch.setattr(gi, "posting_table", lambda *a: CountingTable(posting_table(*a)))
-    monkeypatch.setattr(gi, "probe_postings", count_probe)
+    monkeypatch.setattr(gi, "posting_probe", counted_probe(probes, lookups))
     nodes = set()
     for pair in (("chew", "eat"), ("crunch", "chew"), ("munch", "chew")):
         lookups.clear()
@@ -1034,7 +1041,7 @@ def test_indexed_expansion_equals_dense_reference(index, data, tau_e):
 
 
 @given(corpora(), taxonomies, st.data())
-def test_posting_table_lookups_equal_probe_postings(index, store, data):
+def test_posting_table_lookups_equal_bisection(index, store, data):
     # Path inference looks each key up in the right predicate's table;
     # expansion and BInc augmentation bisect.  Both find the same rows in
     # the same order.
@@ -1045,9 +1052,8 @@ def test_posting_table_lookups_equal_probe_postings(index, store, data):
     slots = data.draw(st.lists(st.tuples(slot, slot), max_size=4))
     related = probs(index, store)
     table = posting_table(index, pid)
-    assert list(probe_keys(table.get, index, pid, pattern, terms, slots, related)) == list(
-        probe_postings(index, pid, pattern, terms, slots, related)
-    )
+    hashed = posting_probe(index, pid, pattern, slots, related, table)
+    assert list(hashed(terms)) == list(posting_probe(index, pid, pattern, slots, related)(terms))
     assert all(rows == sorted(rows) for rows in table.values())
     lo, hi = index.posting_start[pid], index.posting_start[pid + 1]
     assert sum(map(len, table.values())) == hi - lo

@@ -168,7 +168,8 @@ CHEW_EAT_CORPUS = [
 
 def _vector(index, predicate, other, aug_lambda, store):
     """build_feature_vector, its weights keyed by signature text."""
-    vec = build_feature_vector(index, predicate, other, aug_lambda, probs(index, store))
+    counts, other_counts = signature_counts(index, predicate), signature_counts(index, other)
+    vec = build_feature_vector(index, predicate, counts, other_counts, aug_lambda, probs(index, store))
     return FeatureVector(text_keyed(index, vec))
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from evgraph.corpus import parse_corpus_line
 from evgraph.local import argument_score
 from evgraph.model import Eventuality
+from evgraph.rules import ArgumentRule, build_argument_rules
 from evgraph.resources import (
     DEFAULT_LIGHT_VERBS,
     ResourceError,
-    conceptualize,
     load_light_verbs,
     load_taxonomy,
     load_verb_hierarchy,
@@ -56,7 +56,7 @@ def test_duplicate_pairs_sum(tmp_path):
 def test_empty_taxonomy(tmp_path):
     store = _taxonomy([], tmp_path)
     assert store.probs == {}
-    assert conceptualize(store, "anything", 5) == []
+    assert build_argument_rules(store, {"anything"}, 5, 0.0) == ()
 
 
 @pytest.mark.parametrize(
@@ -113,9 +113,12 @@ def test_resource_not_utf8_names_its_line(load, line, tmp_path):
 
 
 def test_conceptualize_orders_by_probability(tmp_path):
+    # A term's concepts come in probability order, so its top k are the
+    # first k: the argument rules take them so.
     store = _taxonomy(APPLE_LINES, tmp_path)
-    assert conceptualize(store, "apple", 2) == [("fruit", 0.75), ("company", 0.25)]
-    assert conceptualize(store, "apple", 1) == [("fruit", 0.75)]
+    assert list(store.probs["apple"].items()) == [("fruit", 0.75), ("company", 0.25)]
+    terms = {"apple", "fruit", "company"}
+    assert build_argument_rules(store, terms, 1, 0.0) == (ArgumentRule("apple", "fruit", 0.75),)
 
 
 def test_conceptualize_five_concept_list(tmp_path):
@@ -130,7 +133,7 @@ def test_conceptualize_five_concept_list(tmp_path):
         ],
         tmp_path,
     )
-    top = conceptualize(store, "apple", 5)
+    top = list(store.probs["apple"].items())[:5]
     assert [c for c, _ in top] == ["fruit", "company", "food", "brand", "fresh fruit"]
     assert [p for _, p in top] == [
         pytest.approx(x / 31) for x in (10, 8, 6, 4, 2)
@@ -139,20 +142,21 @@ def test_conceptualize_five_concept_list(tmp_path):
 
 def test_conceptualize_tie_breaks_lexicographically(tmp_path):
     store = _taxonomy(["zebra\tthing\t2", "alpha\tthing\t2"], tmp_path)
-    assert conceptualize(store, "thing", 2) == [("alpha", 0.5), ("zebra", 0.5)]
+    assert list(store.probs["thing"].items()) == [("alpha", 0.5), ("zebra", 0.5)]
 
 
 def test_conceptualize_k_zero_and_unknown(tmp_path):
     store = _taxonomy(APPLE_LINES, tmp_path)
-    assert conceptualize(store, "apple", 0) == []
-    assert conceptualize(store, "pear", 5) == []
+    terms = {"apple", "pear", "fruit", "company"}
+    assert build_argument_rules(store, terms, 0, 0.0) == ()
+    assert build_argument_rules(store, terms - {"apple"}, 5, 0.0) == ()
     with pytest.raises(ValueError):
-        conceptualize(store, "apple", -1)
+        build_argument_rules(store, terms, -1, 0.0)
 
 
 def test_conceptualize_probabilities_sum_to_one_when_k_covers_all(tmp_path):
     store = _taxonomy(APPLE_LINES + ["food\tapple\t2"], tmp_path)
-    probs = [p for _, p in conceptualize(store, "apple", 10)]
+    probs = store.probs["apple"].values()
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 

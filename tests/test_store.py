@@ -18,7 +18,7 @@ from evgraph import store
 from evgraph.config import PipelineConfig
 from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
-from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots
+from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots, split_id
 from evgraph.pipeline import run_build
 from evgraph.store import (
     EntailmentGraph,
@@ -447,12 +447,13 @@ conditionals = st.floats(1e-9, 1.0)
 
 
 @st.composite
-def graph_parts(draw, min_nodes=0, min_edges=0):
+def graph_parts(draw, min_nodes=0, min_edges=0, max_nodes=10):
     """The nodes and edges of a random graph, each list in key order;
     at least `min_edges` edges where the nodes admit as many."""
     drawn = draw(
         st.lists(
-            eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)), min_size=min_nodes, max_size=10
+            eventualities(ROUND_TRIP_WORDS, st.integers(1, 10**9)),
+            min_size=min_nodes, max_size=max_nodes,
         )
     )
     nodes = list({n.id: n for n in drawn}.values())
@@ -722,6 +723,23 @@ def test_written_graphs_are_read_by_columns(graph, chunk_bytes):
         write_graph(graph, Path(tmp))
         patch.setattr(store, "_read_lines", _read_lines_only)
         patch.setattr(store, "_CHUNK_BYTES", chunk_bytes)
+        assert read_graph(Path(tmp)) == graph
+
+
+@given(graph_parts(min_nodes=8, max_nodes=40), st.sampled_from((store._NODE_BLOCK, 1, 2, 3, 5)))
+def test_node_blocks_write_each_corpus_line(parts, block):
+    # Up to 40 nodes of all seven patterns, so that runs of one pattern
+    # are both shorter and longer than a block.
+    nodes, edges = parts
+    graph = graph_from(nodes, edges)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "_NODE_BLOCK", block)
+        write_graph(graph, Path(tmp))
+        with open(Path(tmp) / store.NODE_FILE, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        expected = [f"{n.id}\t{corpus_line(*split_id(n.id), n.frequency)}" for n in nodes]
+        assert lines == [*expected, ""]
+        patch.setattr(store, "_read_lines", _read_lines_only)
         assert read_graph(Path(tmp)) == graph
 
 
