@@ -1,7 +1,8 @@
 """The benchmark's traced run (perfbench/trace_run.py) wraps evgraph
 functions by name; every name it patches must still exist where it looks,
 and each call must hold what the trace reads at the positions it reads.
-Its build settings (perfbench/harness.py) must still make a config."""
+Its build settings (perfbench/harness.py) must still make a config, and
+its graph digest (perfbench/phases.py) must still read a graph."""
 
 import importlib
 from pathlib import Path
@@ -12,6 +13,7 @@ from evgraph import global_inference as gi
 from evgraph import pipeline
 from evgraph.config import PipelineConfig
 from evgraph.model import EdgeColumns
+from evgraph.store import read_graph
 from evgraph.synth import write_layered_inputs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -88,3 +90,13 @@ def test_traced_global_stage_reruns_to_the_same_result(trace_run, layered):
     [(args, kwargs, traced)] = tracer.calls["global_inference.run_global_stage"]
     assert len(traced.edges) > 0
     assert gi.run_global_stage(*args, **kwargs) == traced
+
+
+def test_graph_digest_reads_a_built_graph_as_its_read_copy(monkeypatch, layered):
+    # graph_digest reads the graph through its `nodes` and `edges` views,
+    # which no evgraph caller reads: they stay for it alone.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    phases = importlib.import_module("phases")
+    built = pipeline.run_build(layered).graph
+    assert len(built.columns) > 0
+    assert phases.graph_digest(built) == phases.graph_digest(read_graph(layered.output_dir))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import evgraph.global_inference as gi
 from chains import iter_chains
 from columns import by_predicate, edge_dict, probs, row_of, rows, rule_table, type_label
+from digests import diamond_ladder
 from evgraph.config import PipelineConfig
 from evgraph.corpus import (
     MAX_ARITY,
@@ -696,33 +697,11 @@ def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
 # --- merged stage ------------------------------------------------------------
 
 
-def _diamond_ladder(directory, d):
-    """d diamonds x_i -> a_i, b_i -> x_{i+1}: 3d + 1 predicates of three
-    s-v-o rows each, all with the same subject-object pairs, and 2**d
-    maximal chains."""
-    directory.mkdir()
-    preds = [f"x{i}" for i in range(d + 1)] + [f"{s}{i}" for i in range(d) for s in "ab"]
-    corpus = [f"s-v-o\tn1=s{k};v1={pred};n2=o{k}\t1" for pred in preds for k in range(3)]
-    hierarchy = [
-        line for i in range(d) for mid in (f"a{i}", f"b{i}")
-        for line in (f"x{i}\t{mid}\thypernym", f"{mid}\tx{i + 1}\thypernym")
-    ]
-    for name, lines in (("c.tsv", corpus), ("t.tsv", ["thing\ts0\t1"]), ("h.tsv", hierarchy)):
-        (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return PipelineConfig(
-        corpus=str(directory / "c.tsv"),
-        taxonomy=str(directory / "t.tsv"),
-        verb_hierarchy=str(directory / "h.tsv"),
-        output_dir=str(directory / "out"),
-        min_pred_freq=1,
-    )
-
-
 @pytest.mark.parametrize("d", [6, 10])
 def test_global_stage_counts_grow_with_forest_edges_not_paths(tmp_path, d):
     # 4d forest edges of 3 x 3 dense pairs each, three identical ones
     # accepted; every row is a chain node with two other rows.
-    counts = build(_diamond_ladder(tmp_path / "ladder", d)).report["counts"]
+    counts = build(diamond_ladder(tmp_path / "ladder", d)).report["counts"]
     assert counts["paths"] == 2**d
     assert counts["candidate_checks"] == 36 * d
     assert counts["expansion_checks"] == 6 * (3 * d + 1)
@@ -734,13 +713,13 @@ def test_report_counts_the_lines_of_paths_tsv(tmp_path, roots, n_paths):
     # x0 is the one leaf and x10 the one top.  x3 cuts every chain: runs
     # x0..a2|b2 below it, and above it runs from a3|b3 that end at x7
     # (a child of a7) or go on by b7 to x10, and runs x8..x10 from a7.
-    cfg = _diamond_ladder(tmp_path / "ladder", 10)
+    cfg = diamond_ladder(tmp_path / "ladder", 10)
     result = run_build(PipelineConfig(**{**cfg.__dict__, "general_roots": roots}))
     lines = Path(cfg.output_dir, "paths.tsv").read_text(encoding="utf-8").splitlines()
     assert result.report["counts"]["paths"] == len(lines) == n_paths
 
 
-def test_run_global_stage_worker_invariance(tmp_path):
+def test_run_global_stage_counts_dense_checks(tmp_path):
     index = _index(MIXED_CORPUS)
     store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     pairs = [("chew", "eat")]

@@ -388,7 +388,7 @@ def test_predicate_score_zero_without_shared_context(tmp_path):
     assert predicate_score(index, "chew", "eat", 1.0, probs(index, store)) == 0.0
 
 
-def test_score_predicate_rules_fills_scores_and_is_worker_stable(tmp_path):
+def test_score_predicate_rules_fills_each_rule_score(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
     rules = (PredicateRule("chew", "eat"), PredicateRule("see", "eat"))
