@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             print(result.kind)
             for edge in result.trail:
                 print(
-                    f"  {graph.nodes[edge.from_id].text} -> "
-                    f"{graph.nodes[edge.to_id].text} "
+                    f"  {graph.text(graph.row(edge.from_id))} -> "
+                    f"{graph.text(graph.row(edge.to_id))} "
                     f"[{edge.provenance}, score={edge.local_score:.4f}]"
                 )
         return 0

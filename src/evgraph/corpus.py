@@ -168,16 +168,6 @@ def decoded_lines(path: str | Path, error: Callable[[str], Exception]):
                 yield lineno, line
 
 
-# Pattern -> the role=token field of its corpus line, as a format string.
-_ROLE_FIELDS = {
-    pattern: ";".join(f"{role}={{}}" for role in roles) for pattern, roles in PATTERN_ROLES.items()
-}
-
-
-def corpus_line(pattern: str, tokens, frequency: int) -> str:
-    return f"{pattern}\t{_ROLE_FIELDS[pattern].format(*tokens)}\t{frequency}"
-
-
 # Argument slots per pattern code, and the most any pattern has.
 ARITY = tuple(len(ARGUMENT_SLOTS[p]) for p in PATTERNS)
 MAX_ARITY = max(ARITY)

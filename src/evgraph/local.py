@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .corpus import MAX_ARITY, CorpusIndex, posting_probe
 from .model import HYPOTHESES
@@ -86,14 +86,6 @@ def signature_counts(index: CorpusIndex, predicate: str) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse argument-signature context vector with positive PMI
-    weights, keyed by signature id (ids follow signature-text order)."""
-
-    weights: dict[int, float]
-
-
 def _entailed_signatures(
     index: CorpusIndex, predicate: str, base: set[int], aug_lambda: float, probs: TermProbs
 ) -> set[int]:
@@ -132,9 +124,10 @@ def _entailed_signatures(
 def build_feature_vector(
     index: CorpusIndex, predicate: str, counts: dict[int, int], other_counts: dict[int, int],
     aug_lambda: float, probs: TermProbs,
-) -> FeatureVector:
+) -> dict[int, float]:
     """Context vector for `predicate` scored against another predicate,
-    given both predicates' `signature_counts`.
+    given both predicates' `signature_counts`: a sparse map of signature
+    id (ids follow signature-text order) to positive PMI weight.
 
     Base features are the argument signatures the two predicates share
     exactly; one augmentation pass then adds every signature of
@@ -145,29 +138,29 @@ def build_feature_vector(
     if features and len(features) < len(counts):
         features |= _entailed_signatures(index, predicate, features, aug_lambda, probs)
     pred_count = index.predicate_freq.get(predicate, 0)
-    weights = {}
-    for sig in sorted(features):
-        w = pmi_weight(index.total_mass, counts[sig], pred_count, index.signature_freq[sig])
-        if w > 0.0:
-            weights[sig] = w
-    return FeatureVector(weights)
+    weights = (
+        (sig, pmi_weight(index.total_mass, counts[sig], pred_count, index.signature_freq[sig]))
+        for sig in sorted(features)
+    )
+    return {sig: w for sig, w in weights if w > 0.0}
 
 
-def binc(u: FeatureVector, v: FeatureVector) -> float:
-    """Balanced Inclusion: sqrt(Lin(u,v) * Cover(u->v)).
+def binc(u: dict, v: dict) -> float:
+    """Balanced Inclusion of two feature -> weight maps:
+    sqrt(Lin(u,v) * Cover(u->v)).
 
     Lin is the symmetric weight share of the common features; Cover is
     the share of u's weight mass they carry.  Empty vectors score 0.
     """
-    total_u = sum(u.weights.values())
-    total_v = sum(v.weights.values())
+    total_u = sum(u.values())
+    total_v = sum(v.values())
     if total_u <= 0.0 or total_v <= 0.0:
         return 0.0
-    shared = u.weights.keys() & v.weights.keys()
+    shared = u.keys() & v.keys()
     if not shared:
         return 0.0
-    lin = sum(u.weights[f] + v.weights[f] for f in sorted(shared)) / (total_u + total_v)
-    cover = sum(u.weights[f] for f in sorted(shared)) / total_u
+    lin = sum(u[f] + v[f] for f in sorted(shared)) / (total_u + total_v)
+    cover = sum(u[f] for f in sorted(shared)) / total_u
     # Mathematically <= 1; the clamp guards last-ulp float drift.
     return min(1.0, math.sqrt(lin * cover))
 

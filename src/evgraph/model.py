@@ -149,17 +149,14 @@ class Eventuality:
         if not isinstance(frequency, int) or not 1 <= frequency < 2**63:
             raise DecompositionError(f"frequency must be in [1, 2**63), got {frequency!r}")
         tokens = tuple(normalize_token(role_tokens[role]) for role in roles)
-        # One test for the whole record; only a failing record is walked
-        # role by role, to name its first bad token.
-        if not all(tokens) or _RESERVED.search("".join(tokens)):
-            for role, tok in zip(roles, tokens):
-                if not tok:
-                    raise DecompositionError(f"pattern {pattern}: empty token for role {role}")
-                if _RESERVED.search(tok):
-                    raise DecompositionError(
-                        f"pattern {pattern}: token for role {role} contains a reserved "
-                        f"character ({tok!r})"
-                    )
+        for role, tok in zip(roles, tokens):
+            if not tok:
+                raise DecompositionError(f"pattern {pattern}: empty token for role {role}")
+            if _RESERVED.search(tok):
+                raise DecompositionError(
+                    f"pattern {pattern}: token for role {role} contains a reserved "
+                    f"character ({tok!r})"
+                )
         return cls(pattern=pattern, tokens=tokens, frequency=frequency)
 
     @classmethod

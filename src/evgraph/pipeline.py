@@ -33,7 +33,7 @@ from . import local, rules, store
 from .config import PipelineConfig, config_report
 from .corpus import CorpusIndex
 from .model import PROVENANCES
-from .resources import TaxonomyStore, VerbHierarchyStore, load_taxonomy, load_verb_hierarchy
+from .resources import VerbHierarchyStore, load_taxonomy, load_verb_hierarchy
 
 REPORT_FILE = "report.json"
 PATHS_FILE = "paths.tsv"
@@ -131,7 +131,7 @@ def _build(cfg: PipelineConfig) -> BuildResult:
             raise StageError("config", f"no {key} path configured")
     meters: tuple[dict, dict] = ({}, {})
     index: CorpusIndex = _staged(meters, "ingest", CorpusIndex.from_file, cfg.corpus)
-    taxonomy: TaxonomyStore = _staged(meters, "resources", load_taxonomy, cfg.taxonomy)
+    taxonomy = _staged(meters, "resources", load_taxonomy, cfg.taxonomy)
     hierarchy: VerbHierarchyStore = _staged(
         meters, "resources", load_verb_hierarchy, cfg.verb_hierarchy, cfg.light_verbs
     )
@@ -179,7 +179,7 @@ def _build(cfg: PipelineConfig) -> BuildResult:
                 "trees": forest.n_trees,
                 "dropped_forest_edges": len(forest.dropped_edges),
                 "paths": sum(1 for _ in gi.extract_paths(forest, cfg.general_roots)),
-                "edges_total": len(graph.edges),
+                "edges_total": len(graph.columns),
                 "edges_by_provenance": dict(sorted(by_prov.items())),
                 "candidate_checks": result.candidate_checks,
                 "expansion_checks": result.expansion_checks,

@@ -1,6 +1,6 @@
-"""Immutable lexical resource stores, one representation each: an is-a
-taxonomy as per-instance concept probabilities, and a verb hierarchy as
-per-verb general verbs with a light-verb list.
+"""Lexical resources, one representation each: an is-a taxonomy as
+per-instance concept probabilities, and a verb hierarchy as per-verb
+general verbs with a light-verb list.
 
 Taxonomy file: concept<TAB>instance<TAB>frequency, no header.
 Verb hierarchy file: specific<TAB>general<TAB>{entail|hypernym}.
@@ -29,14 +29,6 @@ class ResourceError(ValueError):
     """Malformed resource input, with the offending line number."""
 
 
-@dataclass(frozen=True)
-class TaxonomyStore:
-    """instance -> {concept: co-occurrence probability}, each inner dict in
-    (-frequency, concept) order, so its first k items are the top k."""
-
-    probs: dict[str, dict[str, float]]
-
-
 def _triples(path: str | Path, names: str):
     """(line number, first two fields normalized, third field) of each
     line of a three-field file."""
@@ -47,8 +39,11 @@ def _triples(path: str | Path, names: str):
         yield lineno, normalize_token(parts[0]), normalize_token(parts[1]), parts[2]
 
 
-def load_taxonomy(path: str | Path) -> TaxonomyStore:
-    """Load a concept/instance/frequency file; duplicate pairs sum."""
+def load_taxonomy(path: str | Path) -> dict[str, dict[str, float]]:
+    """instance -> {concept: co-occurrence probability} of a
+    concept/instance/frequency file, duplicate pairs summed; each inner
+    dict is in (-frequency, concept) order, so its first k items are the
+    top k."""
     counts: dict[str, dict[str, int]] = {}
     for lineno, concept, instance, field in _triples(path, "concept/instance/frequency"):
         if not concept or not instance:
@@ -67,7 +62,7 @@ def load_taxonomy(path: str | Path) -> TaxonomyStore:
         ordered = sorted(concept_counts.items(), key=lambda cf: (-cf[1], cf[0]))
         total = sum(concept_counts.values())
         probs[instance] = {c: f / total for c, f in ordered}
-    return TaxonomyStore(probs=probs)
+    return probs
 
 
 @dataclass(frozen=True)

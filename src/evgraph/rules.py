@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import CorpusIndex
 from .model import COMPOUND_SEP, VERB_PREP
-from .resources import TaxonomyStore, VerbHierarchyStore
+from .resources import VerbHierarchyStore
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,15 +43,15 @@ def collect_vocabulary(index: CorpusIndex) -> tuple[dict[str, int], dict[str, in
 
 
 def build_argument_rules(
-    store: TaxonomyStore, terms: Collection[str], k: int, tau: float
+    probs: Mapping[str, dict[str, float]], terms: Collection[str], k: int, tau: float
 ) -> tuple[ArgumentRule, ...]:
-    """Top-k conceptualizations that land back in the term vocabulary.
+    """Top-k conceptualizations, from a `load_taxonomy` table, that land
+    back in the term vocabulary.
 
     The terms, corpus surfaces, are normalized, so each is looked up as it
     is.  Scores <= tau are dropped (the configuration keeps tau in [0, 1));
     identity rules are implicit and never stored.
     """
-    probs = store.probs
     rules = [
         ArgumentRule(term, concept, prob)
         for term in sorted(terms) if term in probs
@@ -101,14 +101,14 @@ def argument_rule_lookup(rules, term_ids: Mapping[str, int]) -> dict[tuple[int, 
 
 
 def term_probabilities(
-    store: TaxonomyStore, term_ids: Mapping[str, int]
+    probs: Mapping[str, dict[str, float]], term_ids: Mapping[str, int]
 ) -> dict[int, dict[int, float]]:
-    """term id -> {concept term id: probability} for the corpus terms the
-    taxonomy knows, in the taxonomy's order.  A concept outside the
+    """term id -> {concept term id: probability} for the corpus terms a
+    `load_taxonomy` table knows, in its order.  A concept outside the
     vocabulary is left out: no aligned term can equal it."""
     known = (
         (term_ids[term], {term_ids[c]: p for c, p in concepts.items() if c in term_ids})
-        for term, concepts in store.probs.items()
+        for term, concepts in probs.items()
         if term in term_ids
     )
     return {tid: related for tid, related in known if related}

@@ -14,7 +14,9 @@ restore it: `from_parts` holds the parts it is given, moving nothing, and
 rejects the first node or edge out of order; `read_graph` names the
 first line out of order.  Edges are sorted once, by the global stage
 (`EdgeColumns.sort`).  `nodes` and `edges` are read-only mappings over
-the columns that build an `Eventuality` or a `ScoredEdge` on lookup.
+the columns that build an `Eventuality` or a `ScoredEdge` on lookup; no
+evgraph code reads them, and they stay for the benchmark's graph digest
+(`perfbench/phases.py`).
 `write_graph` formats node lines a block of one pattern's rows at a time:
 the block's tokens are split at once, and formatted by columns into the
 corpus's role field of the pattern.  `read_graph` parses the files
@@ -42,7 +44,7 @@ from itertools import compress, count, islice, repeat
 from operator import eq, ge
 from pathlib import Path
 
-from .corpus import _ROLE_FIELDS, _TOKEN, decoded_lines, parse_corpus_line
+from .corpus import _TOKEN, decoded_lines, parse_corpus_line
 from .model import LOCAL, PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge, _starts
 from .model import PATTERN_ROLES, display_text, split_id
 
@@ -167,6 +169,10 @@ class _View(Mapping):
 # Node lines are formatted and written this many at a time; blocks of 4096
 # raised the `forest-wide` build's peak by 0.8 MB.
 _NODE_BLOCK = 256
+# Pattern -> the role=token field of its corpus line, as a format string.
+_ROLE_FIELDS = {
+    pattern: ";".join(f"{role}={{}}" for role in roles) for pattern, roles in PATTERN_ROLES.items()
+}
 
 
 def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:

@@ -108,9 +108,9 @@ def signature_texts(index) -> dict[int, str]:
 
 
 def text_keyed(index, vector):
-    """A FeatureVector's weights keyed by signature text, in its order."""
+    """A feature vector's weights keyed by signature text, in its order."""
     texts = signature_texts(index)
-    return {texts[sig]: w for sig, w in vector.weights.items()}
+    return {texts[sig]: w for sig, w in vector.items()}
 
 
 def type_label(premise: str, hypothesis: str) -> str:

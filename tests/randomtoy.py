@@ -1,6 +1,7 @@
 """Random inputs shared by the tests: small corpora over a handful of
 predicates, for the oracle comparisons of the acceptance suite and the
-property tests, and a `hypothesis` strategy for eventualities."""
+property tests, a `hypothesis` strategy for eventualities, and the
+corpus line of one."""
 
 import random
 from pathlib import Path
@@ -82,3 +83,9 @@ def eventualities(words, frequencies=st.just(1)):
         st.lists(st.sampled_from(words), min_size=5, max_size=5),
         frequencies,
     )
+
+
+def corpus_line(pattern: str, tokens, frequency: int) -> str:
+    """The corpus line of an eventuality, roles in canonical order."""
+    roles = ";".join(f"{role}={token}" for role, token in zip(PATTERN_ROLES[pattern], tokens))
+    return f"{pattern}\t{roles}\t{frequency}"

@@ -18,7 +18,7 @@ from columns import graph_from, type_label
 from evgraph.cli import main as cli_main
 from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
-from evgraph.local import FeatureVector, argument_score, binc, compose_edge
+from evgraph.local import argument_score, binc, compose_edge
 from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces
 from evgraph.pipeline import OUTPUT_FILES, build, run_build
 from evgraph.resources import load_taxonomy
@@ -87,7 +87,7 @@ def test_criterion_01_noisy_or_matches_bernoulli_oracle(tmp_path):
 
     started = time.perf_counter()
     for args_from, args_to, slots, probs in cases:
-        identical, score = argument_score(args_from, args_to, slots, store.probs)
+        identical, score = argument_score(args_from, args_to, slots, store)
         assert identical == (args_from == args_to)
         assert abs(score - _bernoulli_or(probs)) <= 1e-12
     assert time.perf_counter() - started < 1.0
@@ -122,11 +122,11 @@ def test_criterion_02_composed_score_identity_and_monotonicity():
 
 
 def test_criterion_03_binc_suite():
-    u = FeatureVector({"f1": 1.0, "f2": 1.0})
-    v = FeatureVector({"f1": 1.0})
-    w = FeatureVector({"x": 0.25, "y": 2.5})
+    u = {"f1": 1.0, "f2": 1.0}
+    v = {"f1": 1.0}
+    w = {"x": 0.25, "y": 2.5}
     assert binc(w, w) == pytest.approx(1.0, abs=1e-12)
-    assert binc(u, FeatureVector({"zzz": 1.0})) == 0.0
+    assert binc(u, {"zzz": 1.0}) == 0.0
     assert binc(u, v) == pytest.approx(math.sqrt(1 / 3), abs=1e-9)
     assert binc(u, v) != binc(v, u)  # asymmetry witnessed
 

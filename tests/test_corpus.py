@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from evgraph import corpus
 from columns import Row, by_predicate, rows
-from evgraph.corpus import CorpusError, CorpusIndex, corpus_line, parse_corpus_line, read_corpus
+from evgraph.corpus import CorpusError, CorpusIndex, parse_corpus_line, read_corpus
 from evgraph.local import signature_counts
 from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality
-from randomtoy import eventualities
+from randomtoy import corpus_line, eventualities
 
 
 def write_corpus(frequencies, path) -> None:

@@ -381,7 +381,7 @@ def test_bipartite_unrelated_arguments_excluded(tmp_path):
 def _term_prob(store, a, b):
     if a == b:
         return 1.0
-    return store.probs.get(a, {}).get(b, 0.0)
+    return store.get(a, {}).get(b, 0.0)
 
 
 def brute_force_accepted(index, path, rule_scores, store, tau_a, tau_e):
@@ -598,7 +598,7 @@ def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
     assert edges == {} and checks == 1
     slots = aligned_slots("s-v-o-p-o", "s-v-o-p-o")
     assert argument_score(
-        rows(index)[cand].args, rows(index)[node].args, slots, store.probs
+        rows(index)[cand].args, rows(index)[node].args, slots, store
     ) == (False, 1.0)
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from columns import probs, rows, text_keyed
 from evgraph.corpus import CorpusIndex, parse_corpus_line
 from evgraph.local import (
-    FeatureVector,
     argument_score,
     binc,
     build_feature_vector,
@@ -89,17 +88,17 @@ def test_argument_set_score_examples(tmp_path):
     store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
     both = ((0, 0), (1, 1))
     # identical pair forces 1.0
-    assert argument_score(("boy", "apple"), ("boy", "apple"), both, store.probs) == (
+    assert argument_score(("boy", "apple"), ("boy", "apple"), both, store) == (
         True,
         1.0,
     )
     # (0.75, 0) -> 0.75
-    identical, score = argument_score(("apple", "dog"), ("fruit", "cat"), both, store.probs)
+    identical, score = argument_score(("apple", "dog"), ("fruit", "cat"), both, store)
     assert not identical and score == pytest.approx(0.75, abs=1e-12)
     # all-zero pairs -> 0
-    assert argument_score(("apple",), ("rock",), ((0, 0),), store.probs) == (False, 0.0)
+    assert argument_score(("apple",), ("rock",), ((0, 0),), store) == (False, 0.0)
     # only the aligned slots count: the premise's second term is dropped
-    assert argument_score(("apple", "x"), ("fruit",), ((0, 0),), store.probs) == (
+    assert argument_score(("apple", "x"), ("fruit",), ((0, 0),), store) == (
         False,
         0.75,
     )
@@ -170,14 +169,14 @@ def _vector(index, predicate, other, aug_lambda, store):
     """build_feature_vector, its weights keyed by signature text."""
     counts, other_counts = signature_counts(index, predicate), signature_counts(index, other)
     vec = build_feature_vector(index, predicate, counts, other_counts, aug_lambda, probs(index, store))
-    return FeatureVector(text_keyed(index, vec))
+    return text_keyed(index, vec)
 
 
 def test_shared_signature_becomes_base_feature(tmp_path):
     index = _index(CHEW_EAT_CORPUS)
     store = _taxonomy([], tmp_path)
     vec = _vector(index, "chew", "eat", 0.5, store)
-    assert "boy|apple" in vec.weights and "boy|food" in vec.weights
+    assert "boy|apple" in vec and "boy|food" in vec
 
 
 def test_augmentation_adds_entailed_signature(tmp_path):
@@ -194,8 +193,8 @@ def test_augmentation_adds_entailed_signature(tmp_path):
     vec = _vector(index, "chew", "eat", 0.5, store)
     # base: boy|apple (the only shared signature); (boy,apple) entails
     # (boy,food) with probability above lambda, so boy|food is augmented in.
-    assert "boy|apple" in vec.weights
-    assert "boy|food" in vec.weights
+    assert "boy|apple" in vec
+    assert "boy|food" in vec
 
 
 def test_disjoint_contexts_give_empty_vector(tmp_path):
@@ -204,7 +203,7 @@ def test_disjoint_contexts_give_empty_vector(tmp_path):
     )
     store = _taxonomy([], tmp_path)
     vec = _vector(index, "chew", "eat", 1.0, store)
-    assert vec.weights == {}
+    assert vec == {}
 
 
 def test_zero_pmi_features_dropped(tmp_path):
@@ -213,7 +212,7 @@ def test_zero_pmi_features_dropped(tmp_path):
     )
     store = _taxonomy([], tmp_path)
     vec = _vector(index, "eat", "see", 0.5, store)
-    assert vec.weights == {}
+    assert vec == {}
 
 
 def dense_feature_vector(index, predicate, other, aug_lambda, store):
@@ -245,7 +244,7 @@ def dense_feature_vector(index, predicate, other, aug_lambda, store):
                     slots = aligned_slots(pat_from, pat_to)
                     if slots is not None:
                         _, score = argument_score(
-                            sig_base.split("|"), sig_k.split("|"), slots, store.probs
+                            sig_base.split("|"), sig_k.split("|"), slots, store
                         )
                         best = max(best, score)
             if best > aug_lambda:
@@ -255,7 +254,7 @@ def dense_feature_vector(index, predicate, other, aug_lambda, store):
         sig: pmi_weight(total, sigs[sig], pred_freq[predicate], sig_freq[sig])
         for sig in sorted(features)
     }
-    return FeatureVector({sig: w for sig, w in weights.items() if w > 0.0})
+    return {sig: w for sig, w in weights.items() if w > 0.0}
 
 
 def _store(lines):
@@ -313,8 +312,8 @@ def test_feature_vector_equals_dense_reference(index, store, drawn_lambda):
         for predicate in preds:
             for other in preds:
                 # Equal in weights and in their order, which sums follow.
-                got = _vector(index, predicate, other, aug_lambda, store).weights
-                want = dense_feature_vector(index, predicate, other, aug_lambda, store).weights
+                got = _vector(index, predicate, other, aug_lambda, store)
+                want = dense_feature_vector(index, predicate, other, aug_lambda, store)
                 assert list(got.items()) == list(want.items())
 
 
@@ -322,22 +321,22 @@ def test_feature_vector_equals_dense_reference(index, store, drawn_lambda):
 
 
 def test_binc_identity_is_one():
-    u = FeatureVector({"f1": 0.3, "f2": 1.7})
+    u = {"f1": 0.3, "f2": 1.7}
     assert binc(u, u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binc_disjoint_is_zero():
-    assert binc(FeatureVector({"a": 1.0}), FeatureVector({"b": 1.0})) == 0.0
+    assert binc({"a": 1.0}, {"b": 1.0}) == 0.0
 
 
 def test_binc_empty_is_zero():
-    assert binc(FeatureVector({}), FeatureVector({"a": 1.0})) == 0.0
-    assert binc(FeatureVector({"a": 1.0}), FeatureVector({})) == 0.0
+    assert binc({}, {"a": 1.0}) == 0.0
+    assert binc({"a": 1.0}, {}) == 0.0
 
 
 def test_binc_worked_example():
-    u = FeatureVector({"f1": 1.0, "f2": 1.0})
-    v = FeatureVector({"f1": 1.0})
+    u = {"f1": 1.0, "f2": 1.0}
+    v = {"f1": 1.0}
     # Lin = (1+1)/(2+1) = 2/3, Cover = 1/2 -> sqrt(1/3)
     assert binc(u, v) == pytest.approx(math.sqrt(1 / 3), abs=1e-9)
     # the reverse direction covers all of v: sqrt(2/3)

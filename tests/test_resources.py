@@ -40,7 +40,7 @@ def test_totals_sum_entry_frequencies(tmp_path):
     store = _taxonomy(APPLE_LINES + ["food\tapple\t4"], tmp_path)
     # Each probability is its frequency over the instance's total of 8,
     # listed by descending frequency.
-    assert list(store.probs["apple"].items()) == [
+    assert list(store["apple"].items()) == [
         ("food", 0.5),
         ("fruit", 0.375),
         ("company", 0.125),
@@ -50,12 +50,12 @@ def test_totals_sum_entry_frequencies(tmp_path):
 def test_duplicate_pairs_sum(tmp_path):
     store = _taxonomy(["fruit\tapple\t3", "fruit\tapple\t2", "company\tapple\t5"], tmp_path)
     # The summed tie orders by concept.
-    assert list(store.probs["apple"].items()) == [("company", 0.5), ("fruit", 0.5)]
+    assert list(store["apple"].items()) == [("company", 0.5), ("fruit", 0.5)]
 
 
 def test_empty_taxonomy(tmp_path):
     store = _taxonomy([], tmp_path)
-    assert store.probs == {}
+    assert store == {}
     assert build_argument_rules(store, {"anything"}, 5, 0.0) == ()
 
 
@@ -83,16 +83,16 @@ def test_lone_carriage_return_stays_inside_a_taxonomy_line(tmp_path):
     # normalized as in a corpus token.
     instance = Eventuality.from_id(*parse_corpus_line("s-v\tn1=app\rle;v1=grow\t1", 1)).tokens[0]
     assert instance == "app le"
-    assert store.probs == {"apple": {"fruit": 1.0}, instance: {"company": 1.0}}
+    assert store == {"apple": {"fruit": 1.0}, instance: {"company": 1.0}}
 
 
 def test_byte_order_mark_is_dropped_from_a_taxonomy(tmp_path):
     path = tmp_path / "taxonomy.tsv"
     path.write_bytes(b"\xef\xbb\xbffood\tapple\t3\nfood\tnut\t1\n")
-    assert load_taxonomy(path).probs == {"apple": {"food": 1.0}, "nut": {"food": 1.0}}
+    assert load_taxonomy(path) == {"apple": {"food": 1.0}, "nut": {"food": 1.0}}
     # Only a mark that opens the file is dropped: a later one is text.
     path.write_bytes(b"food\tapple\t3\n\xef\xbb\xbffood\tnut\t1\n")
-    assert load_taxonomy(path).probs == {"apple": {"food": 1.0}, "nut": {"\ufefffood": 1.0}}
+    assert load_taxonomy(path) == {"apple": {"food": 1.0}, "nut": {"\ufefffood": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -116,7 +116,7 @@ def test_conceptualize_orders_by_probability(tmp_path):
     # A term's concepts come in probability order, so its top k are the
     # first k: the argument rules take them so.
     store = _taxonomy(APPLE_LINES, tmp_path)
-    assert list(store.probs["apple"].items()) == [("fruit", 0.75), ("company", 0.25)]
+    assert list(store["apple"].items()) == [("fruit", 0.75), ("company", 0.25)]
     terms = {"apple", "fruit", "company"}
     assert build_argument_rules(store, terms, 1, 0.0) == (ArgumentRule("apple", "fruit", 0.75),)
 
@@ -133,7 +133,7 @@ def test_conceptualize_five_concept_list(tmp_path):
         ],
         tmp_path,
     )
-    top = list(store.probs["apple"].items())[:5]
+    top = list(store["apple"].items())[:5]
     assert [c for c, _ in top] == ["fruit", "company", "food", "brand", "fresh fruit"]
     assert [p for _, p in top] == [
         pytest.approx(x / 31) for x in (10, 8, 6, 4, 2)
@@ -142,7 +142,7 @@ def test_conceptualize_five_concept_list(tmp_path):
 
 def test_conceptualize_tie_breaks_lexicographically(tmp_path):
     store = _taxonomy(["zebra\tthing\t2", "alpha\tthing\t2"], tmp_path)
-    assert list(store.probs["thing"].items()) == [("alpha", 0.5), ("zebra", 0.5)]
+    assert list(store["thing"].items()) == [("alpha", 0.5), ("zebra", 0.5)]
 
 
 def test_conceptualize_k_zero_and_unknown(tmp_path):
@@ -156,13 +156,13 @@ def test_conceptualize_k_zero_and_unknown(tmp_path):
 
 def test_conceptualize_probabilities_sum_to_one_when_k_covers_all(tmp_path):
     store = _taxonomy(APPLE_LINES + ["food\tapple\t2"], tmp_path)
-    probs = store.probs["apple"].values()
+    probs = store["apple"].values()
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def term_entailment_prob(store, term_i, term_j):
     """P(term_i entails term_j) as the argument score of one aligned slot."""
-    return argument_score((term_i,), (term_j,), ((0, 0),), store.probs)[1]
+    return argument_score((term_i,), (term_j,), ((0, 0),), store)[1]
 
 
 def test_term_entailment_prob(tmp_path):

@@ -94,7 +94,7 @@ def test_argument_rules_irreflexive_and_reproducible(tmp_path):
     rules = build_argument_rules(store, frozenset({"apple", "fruit", "pear"}), 5, 0.0)
     for r in rules:
         assert r.from_term != r.to_term
-        assert r.score == store.probs[r.from_term][r.to_term]
+        assert r.score == store[r.from_term][r.to_term]
 
 
 def test_predicate_rules_basic(tmp_path):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from columns import columns_of, graph_from, sealed, type_label
 from evgraph import store
 from evgraph.config import PipelineConfig
-from evgraph.corpus import corpus_line
 from evgraph.local import compose_edge
 from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots, split_id
 from evgraph.pipeline import run_build
@@ -33,7 +32,7 @@ from evgraph.store import (
     write_graph,
 )
 from evgraph.synth import write_toy_inputs
-from randomtoy import eventualities, write_random_toy
+from randomtoy import corpus_line, eventualities, write_random_toy
 
 
 def node(n1, v1, n2, freq=1):
