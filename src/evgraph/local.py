@@ -138,11 +138,12 @@ def build_feature_vector(
     if features and len(features) < len(counts):
         features |= _entailed_signatures(index, predicate, features, aug_lambda, probs)
     pred_count = index.predicate_freq.get(predicate, 0)
-    weights = (
-        (sig, pmi_weight(index.total_mass, counts[sig], pred_count, index.signature_freq[sig]))
-        for sig in sorted(features)
-    )
-    return {sig: w for sig, w in weights if w > 0.0}
+    weights = {}
+    for sig in sorted(features):
+        w = pmi_weight(index.total_mass, counts[sig], pred_count, index.signature_freq[sig])
+        if w > 0.0:
+            weights[sig] = w
+    return weights
 
 
 def binc(u: dict, v: dict) -> float:
