@@ -95,7 +95,8 @@ def _sha256(text: str) -> str:
 
 def digest(text: str) -> dict[str, str]:
     """A file's sha256 and the first four hex digits of each line's."""
-    return {"sha256": _sha256(text), "lines": "".join(_sha256(line)[:4] for line in text.splitlines())}
+    marks = "".join(_sha256(line)[:4] for line in text.splitlines())
+    return {"sha256": _sha256(text), "lines": marks}
 
 
 def digests_of(cfg: PipelineConfig) -> dict[str, dict[str, str]]:
