@@ -13,19 +13,23 @@ from hypothesis import strategies as st
 
 from digests import GOLDEN, INPUTS, digests_of, first_difference, output_texts
 
-GOLDEN_DIGESTS = json.loads(GOLDEN.read_text(encoding="utf-8"))
 # The inputs with a record of frequency 2 or more: the ladders have none.
 REWRITABLE = [name for name in INPUTS if not name.startswith("ladder-")]
 
 
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
 def test_outputs_match_golden_digests(tmp_path):
-    assert GOLDEN_DIGESTS.keys() == INPUTS.keys()
+    golden = _golden()
+    assert golden.keys() == INPUTS.keys()
     faults = []
     for name, config in INPUTS.items():
         texts = output_texts(config(tmp_path / name))
-        assert texts.keys() == GOLDEN_DIGESTS[name].keys(), name
+        assert texts.keys() == golden[name].keys(), name
         for file, text in texts.items():
-            fault = first_difference(GOLDEN_DIGESTS[name][file], text)
+            fault = first_difference(golden[name][file], text)
             if fault is not None:
                 faults.append(f"{name} {file}: {fault}")
     assert not faults, "digests moved; first differing lines:\n" + "\n".join(faults)
@@ -62,4 +66,4 @@ def test_input_rewrites_leave_the_digests(rewrite, name, data):
         cfg = INPUTS[name](Path(tmp) / "in")
         rewrite(cfg, data)
         got = {file: d["sha256"] for file, d in digests_of(cfg).items()}
-    assert got == {file: d["sha256"] for file, d in GOLDEN_DIGESTS[name].items()}
+    assert got == {file: d["sha256"] for file, d in _golden()[name].items()}
