@@ -7,7 +7,8 @@ digests moved.
 Each golden input (tests/digests.py) is built in a temp directory, with
 the evgraph source of this checkout.  One line is printed per output
 file whose sha256 moved, added or gone, as "input file old -> new"
-(twelve hex digits each, "-" for none), then a count.  A declared change
+(twelve hex digits each, "-" for none), then a count.  The column file
+(`graph.bin`) is digested as bytes, with no line marks.  A declared change
 to the outputs is this command plus those lines in its change note.
 """
 

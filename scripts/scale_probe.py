@@ -24,8 +24,13 @@ build forks nothing.  `gen_max_rss_mb` is the generating process's peak.
 memory (VmHWM) of one `read_graph` of the build's outputs, the read path
 `stats`, `sample` and `query` pay on every call; it runs in another
 fresh child process (`--read-from`), so its peak is the read's own.
+That read takes the column file beside the TSVs.  `tsv_read_seconds` and
+`tsv_read_max_rss_mb` are the same for a third child, run after the probe
+has removed the column file, so that it times the line reader, which a
+graph without one pays.
 The inputs and outputs go to a temp directory that is removed after the
-run, or to `--dir`, which keeps them and is reported as `work_dir`.
+run, or to `--dir`, which keeps them, less the column file, and is
+reported as `work_dir`.
 """
 
 import argparse
@@ -38,7 +43,7 @@ from pathlib import Path
 
 from evgraph.config import PipelineConfig
 from evgraph.pipeline import peak_rss_mb, run_build
-from evgraph.store import read_graph
+from evgraph.store import COLUMN_FILE, read_graph
 from evgraph.synth import write_layered_inputs
 
 
@@ -106,8 +111,8 @@ def main() -> int:
 
 def probe(args: argparse.Namespace, work: Path) -> int:
     """Generate the inputs under `work`, build and read them in child
-    processes and print the report; `work_dir` is named only when `--dir`
-    keeps it."""
+    processes, with the column file and then without it, and print the
+    report; `work_dir` is named only when `--dir` keeps it."""
     per_predicate = max(1, args.eventualities // (args.paths * args.path_len))
     t0 = time.perf_counter()
     files = write_layered_inputs(
@@ -121,14 +126,19 @@ def probe(args: argparse.Namespace, work: Path) -> int:
     with open(files["corpus"], encoding="utf-8") as fh:
         n_records = sum(1 for _ in fh)
     report = {"corpus_records": n_records}
-    for flag, path in (("--build-from", work), ("--read-from", work / "out")):
+    out = work / "out"
+    for flag, path, prefix in (
+        ("--build-from", work, ""), ("--read-from", out, ""), ("--read-from", out, "tsv_")
+    ):
+        if prefix:
+            (out / COLUMN_FILE).unlink()
         child = subprocess.run(
             [sys.executable, __file__, flag, str(path)], capture_output=True, text=True
         )
         if child.returncode != 0:
             sys.stderr.write(child.stderr)
             return child.returncode
-        report.update(json.loads(child.stdout))
+        report.update((prefix + key, value) for key, value in json.loads(child.stdout).items())
     report.update(gen_seconds=round(gen_seconds, 3), gen_max_rss_mb=peak_rss_mb())
     if args.dir is not None:
         report["work_dir"] = str(work)

@@ -44,6 +44,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from itertools import chain, compress, count, groupby, islice
 from operator import itemgetter
 
@@ -160,6 +161,15 @@ def extract_paths(forest: PredicateForest, general_roots: tuple[str, ...] = ()):
         if node in ends and "\t" in line:
             yield line + "\n"
         stack.extend((f"{line}\t{g}", g) for g in reversed(kept[node]))
+
+
+def count_paths(forest: PredicateForest, general_roots: tuple[str, ...] = ()) -> int:
+    """The number of lines `extract_paths` yields, counted without its walk."""
+    kept, starts, ends = _cut(forest, general_roots)
+    runs: dict[str, int] = {}  # p -> the walks from p up to an end, p alone included
+    for p in TopologicalSorter(kept).static_order():  # parents first
+        runs[p] = (p in ends) + sum(map(runs.__getitem__, kept[p]))
+    return sum(runs[g] for start in starts for g in kept[start])
 
 
 def forest_pairs(forest: PredicateForest, general_roots: tuple[str, ...] = ()) -> list:

@@ -165,10 +165,6 @@ class Eventuality:
         return cls(pattern, tuple(tokens), frequency)
 
     @property
-    def text(self) -> str:
-        return display_text(self.pattern, self.tokens)
-
-    @property
     def id(self) -> str:
         # Pipe-joined tokens keep the id unambiguous for multi-word terms.
         return f"{self.pattern}:{'|'.join(self.tokens)}"

@@ -3,8 +3,8 @@ scoring -> global inference -> seal -> persistence.
 
 The seal stage runs the `ScoredEdge` checks over the accepted edge
 columns, seals them with the index's ids into an `EntailmentGraph`, and
-assembles the run report, whose path count is the number of lines the
-walk that persist streams into `paths.tsv` yields (`gi.extract_paths`).
+assembles the run report, whose path count is the number of lines that
+persist streams into `paths.tsv`, counted without a walk (`gi.count_paths`).
 Every stage is deterministic and runs in this process, so two builds
 from the same inputs are byte-identical.  `BuildResult.stage_seconds`
 times each stage and `stage_peak_mb` holds the process's peak memory
@@ -43,6 +43,7 @@ PREDICATE_RULES_FILE = "predicate_rules.tsv"
 OUTPUT_FILES = (
     store.NODE_FILE,
     store.EDGE_FILE,
+    store.COLUMN_FILE,
     ARGUMENT_RULES_FILE,
     PREDICATE_RULES_FILE,
     PATHS_FILE,
@@ -178,7 +179,7 @@ def _build(cfg: PipelineConfig) -> BuildResult:
                 "predicate_rules": len(pr),
                 "trees": forest.n_trees,
                 "dropped_forest_edges": len(forest.dropped_edges),
-                "paths": sum(1 for _ in gi.extract_paths(forest, cfg.general_roots)),
+                "paths": gi.count_paths(forest, cfg.general_roots),
                 "edges_total": len(graph.columns),
                 "edges_by_provenance": dict(sorted(by_prov.items())),
                 "candidate_checks": result.candidate_checks,

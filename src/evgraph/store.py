@@ -1,5 +1,6 @@
-"""Persisted entailment graph: node/edge TSV files, per-type statistics,
-annotation sampling, and entailment queries.
+"""Persisted entailment graph: node/edge TSV files and the column file
+beside them, per-type statistics, annotation sampling, and entailment
+queries.
 
 Edge file columns: from_id, to_id, type_label, provenance, arg_score,
 pred_score, penalty, local_score.  Node file columns: id, pattern,
@@ -17,23 +18,31 @@ first line out of order.  Edges are sorted once, by the global stage
 the columns that build an `Eventuality` or a `ScoredEdge` on lookup; no
 evgraph code reads them, and they stay for the benchmark's graph digest
 (`perfbench/phases.py`).
+
 `write_graph` formats node lines a block of one pattern's rows at a time:
 the block's tokens are split at once, and formatted by columns into the
-corpus's role field of the pattern.  `read_graph` parses the files
-`write_graph` writes by columns, a chunk of whole lines at a time: one
-regex per node line, whose role field back-references the id's tokens, and
-one split per edge chunk, whose every eighth field makes a column.  The
-checks then run over the columns: `EdgeColumns.check`, and key order once,
-in `from_parts`.  The chunks are small (`_CHUNK_BYTES`) and the edge
-columns sized once, as a larger chunk or a regrown column leaves freed
-memory behind that raises the read's peak.  Any other file, valid or not,
-is read again line by line, by the reader that alone names a faulty line.
+corpus's role field of the pattern.  It then writes the column file
+(`COLUMN_FILE`, laid out at `_HEADER`): the same graph as binary arrays,
+with the sha256 of both TSVs.  It holds no whole-file copy: ids are
+encoded a block at a time, the arrays go out by `tofile`, and the TSVs
+are hashed as read back in chunks.
+
+`read_graph` takes the column file only when its header and all three
+digests match the files on disk and its graph passes the line reader's
+checks.  Any other graph (no column file, a stale one, one of another
+build, or a graph that fails a check) is read line by line, by the
+reader that alone names a faulty line.  So a read depends on the TSVs
+alone, and deleting the column file is always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
 import re
+import struct
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, deque
@@ -50,6 +59,7 @@ from .model import PATTERN_ROLES, display_text, split_id
 
 NODE_FILE = "nodes.tsv"
 EDGE_FILE = "edges.tsv"
+COLUMN_FILE = "graph.bin"
 
 OVERALL_LABEL = "Overall"
 
@@ -176,7 +186,7 @@ _ROLE_FIELDS = {
 
 
 def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
-    """Write nodes and edges in the graph's key order."""
+    """Write nodes and edges in the graph's key order, then the column file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = graph.ids
@@ -204,6 +214,7 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
                 f"{ids[src]}\t{ids[dst]}\t{TYPE_LABELS[code]}\t{PROVENANCES[prov]}\t"
                 f"{arg!r}\t{pred!r}\t{pen!r}\t{local!r}\n"
             )
+    _write_column_file(graph, directory)
 
 
 def _disorder(kind: str, item: str, same: bool) -> str:
@@ -221,19 +232,47 @@ def _file_lines(directory: Path, name: str):
 _TYPE_CODES = {label: code for code, label in enumerate(TYPE_LABELS)}
 _PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
 
-# Pattern -> the regex of a node line as `write_graph` writes it, whose
-# role field back-references the id's tokens: group 1 is the id, the last
-# group the frequency.
-_NODE_LINES = {
-    pattern: re.compile(
-        f"({pattern}:{'[|]'.join([f'({_TOKEN})'] * len(roles))})\t{pattern}\t"
-        + ";".join(f"{role}=\\{group}" for group, role in enumerate(roles, 2))
-        + r"\t([1-9][0-9]{0,17})"
-    )
-    for pattern, roles in PATTERN_ROLES.items()
-}
-# Files are parsed in chunks of whole lines of about this many bytes.
-_CHUNK_BYTES = 16 * 1024
+# The column file's header: magic, version, byte order, the item sizes of
+# `frequency` and the eight edge columns, the node, edge and id-blob
+# counts, then the sha256 of nodes.tsv, of edges.tsv and of the body and
+# counts.  The body: the "\n"-joined ids in UTF-8, then `frequency` and
+# the eight edge columns, in the byte order of the header.
+_HEADER = struct.Struct("<8sHc9s3Q32s32s32s")
+_COUNTS = struct.Struct("<3Q")
+_SIZES = bytes(column.itemsize for column in (array("q"), *EdgeColumns().columns()))
+_STAMP = (b"evgraph\0", 1, sys.byteorder[0].encode(), _SIZES)
+# A node id as the line reader takes it, lower case apart.
+_ID = re.compile(
+    "|".join(f"{re.escape(p)}:{'[|]'.join([_TOKEN] * len(r))}" for p, r in PATTERN_ROLES.items())
+)
+
+
+def _tsv_digests(directory: Path) -> list[bytes]:
+    """The sha256 of nodes.tsv and of edges.tsv, each read a MiB at a time."""
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    for digest, name in zip(digests, (NODE_FILE, EDGE_FILE)):
+        with open(directory / name, "rb") as fh:
+            for block in iter(partial(fh.read, 1 << 20), b""):
+                digest.update(block)
+    return [digest.digest() for digest in digests]
+
+
+def _write_column_file(graph: EntailmentGraph, directory: Path) -> None:
+    """Write the column file beside the graph's written TSVs, header last."""
+    ids, body, blob = graph.ids, hashlib.sha256(), 0
+    with open(directory / COLUMN_FILE, "wb") as fh:
+        fh.write(bytes(_HEADER.size))
+        for start in range(0, len(ids), _NODE_BLOCK):
+            data = (("\n" if start else "") + "\n".join(ids[start:start + _NODE_BLOCK])).encode()
+            body.update(data)
+            blob += fh.write(data)
+        for column in (graph.frequency, *graph.columns.columns()):
+            body.update(column)
+            column.tofile(fh)
+        counts = (len(ids), len(graph.columns), blob)
+        body.update(_COUNTS.pack(*counts))
+        fh.seek(0)
+        fh.write(_HEADER.pack(*_STAMP, *counts, *_tsv_digests(directory), body.digest()))
 
 
 def read_graph(directory: str | Path) -> EntailmentGraph:
@@ -243,64 +282,37 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
     naming the file and the line: the first such line, nodes.tsv before
     edges.tsv."""
     directory = Path(directory)
-    graph = _read_columns(directory)
+    graph = _read_column_file(directory)
     return _read_lines(directory) if graph is None else graph
 
 
-def _chunks(path: Path):
-    """A file's text in chunks of whole lines, each without its last
-    newline; ValueError for bytes not UTF-8 or no newline at the end."""
-    rest = b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_CHUNK_BYTES):
-            lines, newline, rest = (rest + block).rpartition(b"\n")
-            if newline:
-                yield lines.decode("utf-8")
-    if rest:
-        raise ValueError("no newline at the end")
-
-
-def _read_columns(directory: Path) -> EntailmentGraph | None:
-    """The graph, parsed by columns from files as `write_graph` writes
-    them, or None for any other files, which `_read_lines` reads."""
-    ids, frequency = [], array("q")
+def _read_column_file(directory: Path) -> EntailmentGraph | None:
+    """The graph in the column file, or None unless its header and digests
+    match the files on disk and it passes the line reader's checks: the id
+    grammar, frequency below 10**18, `EdgeColumns.check` and `from_parts`."""
     try:
-        for text in _chunks(directory / NODE_FILE):
-            if text != text.lower():
+        with open(directory / COLUMN_FILE, "rb") as fh:
+            *stamp, n, m, blob, nodes_sha, edges_sha, digest = _HEADER.unpack(fh.read(_HEADER.size))
+            size = _HEADER.size + blob + n * _SIZES[0] + m * sum(_SIZES[1:])
+            stale = tuple(stamp) != _STAMP or size != os.fstat(fh.fileno()).st_size
+            if stale or [nodes_sha, edges_sha] != _tsv_digests(directory):
                 return None
-            for line in text.split("\n"):
-                match = _NODE_LINES[line.partition(":")[0]].fullmatch(line)
-                if match is None:
-                    return None
-                ids.append(match[1])
-                frequency.append(int(match[match.lastindex]))
-        row = dict(zip(ids, count())).__getitem__
-        # Per column, in `EdgeColumns` order: its parse and its field in a line.
-        codes = _TYPE_CODES.__getitem__, _PROVENANCE_CODES.__getitem__
-        parses = (row, row, float, float, float, float, *codes)
-        reads = tuple(zip(parses, (0, 1, 4, 5, 6, 7, 2, 3)))
-        with open(directory / EDGE_FILE, "rb") as fh:
-            n = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
-        # Each column is sized once: one regrown chunk by chunk leaves its
-        # old copies behind, raising the read's peak.
-        edges = EdgeColumns()
-        for name in edges.__slots__:
-            setattr(edges, name, array(getattr(edges, name).typecode, [0]) * n)
-        end = 0
-        for text in _chunks(directory / EDGE_FILE):
-            lines = text.split("\n")
-            # The fields line up with the columns only if each line has eight.
-            if list(map(str.count, lines, repeat("\t"))).count(7) != len(lines):
+            frequency, edges = array("q"), EdgeColumns()
+            body = hashlib.sha256(text := fh.read(blob))
+            for column in (frequency, *edges.columns()):
+                column.fromfile(fh, n if column is frequency else m)
+                body.update(column)
+            body.update(_COUNTS.pack(n, m, blob))
+            if body.digest() != digest:
                 return None
-            fields = "\t".join(lines).split("\t")
-            start, end = end, end + len(lines)
-            for column, (read, at) in zip(edges.columns(), reads):
-                column[start:end] = array(column.typecode, map(read, fields[at::8]))
-        del row, parses, reads
+        text = text.decode("utf-8")
+        ids = text.split("\n") if text else []
+        if (len(ids) != n or text != text.lower() or not all(map(_ID.fullmatch, ids))
+                or min(frequency, default=1) < 1 or max(frequency, default=1) >= 10**18):
+            return None
         edges.check(ids)
-        # A count that differs: the file changed while it was read.
-        return EntailmentGraph.from_parts(ids, frequency, edges) if end == n else None
-    except (OSError, KeyError, ValueError):
+        return EntailmentGraph.from_parts(ids, frequency, edges)
+    except (OSError, EOFError, ValueError, struct.error):
         return None
 
 

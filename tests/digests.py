@@ -1,9 +1,11 @@
 """Golden digests of the build's outputs over a fixed set of small inputs.
 
-`tests/golden.json` holds, per input, each output file's sha256 and a
-four-hex-digit mark per line, so that a moved digest can be traced to
-its first differing line.  `report.json` is digested without the input
-and output paths its config echoes.  `scripts/golden.py` rewrites the
+`tests/golden.json` holds, per input, each output file's sha256 and, for
+a text file, a four-hex-digit mark per line, so that a moved digest can
+be traced to its first differing line.  The column file is binary and
+digested as bytes, with no marks; its bytes follow the machine's byte
+order and array item sizes.  `report.json` is digested without the
+input and output paths its config echoes.  `scripts/golden.py` rewrites the
 file from the build in the checkout; `test_golden.py` compares against it.
 """
 
@@ -14,6 +16,7 @@ from pathlib import Path
 
 from evgraph.config import PATH_FIELDS, PipelineConfig
 from evgraph.pipeline import OUTPUT_FILES, REPORT_FILE, run_build
+from evgraph.store import COLUMN_FILE
 from evgraph.synth import write_layered_inputs
 from randomtoy import write_random_toy
 
@@ -76,12 +79,16 @@ INPUTS = {
 }
 
 
-def output_texts(cfg: PipelineConfig) -> dict[str, str]:
-    """Output file -> its text after `run_build(cfg)`, `report.json`
-    rewritten without its echoed paths."""
+def output_texts(cfg: PipelineConfig) -> dict[str, str | bytes]:
+    """Output file -> its text after `run_build(cfg)`, the column file's
+    bytes, and `report.json` rewritten without its echoed paths."""
     run_build(cfg)
     out = Path(cfg.output_dir)
-    texts = {name: (out / name).read_text(encoding="utf-8") for name in OUTPUT_FILES}
+    texts = {
+        name: (out / name).read_bytes() if name == COLUMN_FILE
+        else (out / name).read_text(encoding="utf-8")
+        for name in OUTPUT_FILES
+    }
     report = json.loads(texts[REPORT_FILE])
     for key in PATH_FIELDS:
         del report["config"][key]
@@ -89,12 +96,15 @@ def output_texts(cfg: PipelineConfig) -> dict[str, str]:
     return texts
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256(text: str | bytes) -> str:
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode("utf-8")).hexdigest()
 
 
-def digest(text: str) -> dict[str, str]:
-    """A file's sha256 and the first four hex digits of each line's."""
+def digest(text: str | bytes) -> dict[str, str]:
+    """A file's sha256 and, for a text, the first four hex digits of each
+    line's."""
+    if isinstance(text, bytes):
+        return {"sha256": _sha256(text)}
     marks = "".join(_sha256(line)[:4] for line in text.splitlines())
     return {"sha256": _sha256(text), "lines": marks}
 
@@ -108,11 +118,14 @@ def all_digests(directory: Path) -> dict[str, dict[str, dict[str, str]]]:
     return {name: digests_of(config(directory / name)) for name, config in INPUTS.items()}
 
 
-def first_difference(want: dict[str, str], text: str) -> str | None:
+def first_difference(want: dict[str, str], text: str | bytes) -> str | None:
     """Where `text` first departs from a golden `digest`: the line number
-    and the line as it now reads; None if the sha256 matches."""
+    and the line as it now reads, or only that the bytes differ for a
+    binary file; None if the sha256 matches."""
     if _sha256(text) == want["sha256"]:
         return None
+    if isinstance(text, bytes):
+        return "the bytes differ"
     marks = want["lines"]
     lines = text.splitlines()
     for n, line in enumerate(lines):

@@ -19,10 +19,11 @@ from evgraph.cli import main as cli_main
 from evgraph.config import PipelineConfig
 from evgraph.corpus import CorpusIndex
 from evgraph.local import argument_score, binc, compose_edge
-from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces
+from evgraph.model import Eventuality, ScoredEdge, decompose_surfaces, display_text
 from evgraph.pipeline import OUTPUT_FILES, build, run_build
 from evgraph.resources import load_taxonomy
 from evgraph.store import (
+    COLUMN_FILE,
     query_entails,
     read_graph,
     stats,
@@ -187,7 +188,7 @@ def test_criterion_05_demo_corpus_end_to_end(tmp_path):
     assert time.perf_counter() - started < 5.0
 
     graph = read_graph(out)
-    ids = {n.text: n.id for n in graph.nodes.values()}
+    ids = {display_text(n.pattern, n.tokens): n.id for n in graph.nodes.values()}
 
     chain_edges = [
         (ids["boy crunch food"], ids["boy chew food"]),
@@ -428,13 +429,15 @@ def _probe(tmp_path, tag, eventualities, paths):
 
 def test_scale_probe_keeps_its_work_dir_only_under_dir(tmp_path):
     # Without --dir the probe works in a temp dir and removes it; with
-    # --dir it keeps the inputs and the built outputs there.
+    # --dir it keeps the inputs and the built outputs there, less the
+    # column file it removed to time the line reader.
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     size = ("--eventualities", "300", "--paths", "10")
     report = _run_probe(*size, tmpdir=tmp)
     assert report["edges_total"] > 0 and "work_dir" not in report
     assert report["read_seconds"] >= 0 and report["read_max_rss_mb"] > 0
+    assert report["tsv_read_seconds"] >= 0 and report["tsv_read_max_rss_mb"] > 0
     assert list(tmp.iterdir()) == []
     kept = tmp_path / "kept"
     report = _run_probe(*size, "--dir", str(kept), tmpdir=tmp)
@@ -442,7 +445,8 @@ def test_scale_probe_keeps_its_work_dir_only_under_dir(tmp_path):
     assert list(tmp.iterdir()) == []
     inputs = sorted(path.name for path in (kept / "inputs").iterdir())
     assert inputs == ["corpus.tsv", "hierarchy.tsv", "taxonomy.tsv"]
-    assert sorted(path.name for path in (kept / "out").iterdir()) == sorted(OUTPUT_FILES)
+    outputs = sorted(path.name for path in (kept / "out").iterdir())
+    assert outputs == sorted(set(OUTPUT_FILES) - {COLUMN_FILE})
 
 
 def test_criterion_08_scale_and_quadratic_growth(tmp_path):
@@ -540,10 +544,15 @@ def test_criterion_10_round_trip_large_graph(tmp_path):
     graph = graph_from(nodes, edges)
     assert len(graph.edges) == 100_000
 
+    # Read with the column file written beside the TSVs, then without it.
     write_graph(graph, tmp_path / "one")
-    again = read_graph(tmp_path / "one")
-    assert len(again.edges) == 100_000
-    assert again == graph
-    write_graph(again, tmp_path / "two")
-    for name in ("nodes.tsv", "edges.tsv"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    column_file = (tmp_path / "one" / COLUMN_FILE).read_bytes()
+    for _ in range(2):
+        again = read_graph(tmp_path / "one")
+        assert len(again.edges) == 100_000
+        assert again == graph
+        write_graph(again, tmp_path / "two")
+        for name in ("nodes.tsv", "edges.tsv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        assert (tmp_path / "two" / COLUMN_FILE).read_bytes() == column_file
+        (tmp_path / "one" / COLUMN_FILE).unlink(missing_ok=True)

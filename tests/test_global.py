@@ -29,6 +29,7 @@ from evgraph.corpus import (
 )
 from evgraph.global_inference import (
     build_forest,
+    count_paths,
     expand_with_argument_rules,
     extract_paths,
     forest_pairs,
@@ -283,18 +284,18 @@ def test_forest_pairs_are_the_distinct_path_pairs(rules, roots):
 
 
 MANY_PREDICATES = tuple("abcdefghi")
+# Rule sets over nine predicates, with cycles and multiple parents, and
+# up to four listed roots.
+many_rules = st.lists(
+    st.tuples(
+        st.sampled_from(MANY_PREDICATES), st.sampled_from(MANY_PREDICATES), st.floats(0.0, 1.0),
+    ),
+    max_size=24,
+).map(lambda rules: _scored(*((a, b, s) for a, b, s in rules if a != b)))
+many_roots = st.lists(st.sampled_from(MANY_PREDICATES), max_size=4, unique=True).map(tuple)
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(MANY_PREDICATES), st.sampled_from(MANY_PREDICATES),
-            st.floats(0.0, 1.0),
-        ),
-        max_size=24,
-    ).map(lambda rules: _scored(*((a, b, s) for a, b, s in rules if a != b))),
-    st.lists(st.sampled_from(MANY_PREDICATES), max_size=4, unique=True).map(tuple),
-)
+@given(many_rules, many_roots)
 def test_extract_paths_equals_the_chain_reference(rules, roots):
     # The walk of the forest less the roots yields the lines of every
     # maximal chain's runs, deduplicated and sorted, on rule sets with
@@ -303,6 +304,12 @@ def test_extract_paths_equals_the_chain_reference(rules, roots):
     reference = _reference_paths(forest, roots)
     assert list(extract_paths(forest, roots)) == _lines(*reference)
     assert forest_pairs(forest, roots) == path_pairs(reference)
+
+
+@given(many_rules, many_roots)
+def test_count_paths_equals_the_walks_line_count(rules, roots):
+    forest = build_forest(rules)
+    assert count_paths(forest, roots) == len(list(extract_paths(forest, roots)))
 
 
 def test_extract_paths_yields_its_first_line_before_the_rest():
@@ -697,7 +704,7 @@ def test_expansion_probes_only_nodes_a_premise_can_reach(tmp_path, monkeypatch):
 # --- merged stage ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [6, 10])
+@pytest.mark.parametrize("d", [6, 10, 18])
 def test_global_stage_counts_grow_with_forest_edges_not_paths(tmp_path, d):
     # 4d forest edges of 3 x 3 dense pairs each, three identical ones
     # accepted; every row is a chain node with two other rows.

@@ -30,6 +30,7 @@ from evgraph.model import (
     ScoredEdge,
     aligned_slots,
     decompose_surfaces,
+    display_text,
     normalize_token,
 )
 
@@ -151,7 +152,7 @@ def test_normalization_lowercases_and_collapses():
 
 def test_text_and_id():
     e = ev("s-be-a", n1="sun", a1="red")
-    assert e.text == "sun be red"
+    assert display_text(e.pattern, e.tokens) == "sun be red"
     assert e.id == "s-be-a:sun|red"
 
 
@@ -172,7 +173,8 @@ def test_text_and_id():
     ],
 )
 def test_text_reads_each_pattern_in_natural_order(pattern, roles, text):
-    assert ev(pattern, **roles).text == text
+    e = ev(pattern, **roles)
+    assert display_text(e.pattern, e.tokens) == text
 
 
 # --- round trip ---------------------------------------------------------------

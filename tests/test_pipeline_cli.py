@@ -623,7 +623,8 @@ def rewritten_corpus(draw, lines):
 
 
 def _build_outputs(files, corpus, out):
-    """The five TSVs' bytes and the report, less its echoed paths."""
+    """The five TSVs' and the column file's bytes, and the report, less
+    its echoed paths."""
     run_build(
         PipelineConfig(
             corpus=str(corpus),
@@ -650,7 +651,7 @@ def test_build_ignores_line_order_and_record_splitting(seed, data):
         rewritten = data.draw(rewritten_corpus(lines))
         variant.write_text("".join(line + "\n" for line in rewritten), encoding="utf-8")
         reference = _build_outputs(files, files["corpus"], Path(tmp) / "ref")
-        assert len(reference[0]) == 5
+        assert len(reference[0]) == 6
         assert _build_outputs(files, variant, Path(tmp) / "var") == reference
 
 

@@ -17,7 +17,7 @@ from columns import columns_of, graph_from, sealed, type_label
 from evgraph import store
 from evgraph.config import PipelineConfig
 from evgraph.local import compose_edge
-from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots, split_id
+from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots, display_text, split_id
 from evgraph.pipeline import run_build
 from evgraph.store import (
     EntailmentGraph,
@@ -189,12 +189,12 @@ def test_crlf_line_endings_read_alike(small_graph, tmp_path):
 def test_read_graph_leaves_the_collector_as_the_caller_left_it(
     small_graph, tmp_path, monkeypatch, enabled
 ):
-    # The good graph is read by columns; the bad one by columns up to its
-    # edges, then again line by line.
+    # The good graph is read from its column file; the bad one's column
+    # file no longer matches its edges, so it is read line by line.
     write_graph(small_graph, tmp_path / "good")
     write_graph(small_graph, tmp_path / "bad")
     (tmp_path / "bad" / "edges.tsv").write_text("cut\n", encoding="utf-8")
-    seen = {"_chunks": [], "parse_corpus_line": []}
+    seen = {"_tsv_digests": [], "parse_corpus_line": []}
 
     def see(name):
         call = getattr(store, name)
@@ -386,9 +386,10 @@ def test_resolve_id_takes_precedence_over_equal_text():
     named = Eventuality("s-v", ("x y", "z"), 1)
     other = Eventuality("s-v", ("x", "y"), 1)
     graph = graph_from([named, other], [])
-    graph.__dict__["row_by_text"] = {named.id: 1, named.text: 0}
+    text = display_text(named.pattern, named.tokens)
+    graph.__dict__["row_by_text"] = {named.id: 1, text: 0}
     assert resolve_node(graph, named.id) == named.id
-    assert resolve_node(graph, named.text) == named.id
+    assert resolve_node(graph, text) == named.id
     assert resolve_node(graph, other.id) == other.id
 
 
@@ -407,11 +408,15 @@ def test_resolve_unknown_and_ambiguous_messages():
     )
 
 
+def _text(e):
+    return display_text(e.pattern, e.tokens)
+
+
 def _scan(graph, ref):
     """resolve_node as a linear scan over every node."""
     if ref in graph.nodes:
         return ref
-    matches = [nid for nid in sorted(graph.nodes) if graph.nodes[nid].text == ref]
+    matches = [nid for nid in sorted(graph.nodes) if _text(graph.nodes[nid]) == ref]
     if len(matches) == 1:
         return matches[0]
     if not matches:
@@ -434,7 +439,7 @@ WORDS = ("it", "be", "nice", "at")
 @given(st.lists(eventualities(WORDS), max_size=12), st.lists(st.sampled_from(WORDS), max_size=5))
 def test_resolve_index_equals_linear_scan(nodes, words):
     graph = graph_from({n.id: n for n in nodes}.values(), [])
-    refs = [n.text for n in nodes] + [n.id for n in nodes] + [" ".join(words)]
+    refs = [_text(n) for n in nodes] + [n.id for n in nodes] + [" ".join(words)]
     for ref in refs:
         assert _outcome(resolve_node, graph, ref) == _outcome(_scan, graph, ref)
 
@@ -674,7 +679,8 @@ def test_columnar_views_equal_a_dict_reference(parts, data):
         source_ref[a] = (*source_ref.get(a, ()), b)
     text_ref: dict[str, int] = {}
     for r, n in enumerate(nodes):
-        text_ref[n.text] = -1 if n.text in text_ref else r
+        text = _text(n)
+        text_ref[text] = -1 if text in text_ref else r
     absent = ("s-v:nobody|here", nodes[0].id if nodes else "s-v:x|y")
     with tempfile.TemporaryDirectory() as tmp:
         write_graph(graph, Path(tmp))
@@ -715,14 +721,23 @@ def test_built_graphs_are_read_by_columns(tmp_path, monkeypatch, seed):
     assert read_graph(tmp_path / "out") == built
 
 
-@given(scored_graphs, st.sampled_from((store._CHUNK_BYTES, 1, 2, 3, 50)))
-def test_written_graphs_are_read_by_columns(graph, chunk_bytes):
-    # Tiny chunks make lines straddle chunk boundaries.
+def _bits(graph):
+    """A graph's ids and each array's typecode and bytes."""
+    arrays = (graph.frequency, *graph.columns.columns(), graph.offsets)
+    return graph.ids, [(a.typecode, a.tobytes()) for a in arrays]
+
+
+@given(scored_graphs)
+def test_written_graphs_are_read_by_columns(graph):
+    # A written graph is read from its column file, bit for bit as the
+    # line reader reads its TSVs.
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         write_graph(graph, Path(tmp))
+        lines = store._read_lines(Path(tmp))
         patch.setattr(store, "_read_lines", _read_lines_only)
-        patch.setattr(store, "_CHUNK_BYTES", chunk_bytes)
-        assert read_graph(Path(tmp)) == graph
+        again = read_graph(Path(tmp))
+    assert again == graph
+    assert _bits(again) == _bits(lines) == _bits(graph)
 
 
 @given(graph_parts(min_nodes=8, max_nodes=40), st.sampled_from((store._NODE_BLOCK, 1, 2, 3, 5)))
@@ -817,15 +832,130 @@ def _read_outcome(read, directory):
 @settings(max_examples=40)
 @given(
     graph_parts(min_nodes=4, min_edges=2).map(lambda parts: graph_from(*parts)),
-    st.sampled_from(("nodes.tsv", "edges.tsv")), st.sampled_from((store._CHUNK_BYTES, 1, 50)),
-    st.data(),
+    st.sampled_from(("nodes.tsv", "edges.tsv")), st.data(),
 )
-def test_both_read_paths_agree_on_corrupted_files(corruption, graph, name, chunk_bytes, data):
-    # Whatever a column parse takes, a read returns what the per-line
-    # reader returns, or raises its error.
+def test_both_read_paths_agree_on_corrupted_files(corruption, graph, name, data):
+    # Beside the column file of the graph it was written from, a
+    # corrupted file reads as the per-line reader reads it, or raises its
+    # error.  Where that reader takes the file, a column file written for
+    # what it read is then read in its place, and reads alike.
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         write_graph(graph, Path(tmp))
         path = Path(tmp) / name
         path.write_bytes(_corrupt(data.draw, path.read_bytes(), corruption))
-        patch.setattr(store, "_CHUNK_BYTES", chunk_bytes)
-        assert _read_outcome(read_graph, Path(tmp)) == _read_outcome(store._read_lines, Path(tmp))
+        want = _read_outcome(store._read_lines, Path(tmp))
+        assert _read_outcome(read_graph, Path(tmp)) == want
+        if want[0] == "ok":
+            store._write_column_file(want[1], Path(tmp))
+            patch.setattr(store, "_read_lines", _read_lines_only)
+            assert _bits(read_graph(Path(tmp))) == _bits(want[1])
+
+
+def _column_file_edits():
+    """Name -> an edit of a column file's bytes that the read must refuse."""
+    head = store._HEADER.size
+
+    def at(offset, value):
+        return lambda raw: raw[:offset] + value + raw[offset + len(value):]
+
+    other_order = b"b" if store._STAMP[2] == b"l" else b"l"
+    return {
+        "truncated": lambda raw: raw[:-1],
+        "truncated header": lambda raw: raw[:head - 1],
+        "empty": lambda raw: b"",
+        "appended": lambda raw: raw + b"\0",
+        "flipped body byte": lambda raw: at(head, bytes([raw[head] ^ 1]))(raw),
+        "magic": at(0, b"evgraph\1"),
+        "version": at(8, (2).to_bytes(2, "little")),
+        "byte order": at(10, other_order),
+        "item size": at(11, bytes([4])),
+    }
+
+
+COLUMN_FILE_EDITS = _column_file_edits()
+
+
+@pytest.mark.parametrize("edit", COLUMN_FILE_EDITS)
+def test_damaged_column_files_read_as_the_lines(small_graph, tmp_path, edit):
+    # A truncated or flipped column file, or one of another format, is
+    # refused whole, and the TSVs beside it are read line by line.  Any
+    # flipped bit is refused too (next test).
+    write_graph(small_graph, tmp_path)
+    path = tmp_path / store.COLUMN_FILE
+    path.write_bytes(COLUMN_FILE_EDITS[edit](path.read_bytes()))
+    assert store._read_column_file(tmp_path) is None
+    assert _bits(read_graph(tmp_path)) == _bits(small_graph)
+
+
+@settings(max_examples=30)
+@given(scored_graphs, st.data())
+def test_any_flipped_column_file_byte_is_refused(graph, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graph(graph, Path(tmp))
+        path = Path(tmp) / store.COLUMN_FILE
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw) - 1))
+        bit = data.draw(st.sampled_from((1, 2, 4, 8, 16, 32, 64, 128)))
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
+        assert store._read_column_file(Path(tmp)) is None
+        assert read_graph(Path(tmp)) == graph
+
+
+def test_a_stale_column_file_beside_edited_tsvs_reads_the_edit(small_graph, tmp_path):
+    # A node's frequency edited in place, to a TSV of the same size: the
+    # read gives the edited frequency, not the one the column file holds.
+    write_graph(small_graph, tmp_path)
+    nodes_file = tmp_path / "nodes.tsv"
+    raw = nodes_file.read_bytes()
+    edited = raw.replace(b"\t1\n", b"\t7\n", 1)
+    assert edited != raw and len(edited) == len(raw)
+    nodes_file.write_bytes(edited)
+    again = read_graph(tmp_path)
+    assert list(again.frequency) == [7, 1, 1]
+    assert again == store._read_lines(tmp_path)
+
+
+def test_a_column_file_of_another_build_is_not_read(small_graph, tmp_path):
+    # As a crash between the renames of two builds could leave it: the
+    # TSVs of one build beside the column file of another.
+    other = graph_from([node("girl", "eat", "pear"), node("girl", "eat", "plum")], [])
+    write_graph(small_graph, tmp_path / "one")
+    write_graph(other, tmp_path / "two")
+    for name in ("nodes.tsv", "edges.tsv"):
+        (tmp_path / "two" / name).replace(tmp_path / "one" / name)
+    assert store._read_column_file(tmp_path / "one") is None
+    assert read_graph(tmp_path / "one") == other
+    (tmp_path / "one" / store.COLUMN_FILE).unlink()
+    assert read_graph(tmp_path / "one") == other
+
+
+def _one_node_graph(node_id, frequency=1):
+    return EntailmentGraph.from_parts([node_id], array("q", [frequency]), EdgeColumns())
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _one_node_graph("s-v:Dog|bark"),
+        _one_node_graph("s-v:dog|bark", 0),
+        _one_node_graph("s-v:dog|bark", 10**18),
+        _one_node_graph("s-v:big  dog|bark"),
+        _one_node_graph("s-v: dog|bark"),
+        _one_node_graph("s-v:dog|"),
+        _one_node_graph("s-v:dog\nx|bark"),
+        _one_node_graph("s-v:dog\u00a0x|bark"),
+        EntailmentGraph.from_parts(
+            ["s-v-o:boy|chew|apple", "s-v-o:boy|eat|apple"], array("q", [1, 1]),
+            EdgeColumns([(0, 1, 0.5, 0.5, 1.0, 0.9, 1, 0)]),
+        ),
+        graph_from([node("boy", "chew", "apple"), node("boy", "eat", "apple")], []),
+    ],
+    ids=["upper case", "frequency 0", "frequency 10**18", "two spaces", "leading space",
+         "empty token", "newline", "no-break space", "bad local score", "valid"],
+)
+def test_sealed_graphs_read_as_the_line_reader_reads_their_tsvs(tmp_path, graph):
+    # `from_parts` takes ids, frequencies and edges that a line of the
+    # TSVs may not hold: written, each reads as the line reader reads it.
+    write_graph(graph, tmp_path)
+    assert (tmp_path / store.COLUMN_FILE).exists()
+    assert _read_outcome(read_graph, tmp_path) == _read_outcome(store._read_lines, tmp_path)
