@@ -8,9 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import (
-    INT_FIELDS,
     PATH_FIELDS,
-    UNIT_FIELDS,
     ConfigError,
     PipelineConfig,
     external_key,
@@ -29,13 +27,6 @@ from .store import (
 )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value configuration file")
-    for f in fields(PipelineConfig):
-        kind = int if f.name in INT_FIELDS else float if f.name in UNIT_FIELDS else None
-        parser.add_argument(f"--{external_key(f.name)}", default=None, dest=f.name, type=kind)
-
-
 def _effective_config(args: argparse.Namespace):
     raw: dict[str, str] = {}
     base_dir = Path(".")
@@ -46,8 +37,8 @@ def _effective_config(args: argparse.Namespace):
         value = getattr(args, f.name)
         if value is not None:
             # Path flags are interpreted relative to the caller, not the config file.
-            raw[external_key(f.name)] = str(
-                Path(value).resolve() if f.name in PATH_FIELDS else value
+            raw[external_key(f.name)] = (
+                str(Path(value).resolve()) if f.name in PATH_FIELDS else value
             )
     return make_config(raw, base_dir, require_inputs=args.command == "build")
 
@@ -65,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         "query": "does one eventuality entail another?",
     }
     for name, text in commands.items():
-        _add_config_flags(sub.add_parser(name, help=text))
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", help="key=value configuration file")
+        for f in fields(PipelineConfig):  # a string each, typed by `make_config`
+            command.add_argument(f"--{external_key(f.name)}", default=None, dest=f.name)
     p_sample, p_query = sub.choices["sample"], sub.choices["query"]
     p_sample.add_argument("--n", type=int, default=100, help="pairs per type")
     p_sample.add_argument("--out", default=None, help="output file (default: stdout)")

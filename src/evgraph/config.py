@@ -17,7 +17,7 @@ class ConfigError(ValueError):
 DEFAULT_GENERAL_ROOTS = ("change", "act", "move")
 
 # The kind of each field, one table per kind, read by
-# `PipelineConfig.__post_init__`, `make_config` and the CLI flags.
+# `PipelineConfig.__post_init__` and `make_config`.
 # Integer fields, each with its least allowed value (None: any integer).
 INT_FIELDS = {"k": 0, "min_pred_freq": 1, "seed": None, "workers": 1}
 # Float fields, each in [0, 1]; those named here must stay below 1.

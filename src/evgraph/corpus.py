@@ -140,11 +140,17 @@ def _parse_general(line: str, lineno: int) -> tuple[str, int]:
 
 
 def read_corpus(path: str | Path) -> dict[str, int]:
-    """Eventuality id -> frequency of a corpus file, duplicates summed."""
+    """Eventuality id -> frequency of a corpus file, duplicates summed.  The
+    line whose frequency takes the file's total past 2**63 - 1 raises
+    CorpusError: that total bounds every sum `CorpusIndex` keeps as 'q'."""
     merged: dict[str, int] = {}
+    total = 0
     for lineno, line in decoded_lines(path, CorpusError):
         eid, frequency = parse_corpus_line(line, lineno)
         merged[eid] = merged.get(eid, 0) + frequency
+        total += frequency
+        if total >= 2**63:
+            raise CorpusError(f"line {lineno}: the corpus frequencies sum past 2**63 - 1")
     return merged
 
 
@@ -186,14 +192,13 @@ class CorpusIndex:
 
     ids: list[str]
     pattern: array  # 'B': code in PATTERNS
-    predicate: array  # 'I': id in `predicates`
+    predicate: array  # 'I': id in `predicate_ids`
     args: array  # 'I'
     signature: array  # 'I'
     frequency: array  # 'q'
     cond_prob: array  # 'd': frequency over the predicate's
-    predicates: list[str]  # predicate id -> surface, in first-row order
     terms: list[str]  # term id -> surface, in first-row order
-    predicate_ids: dict[str, int]
+    predicate_ids: dict[str, int]  # surface -> predicate id, in first-row order
     by_predicate: dict[str, array]  # 'I': the predicate's rows, in predicate id order
     predicate_freq: dict[str, int]
     predicate_kind: dict[str, str]
@@ -239,11 +244,11 @@ class CorpusIndex:
             sig_freq[sig] += freq
             pred_total[pid] += freq
             by_pred[pid].append(row)
-        predicates, terms = list(pred_ids), list(term_ids)
+        terms = list(term_ids)
         cond_prob = array("d", (f / pred_total[pid] for f, pid in zip(frequency, predicate)))
         return cls(  # the fields in order
-            ids, pattern, predicate, args, signature, frequency, cond_prob, predicates, terms,
-            pred_ids, dict(zip(predicates, by_pred)), dict(zip(predicates, pred_total)), kinds,
+            ids, pattern, predicate, args, signature, frequency, cond_prob, terms,
+            pred_ids, dict(zip(pred_ids, by_pred)), dict(zip(pred_ids, pred_total)), kinds,
             sig_freq, sum(pred_total), *_postings(by_pred, pattern, args, len(terms)),
         )
 

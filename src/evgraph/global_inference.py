@@ -91,11 +91,7 @@ def _find_cycle(parents: dict[str, list[str]]) -> list[str] | None:
 def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
     """Orient scored rules specific->general and break every cycle by
     dropping its lowest-scored edge (ties: lexicographically smallest)."""
-    edges: dict[tuple[str, str], float] = {}
-    for r in rules:
-        if r.score is None:
-            raise ValueError(f"rule {r.from_pred}->{r.to_pred} is unscored")
-        edges[(r.from_pred, r.to_pred)] = r.score
+    edges = {(r.from_pred, r.to_pred): r.score for r in rules}
 
     parents: dict[str, list[str]] = {}
     for s, g in sorted(edges):

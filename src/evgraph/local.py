@@ -17,17 +17,17 @@ it).  Expansion's stricter argument-rule check has its own slot loop.
 
 The scorers read the corpus index's rows and term ids; term
 probabilities come keyed by term id (`rules.term_probabilities`).
-`predicate_score` counts each predicate's signatures once per rule and
-builds both feature vectors from those counts.  Signature augmentation
-probes the same postings as the global stage, each search bound once
-per predicate and pattern (`corpus.posting_probe`).
+Each `PredicateRule` is made with its `predicate_score`, which counts
+each predicate's signatures once per (specific, general) pair and builds
+both feature vectors from those counts.  Signature augmentation probes
+the same postings as the global stage, each search bound once per
+predicate and pattern (`corpus.posting_probe`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import replace
 
 from .corpus import MAX_ARITY, CorpusIndex, posting_probe
 from .model import HYPOTHESES
@@ -179,10 +179,9 @@ def predicate_score(
 
 
 def score_predicate_rules(
-    index: CorpusIndex, rules: tuple[PredicateRule, ...], aug_lambda: float, probs: TermProbs
+    index: CorpusIndex, pairs: Sequence[tuple[str, str]], aug_lambda: float, probs: TermProbs
 ) -> tuple[PredicateRule, ...]:
-    """Fill every rule's score; pairs are independent, so order never matters."""
+    """One scored rule per (specific, general) pair, in pair order."""
     return tuple(
-        replace(r, score=predicate_score(index, r.from_pred, r.to_pred, aug_lambda, probs))
-        for r in rules
+        PredicateRule(a, b, predicate_score(index, a, b, aug_lambda, probs)) for a, b in pairs
     )

@@ -138,25 +138,23 @@ def _build(cfg: PipelineConfig) -> BuildResult:
     )
 
     def _rules_stage():
-        term_ids, pred_freq = rules.collect_vocabulary(index)
+        term_ids = rules.collect_vocabulary(index)
         tr = rules.build_argument_rules(taxonomy, term_ids, cfg.k, cfg.tau)
-        pr = rules.build_predicate_rules(
-            hierarchy, pred_freq, index.predicate_kind, cfg.min_pred_freq
+        pairs = rules.build_predicate_rules(
+            hierarchy, index.predicate_freq, index.predicate_kind, cfg.min_pred_freq
         )
         return (
-            tr, pr, rules.term_probabilities(taxonomy, term_ids),
+            tr, pairs, rules.term_probabilities(taxonomy, term_ids),
             rules.argument_rule_lookup(tr, term_ids),
         )
 
-    tr, pr, probs, rule_by_pair = _staged(meters, "rules", _rules_stage)
+    tr, pairs, probs, rule_by_pair = _staged(meters, "rules", _rules_stage)
 
-    pr_scored = _staged(
-        meters, "local", local.score_predicate_rules, index, pr, cfg.lambda_, probs
-    )
+    pr = _staged(meters, "local", local.score_predicate_rules, index, pairs, cfg.lambda_, probs)
 
     def _global_stage():
-        forest = gi.build_forest(pr_scored)
-        rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr_scored}
+        forest = gi.build_forest(pr)
+        rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr}
         return forest, gi.run_global_stage(
             index, gi.forest_pairs(forest, cfg.general_roots), rule_scores, probs,
             rule_by_pair, cfg.tau_a, cfg.tau_e,
@@ -192,7 +190,7 @@ def _build(cfg: PipelineConfig) -> BuildResult:
         return graph, report
 
     graph, report = _staged(meters, "seal", _seal_stage)
-    return BuildResult(graph, tr, pr_scored, forest, cfg.general_roots, report, *meters)
+    return BuildResult(graph, tr, pr, forest, cfg.general_roots, report, *meters)
 
 
 def write_outputs(result: BuildResult, output_dir: str | Path) -> None:

@@ -1,5 +1,5 @@
 """Entailment rule extraction: argument term rules from the taxonomy and
-raw predicate rules from the verb hierarchy.
+(specific, general) predicate pairs from the verb hierarchy.
 
 Rule files are tab-separated from/to/score lines in canonical sort order.
 The scoring stages read the taxonomy and the argument rules as lookup
@@ -29,17 +29,16 @@ class ArgumentRule:
 
 @dataclass(frozen=True, slots=True)
 class PredicateRule:
-    """Directed predicate entailment rule; score filled by local inference."""
+    """Directed predicate entailment rule with its BInc score."""
 
     from_pred: str
     to_pred: str
-    score: float | None = None
+    score: float
 
 
-def collect_vocabulary(index: CorpusIndex) -> tuple[dict[str, int], dict[str, int]]:
-    """Every argument term with its term id, and every predicate with its
-    summed corpus frequency."""
-    return {term: i for i, term in enumerate(index.terms)}, dict(index.predicate_freq)
+def collect_vocabulary(index: CorpusIndex) -> dict[str, int]:
+    """Every argument term with its term id."""
+    return {term: i for i, term in enumerate(index.terms)}
 
 
 def build_argument_rules(
@@ -64,11 +63,11 @@ def build_argument_rules(
 
 def build_predicate_rules(
     hierarchy: VerbHierarchyStore,
-    predicate_freq: dict[str, int],
-    predicate_kind: dict[str, str],
+    predicate_freq: Mapping[str, int],
+    predicate_kind: Mapping[str, str],
     min_pred_freq: int = 5,
-) -> tuple[PredicateRule, ...]:
-    """Hierarchy edges whose endpoints survive the frequency filter.
+) -> tuple[tuple[str, str], ...]:
+    """Sorted (specific, general) hierarchy edges whose ends pass the frequency filter.
 
     Light-verb endpoints are excluded.  A v-p compound with no hierarchy
     entry of its own falls back to its base verb's edges, keeping the
@@ -82,7 +81,7 @@ def build_predicate_rules(
         for p, f in predicate_freq.items()
         if f >= min_pred_freq and p not in light
     }
-    rules = []
+    pairs = []
     for pred in sorted(eligible):
         targets = hierarchy.edges_from.get(pred)
         if not targets and predicate_kind.get(pred) == VERB_PREP:
@@ -90,9 +89,8 @@ def build_predicate_rules(
         for general in targets or ():
             if general == pred or general in light or general not in eligible:
                 continue
-            rules.append(PredicateRule(pred, general))
-    rules.sort(key=lambda r: (r.from_pred, r.to_pred))
-    return tuple(rules)
+            pairs.append((pred, general))
+    return tuple(sorted(pairs))
 
 
 def argument_rule_lookup(rules, term_ids: Mapping[str, int]) -> dict[tuple[int, int], float]:
@@ -123,5 +121,4 @@ def write_argument_rules(rules, path: str | Path) -> None:
 def write_predicate_rules(rules, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in rules:
-            score = "" if r.score is None else repr(r.score)
-            fh.write(f"{r.from_pred}\t{r.to_pred}\t{score}\n")
+            fh.write(f"{r.from_pred}\t{r.to_pred}\t{r.score!r}\n")

@@ -289,7 +289,8 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
 def _read_column_file(directory: Path) -> EntailmentGraph | None:
     """The graph in the column file, or None unless its header and digests
     match the files on disk and it passes the line reader's checks: the id
-    grammar, frequency below 10**18, `EdgeColumns.check` and `from_parts`."""
+    grammar, frequency >= 1 (a 'q' item is at most the line reader's
+    ceiling, 2**63 - 1), `EdgeColumns.check` and `from_parts`."""
     try:
         with open(directory / COLUMN_FILE, "rb") as fh:
             *stamp, n, m, blob, nodes_sha, edges_sha, digest = _HEADER.unpack(fh.read(_HEADER.size))
@@ -308,7 +309,7 @@ def _read_column_file(directory: Path) -> EntailmentGraph | None:
         text = text.decode("utf-8")
         ids = text.split("\n") if text else []
         if (len(ids) != n or text != text.lower() or not all(map(_ID.fullmatch, ids))
-                or min(frequency, default=1) < 1 or max(frequency, default=1) >= 10**18):
+                or min(frequency, default=1) < 1):
             return None
         edges.check(ids)
         return EntailmentGraph.from_parts(ids, frequency, edges)

@@ -17,6 +17,21 @@ def _write(path: Path, lines) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _write_inputs(directory: str | Path, corpus, taxonomy, hierarchy) -> dict[str, Path]:
+    """Write the three input files into `directory`, made if missing, and
+    return their paths by config key."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "corpus": directory / CORPUS_FILE,
+        "taxonomy": directory / TAXONOMY_FILE,
+        "verb_hierarchy": directory / HIERARCHY_FILE,
+    }
+    for path, lines in zip(paths.values(), (corpus, taxonomy, hierarchy)):
+        _write(path, lines)
+    return paths
+
+
 def write_toy_inputs(directory: str | Path) -> dict[str, Path]:
     """The crunch/chew/eat demo corpus.
 
@@ -25,8 +40,6 @@ def write_toy_inputs(directory: str | Path) -> dict[str, Path]:
     contrasts informative, a two-rule taxonomy (apple/nut are food) and
     the crunch -> chew -> eat verb chain.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     corpus = []
     for verb in ("crunch", "chew", "eat"):
         for obj in ("apple", "food", "nut"):
@@ -35,15 +48,7 @@ def write_toy_inputs(directory: str | Path) -> dict[str, Path]:
     corpus.append("s-v-o\tn1=boy;v1=drink;n2=milk\t12")
     taxonomy = ["food\tapple\t3", "company\tapple\t1", "food\tnut\t1"]
     hierarchy = ["crunch\tchew\thypernym", "chew\teat\thypernym"]
-    paths = {
-        "corpus": directory / CORPUS_FILE,
-        "taxonomy": directory / TAXONOMY_FILE,
-        "verb_hierarchy": directory / HIERARCHY_FILE,
-    }
-    _write(paths["corpus"], corpus)
-    _write(paths["taxonomy"], taxonomy)
-    _write(paths["verb_hierarchy"], hierarchy)
-    return paths
+    return _write_inputs(directory, corpus, taxonomy, hierarchy)
 
 
 def write_layered_inputs(
@@ -61,8 +66,6 @@ def write_layered_inputs(
     Every concept_every-th record also occurs with its concept as the
     object, which feeds the argument-rule expansion stage.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
     corpus: list[str] = []
     taxonomy: list[str] = []
@@ -86,15 +89,7 @@ def write_layered_inputs(
                     corpus.append(
                         f"s-v-o\tn1={subj};v1={pred};n2={concept}\t{rng.randint(1, 9)}"
                     )
-    paths = {
-        "corpus": directory / CORPUS_FILE,
-        "taxonomy": directory / TAXONOMY_FILE,
-        "verb_hierarchy": directory / HIERARCHY_FILE,
-    }
-    _write(paths["corpus"], corpus)
-    _write(paths["taxonomy"], taxonomy)
-    _write(paths["verb_hierarchy"], hierarchy)
-    return paths
+    return _write_inputs(directory, corpus, taxonomy, hierarchy)
 
 
 def write_config_file(path: str | Path, settings: dict[str, object]) -> Path:

@@ -24,13 +24,13 @@ class Row(NamedTuple):
 
 def rows(index) -> dict[str, Row]:
     """Eventuality id -> its row, in row order, read off the columns."""
-    out = {}
+    out, predicates = {}, list(index.predicate_ids)
     for r, eid in enumerate(index.ids):
         code = index.pattern[r]
         args = index.args[r * MAX_ARITY:r * MAX_ARITY + ARITY[code]]
         out[eid] = Row(
             PATTERNS[code],
-            index.predicates[index.predicate[r]],
+            predicates[index.predicate[r]],
             tuple(index.terms[t] for t in args),
             index.cond_prob[r],
         )

@@ -12,6 +12,7 @@ from columns import Row, by_predicate, rows
 from evgraph.corpus import CorpusError, CorpusIndex, parse_corpus_line, read_corpus
 from evgraph.local import signature_counts
 from evgraph.model import PATTERN_ROLES, PATTERNS, Eventuality
+from inputs import index_from
 from randomtoy import corpus_line, eventualities
 
 
@@ -20,12 +21,6 @@ def write_corpus(frequencies, path) -> None:
         for eid, frequency in frequencies.items():
             e = Eventuality.from_id(eid, frequency)
             fh.write(corpus_line(e.pattern, e.tokens, e.frequency) + "\n")
-
-
-def _index(lines, tmp_path):
-    path = tmp_path / "corpus.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return CorpusIndex.from_file(path)
 
 
 def test_parse_line():
@@ -241,6 +236,34 @@ def test_read_merges_duplicate_records(tmp_path):
     assert read_corpus(path) == {"s-v:dog|bark": 7, "s-v:cat|meow": 1}
 
 
+HALF = 2**62  # two records of it sum to 2**63, one past a 'q' column's reach
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # two duplicate records whose merged frequency passes the limit
+        [f"s-v\tn1=dog;v1=bark\t{HALF}", f"s-v\tn1=dog;v1=bark\t{HALF}", "s-v\tn1=cat;v1=meow\t1"],
+        # one signature under two predicates: its signature_freq would pass it
+        [f"s-v\tn1=dog;v1=bark\t{HALF}", f"s-v\tn1=dog;v1=run\t{HALF}", "s-v\tn1=cat;v1=meow\t1"],
+    ],
+    ids=["duplicates", "one signature"],
+)
+def test_read_names_the_line_whose_frequency_sums_past_the_limit(tmp_path, lines):
+    path = tmp_path / "c.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"^line 2: the corpus frequencies sum past 2\*\*63 - 1$"):
+        read_corpus(path)
+
+
+def test_corpus_frequencies_summing_to_the_limit_index(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text(f"s-v\tn1=dog;v1=bark\t{HALF}\ns-v\tn1=dog;v1=run\t{HALF - 1}\n", "utf-8")
+    index = CorpusIndex.from_file(path)
+    assert list(index.signature_freq) == [2**63 - 1]
+    assert index.total_mass == 2**63 - 1
+
+
 def test_read_reports_the_first_bad_line_of_a_file_not_utf8(tmp_path):
     path = tmp_path / "c.tsv"
     good = b"s-v\tn1=dog;v1=bark\t2\n"
@@ -289,8 +312,8 @@ def test_write_read_round_trip(tmp_path):
     assert read_corpus(out) == first
 
 
-def test_index_vocabulary_single_record(tmp_path):
-    index = _index(["s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t1"], tmp_path)
+def test_index_vocabulary_single_record():
+    index = index_from(["s-v-o-p-o\tn1=he;v1=post;n2=it;p1=on;n3=youtube\t1"])
     assert index.terms == ["he", "it", "on-youtube"]
     assert set(index.predicate_freq) == {"post"}
     assert list(index.args) == [0, 1, 2]
@@ -300,10 +323,9 @@ def test_index_vocabulary_single_record(tmp_path):
     assert index.predicate_kind == {"post": "verb"}
 
 
-def test_index_sums_predicate_frequency(tmp_path):
-    index = _index(
+def test_index_sums_predicate_frequency():
+    index = index_from(
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t3", "s-v-o\tn1=girl;v1=eat;n2=bread\t4"],
-        tmp_path,
     )
     assert index.predicate_freq["eat"] == 7
     assert index.total_mass == 7
@@ -313,8 +335,8 @@ def test_index_sums_predicate_frequency(tmp_path):
     assert signature_counts(index, "eat") == {0: 3, 1: 4}
 
 
-def test_index_empty_corpus(tmp_path):
-    index = _index([], tmp_path)
+def test_index_empty_corpus():
+    index = index_from([])
     assert index.ids == []
     assert rows(index) == {}
     assert index.terms == []
@@ -322,24 +344,22 @@ def test_index_empty_corpus(tmp_path):
     assert list(index.posting_keys) == [] and list(index.posting_start) == [0]
 
 
-def test_index_conditional_probability(tmp_path):
-    index = _index(
+def test_index_conditional_probability():
+    index = index_from(
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t1", "s-v-o\tn1=boy;v1=eat;n2=food\t3"],
-        tmp_path,
     )
     assert rows(index)["s-v-o:boy|eat|apple"].cond_prob == 0.25
     assert rows(index)["s-v-o:boy|eat|food"].cond_prob == 0.75
     assert list(index.cond_prob) == [0.25, 0.75]
 
 
-def test_index_groups_by_predicate_sorted(tmp_path):
-    index = _index(
+def test_index_groups_by_predicate_sorted():
+    index = index_from(
         [
             "s-v-o\tn1=boy;v1=eat;n2=food\t1",
             "s-v-o\tn1=boy;v1=eat;n2=apple\t1",
             "s-v\tn1=dog;v1=bark\t1",
         ],
-        tmp_path,
     )
     assert by_predicate(index)["eat"] == ("s-v-o:boy|eat|apple", "s-v-o:boy|eat|food")
     assert list(index.by_predicate["eat"]) == [0, 1]  # "s-v-o:" sorts before "s-v:"

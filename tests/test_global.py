@@ -4,7 +4,6 @@ expansion."""
 
 import gc
 import math
-import tempfile
 import weakref
 from collections import Counter
 from itertools import groupby
@@ -22,7 +21,6 @@ from evgraph.config import PipelineConfig
 from evgraph.corpus import (
     MAX_ARITY,
     CorpusIndex,
-    parse_corpus_line,
     posting_base,
     posting_probe,
     posting_table,
@@ -46,21 +44,9 @@ from evgraph.model import (
     aligned_slots,
 )
 from evgraph.pipeline import build, run_build
-from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
 from evgraph.synth import write_layered_inputs
-
-
-def _index(lines):
-    return CorpusIndex.build(
-        dict(parse_corpus_line(line, i + 1) for i, line in enumerate(lines))
-    )
-
-
-def _taxonomy(lines, tmp_path):
-    path = tmp_path / "t.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return load_taxonomy(path)
+from inputs import index_from, store_from, taxonomy_from
 
 
 def _scored(*pairs):
@@ -336,8 +322,8 @@ FIG_CORPUS = [
 
 
 def test_bipartite_contains_identical_argument_pair(tmp_path):
-    index = _index(FIG_CORPUS)
-    store = _taxonomy([], tmp_path)
+    index = index_from(FIG_CORPUS)
+    store = taxonomy_from([], tmp_path)
     edges, checks = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
     )
@@ -348,8 +334,8 @@ def test_bipartite_contains_identical_argument_pair(tmp_path):
 
 
 def test_bipartite_empty_side(tmp_path):
-    index = _index(FIG_CORPUS)
-    store = _taxonomy([], tmp_path)
+    index = index_from(FIG_CORPUS)
+    store = taxonomy_from([], tmp_path)
     edges, checks = infer(
         index, ("chew", "drink"), {("chew", "drink"): 1.0}, store, 0.0, 0.0
     )
@@ -357,10 +343,10 @@ def test_bipartite_empty_side(tmp_path):
 
 
 def test_bipartite_taxonomy_related_candidate_carries_composed_weight(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=x;v1=eat;n2=fruit\t2"]
     )
-    store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
+    store = taxonomy_from(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
     edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 0.81}, store, 0.0, 0.0
     )
@@ -372,10 +358,10 @@ def test_bipartite_taxonomy_related_candidate_carries_composed_weight(tmp_path):
 
 
 def test_bipartite_unrelated_arguments_excluded(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=x;v1=chew;n2=apple\t2", "s-v-o\tn1=y;v1=eat;n2=rock\t2"]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     edges, checks = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 0.0, 0.0
     )
@@ -436,8 +422,8 @@ MIXED_CORPUS = [
 
 @pytest.mark.parametrize("tau_a,tau_e", [(0.3, 0.2), (0.0, 0.0), (1.0, 1.0)])
 def test_infer_matches_brute_force(tmp_path, tau_a, tau_e):
-    index = _index(MIXED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1", "toy\tapple\t1"], tmp_path)
+    index = index_from(MIXED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1", "toy\tapple\t1"], tmp_path)
     path = ("chew", "eat")
     rule_scores = {("chew", "eat"): 0.7}
     edges, checks = infer(index, path, rule_scores, store, tau_a, tau_e)
@@ -446,8 +432,8 @@ def test_infer_matches_brute_force(tmp_path, tau_a, tau_e):
 
 
 def test_strict_thresholds_keep_only_identical_argument_pairs(tmp_path):
-    index = _index(MIXED_CORPUS)
-    store = _taxonomy(["food\tapple\t3"], tmp_path)
+    index = index_from(MIXED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3"], tmp_path)
     edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 1.0}, store, 1.0, 1.0
     )
@@ -465,8 +451,8 @@ def test_infer_consistent_with_bipartite_acceptance(tmp_path):
     # The thresholds only filter: the edges accepted at (tau_a, tau_e) are
     # the loose (0, 0) candidates that pass the acceptance test, unchanged,
     # and every candidate's factors re-derive independently.
-    index = _index(MIXED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(MIXED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     tau_a, tau_e = 0.25, 0.15
     rule_scores = {("chew", "eat"): 0.7}
     edges, _ = infer(index, ("chew", "eat"), rule_scores, store, tau_a, tau_e)
@@ -492,10 +478,10 @@ def test_path_identical_slot_saturates_argument_score(tmp_path):
     # boy chew apple -> girl eat apple: no taxonomy entry relates boy and
     # girl, but the identical object has probability 1 and zeroes the
     # noisy-OR miss product, so the pair scores 1.0 and is accepted.
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t2", "s-v-o\tn1=girl;v1=eat;n2=apple\t2"]
     )
-    store = _taxonomy(["food\tapple\t3"], tmp_path)
+    store = taxonomy_from(["food\tapple\t3"], tmp_path)
     edges, _ = infer(
         index, ("chew", "eat"), {("chew", "eat"): 0.7}, store, 0.3, 0.2
     )
@@ -525,14 +511,14 @@ def test_iter_chains_diamond():
 
 
 def test_expansion_attaches_incoming_same_predicate_edges(tmp_path):
-    index = _index(
+    index = index_from(
         [
             "s-v-o\tn1=boy;v1=crunch;n2=apple\t4",
             "s-v-o\tn1=boy;v1=crunch;n2=food\t4",
             "s-v-o\tn1=boy;v1=crunch;n2=nut\t4",
         ]
     )
-    store = _taxonomy(["food\tapple\t3", "company\tapple\t1", "food\tnut\t1"], tmp_path)
+    store = taxonomy_from(["food\tapple\t3", "company\tapple\t1", "food\tnut\t1"], tmp_path)
     rules = {("apple", "food"): 0.75, ("nut", "food"): 1.0}
     edges, _ = expand(
         index, {"s-v-o:boy|crunch|food"}, rules, 0.2
@@ -547,13 +533,13 @@ def test_expansion_attaches_incoming_same_predicate_edges(tmp_path):
 
 
 def test_expansion_respects_threshold(tmp_path):
-    index = _index(
+    index = index_from(
         [
             "s-v-o\tn1=boy;v1=crunch;n2=apple\t1",
             "s-v-o\tn1=boy;v1=crunch;n2=food\t9",
         ]
     )
-    store = _taxonomy(["food\tapple\t1"], tmp_path)
+    store = taxonomy_from(["food\tapple\t1"], tmp_path)
     rules = {("apple", "food"): 1.0}
     # composed score = sqrt(penalty * 1.0) = sqrt(min(1, (1/10)/(9/10))) ~ 0.333
     edges, _ = expand(
@@ -567,23 +553,23 @@ def test_expansion_respects_threshold(tmp_path):
 
 
 def test_expansion_without_applicable_rules(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=crunch;n2=rock\t1", "s-v-o\tn1=boy;v1=crunch;n2=food\t1"]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     edges, _ = expand(index, {"s-v-o:boy|crunch|food"}, {}, 0.0)
     assert edges == {}
 
 
 def test_expansion_allows_all_equal_cross_pattern_pair(tmp_path):
     # "boy eat apple at home" entails "boy eat apple" with the p-o term dropped
-    index = _index(
+    index = index_from(
         [
             "s-v-o\tn1=boy;v1=eat;n2=apple\t1",
             "s-v-o-p-o\tn1=boy;v1=eat;n2=apple;p1=at;n3=home\t1",
         ]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     edges, _ = expand(index, {"s-v-o:boy|eat|apple"}, {}, 0.2)
     assert set(edges) == {("s-v-o-p-o:boy|eat|apple|at|home", "s-v-o:boy|eat|apple")}
 
@@ -592,13 +578,13 @@ def test_expansion_rejects_identical_subject_beside_unruled_slot(tmp_path):
     # Expansion needs a rule for every non-identical slot: the identical
     # subject and the ruled object do not carry the prep-object, although
     # the path-inference noisy-OR scores the same pair 1.0.
-    index = _index(
+    index = index_from(
         [
             "s-v-o-p-o\tn1=boy;v1=eat;n2=apple;p1=at;n3=home\t1",
             "s-v-o-p-o\tn1=boy;v1=eat;n2=food;p1=at;n3=school\t1",
         ]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     rules = {("apple", "food"): 1.0}
     cand, node = "s-v-o-p-o:boy|eat|apple|at|home", "s-v-o-p-o:boy|eat|food|at|school"
     edges, checks = expand(index, {node}, rules, 0.0)
@@ -727,8 +713,8 @@ def test_report_counts_the_lines_of_paths_tsv(tmp_path, roots, n_paths):
 
 
 def test_run_global_stage_counts_dense_checks(tmp_path):
-    index = _index(MIXED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(MIXED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     pairs = [("chew", "eat")]
     rule_scores = {("chew", "eat"): 0.7}
     tr = {("apple", "food"): 0.75, ("nut", "food"): 0.25}
@@ -773,8 +759,8 @@ def _per_pair_reference(index, pairs, rule_scores, store, rule_by_pair, tau_a, t
 def test_run_global_stage_computes_each_pair_and_chain_node_once(tmp_path, monkeypatch):
     # chew is the right predicate of two pairs and the left of one; boy
     # chew apple is an endpoint of edges on both sides of chew.
-    index = _index(SHARED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(SHARED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     inferred, expanded = [], []
 
     def count_infer(index, path, *args):
@@ -807,8 +793,8 @@ def test_global_stage_holds_one_posting_table_at_a_time(tmp_path, monkeypatch):
     # chew is the right predicate of two pairs and eat of one: each gets
     # one table, built after the last one is gone, and none is left by
     # the time expansion runs.
-    index = _index(SHARED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(SHARED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     built = []
 
     class Table(dict):
@@ -817,7 +803,7 @@ def test_global_stage_holds_one_posting_table_at_a_time(tmp_path, monkeypatch):
     def table(index, pid):
         assert all(ref() is None for _, ref in built)
         held = Table(posting_table(index, pid))
-        built.append((index.predicates[pid], weakref.ref(held)))
+        built.append((list(index.predicate_ids)[pid], weakref.ref(held)))
         return held
 
     def count_expand(*args):
@@ -834,8 +820,8 @@ def test_global_stage_passes_over_a_predicate_without_rows(tmp_path):
     # ghost and spirit have no corpus rows: the pairs naming them, on
     # either side, add no edge and no check, and building spirit's
     # (empty) posting table raises nothing.
-    index = _index(SHARED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(SHARED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     assert "ghost" not in index.predicate_ids and "spirit" not in index.predicate_ids
     stage = [SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2]
     pairs = SHARED_PAIRS + [("ghost", "eat"), ("eat", "spirit"), ("ghost", "spirit")]
@@ -850,8 +836,8 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
     # probed: in path inference, one table lookup per slot of each left
     # eventuality and per concept of its term; in expansion, once per
     # chain node that holds an argument rule's target term (food).
-    index = _index(SHARED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(SHARED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     term_probs = probs(index, store)
     svo = PATTERN_CODE["s-v-o"]
     lookups, probes = [], []
@@ -887,8 +873,8 @@ def test_global_stage_skips_patterns_absent_from_the_postings(tmp_path, monkeypa
 
 
 def test_run_global_stage_counts_are_dense_per_pair_sums(tmp_path):
-    index = _index(SHARED_CORPUS)
-    store = _taxonomy(["food\tapple\t3", "food\tnut\t1"], tmp_path)
+    index = index_from(SHARED_CORPUS)
+    store = taxonomy_from(["food\tapple\t3", "food\tnut\t1"], tmp_path)
     result = global_stage(
         index, SHARED_PAIRS, SHARED_RULES, store, SHARED_ARG_RULES, 0.3, 0.2
     )
@@ -908,13 +894,6 @@ NOUNS = ("boy", "girl", "apple", "food", "nut")
 CONCEPTS = NOUNS + ("at-food", "thing", "entity")
 INSTANCES = NOUNS + ("at-apple", "at-food", "on-nut", "at-the-food")
 THRESHOLDS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-
-
-def _store(lines):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.tsv"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        return load_taxonomy(path)
 
 
 # Pattern -> the two roles whose tokens decomposition joins with "-".
@@ -959,7 +938,7 @@ def corpora(draw):
 taxonomies = st.lists(
     st.tuples(st.sampled_from(CONCEPTS), st.sampled_from(INSTANCES), st.integers(1, 4)),
     max_size=12,
-).map(lambda rows: _store([f"{c}\t{i}\t{f}" for c, i, f in rows]))
+).map(lambda rows: store_from([f"{c}\t{i}\t{f}" for c, i, f in rows]))
 
 
 @given(corpora(), taxonomies, st.data(), THRESHOLDS, THRESHOLDS)
@@ -1031,7 +1010,7 @@ def test_posting_table_lookups_equal_bisection(index, store, data):
     # Path inference looks each key up in the right predicate's table;
     # expansion and BInc augmentation bisect.  Both find the same rows in
     # the same order.
-    pid = data.draw(st.integers(0, len(index.predicates) - 1))
+    pid = data.draw(st.integers(0, len(index.predicate_ids) - 1))
     pattern = data.draw(st.integers(0, len(PATTERNS) - 1))
     slot = st.integers(0, MAX_ARITY - 1)
     terms = data.draw(st.lists(st.integers(0, len(index.terms) - 1), min_size=MAX_ARITY, max_size=MAX_ARITY))

@@ -4,16 +4,14 @@ composed score."""
 
 import math
 import random
-import tempfile
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from columns import probs, rows, text_keyed
-from evgraph.corpus import CorpusIndex, parse_corpus_line
+from evgraph.corpus import CorpusIndex
 from evgraph.local import (
     argument_score,
     binc,
@@ -34,20 +32,8 @@ from evgraph.model import (
     aligned_slots,
     decompose_surfaces,
 )
-from evgraph.resources import load_taxonomy
 from evgraph.rules import PredicateRule
-
-
-def _index(lines):
-    return CorpusIndex.build(
-        dict(parse_corpus_line(line, i + 1) for i, line in enumerate(lines))
-    )
-
-
-def _taxonomy(lines, tmp_path):
-    path = tmp_path / "t.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return load_taxonomy(path)
+from inputs import index_from, store_from, taxonomy_from
 
 
 def bernoulli_or(probs):
@@ -85,7 +71,7 @@ def test_noisy_or_matches_bernoulli_enumeration():
 
 
 def test_argument_set_score_examples(tmp_path):
-    store = _taxonomy(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
+    store = taxonomy_from(["fruit\tapple\t3", "company\tapple\t1"], tmp_path)
     both = ((0, 0), (1, 1))
     # identical pair forces 1.0
     assert argument_score(("boy", "apple"), ("boy", "apple"), both, store) == (
@@ -141,7 +127,7 @@ def test_pmi_scale_invariance():
 
 
 def test_pmi_over_corpus_counts():
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t2", "s-v-o\tn1=boy;v1=see;n2=apple\t2"]
     )
     # N=4, c(eat, boy|apple)=2, c(eat)=2, c(boy|apple)=4 -> log(4*2/8)=0
@@ -173,14 +159,14 @@ def _vector(index, predicate, other, aug_lambda, store):
 
 
 def test_shared_signature_becomes_base_feature(tmp_path):
-    index = _index(CHEW_EAT_CORPUS)
-    store = _taxonomy([], tmp_path)
+    index = index_from(CHEW_EAT_CORPUS)
+    store = taxonomy_from([], tmp_path)
     vec = _vector(index, "chew", "eat", 0.5, store)
     assert "boy|apple" in vec and "boy|food" in vec
 
 
 def test_augmentation_adds_entailed_signature(tmp_path):
-    index = _index(
+    index = index_from(
         [
             "s-v-o\tn1=boy;v1=chew;n2=apple\t1",
             "s-v-o\tn1=boy;v1=chew;n2=food\t8",
@@ -189,7 +175,7 @@ def test_augmentation_adds_entailed_signature(tmp_path):
             "s-v-o\tn1=sun;v1=shine;n2=sky\t8",
         ]
     )
-    store = _taxonomy(["food\tapple\t3", "company\tapple\t1"], tmp_path)
+    store = taxonomy_from(["food\tapple\t3", "company\tapple\t1"], tmp_path)
     vec = _vector(index, "chew", "eat", 0.5, store)
     # base: boy|apple (the only shared signature); (boy,apple) entails
     # (boy,food) with probability above lambda, so boy|food is augmented in.
@@ -198,19 +184,19 @@ def test_augmentation_adds_entailed_signature(tmp_path):
 
 
 def test_disjoint_contexts_give_empty_vector(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t1", "s-v-o\tn1=sun;v1=eat;n2=sky\t1"]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     vec = _vector(index, "chew", "eat", 1.0, store)
     assert vec == {}
 
 
 def test_zero_pmi_features_dropped(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=eat;n2=apple\t2", "s-v-o\tn1=boy;v1=see;n2=apple\t2"]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     vec = _vector(index, "eat", "see", 0.5, store)
     assert vec == {}
 
@@ -257,13 +243,6 @@ def dense_feature_vector(index, predicate, other, aug_lambda, store):
     return {sig: w for sig, w in weights.items() if w > 0.0}
 
 
-def _store(lines):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.tsv"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        return load_taxonomy(path)
-
-
 # Adjectives that are also nouns, and verbs that spell a compound
 # predicate, put one signature under two patterns of one predicate:
 # "boy eat apple" is boy|apple under s-v-o and s-v-a, "boy eat-at apple"
@@ -301,7 +280,7 @@ fv_taxonomies = st.lists(
         st.integers(1, 4),
     ),
     max_size=12,
-).map(lambda rows: _store([f"{c}\t{i}\t{f}" for c, i, f in rows]))
+).map(lambda rows: store_from([f"{c}\t{i}\t{f}" for c, i, f in rows]))
 
 
 @given(mixed_corpora(), fv_taxonomies, st.floats(0.0, 1.0))
@@ -348,14 +327,14 @@ def test_binc_worked_example():
 
 
 def test_predicate_score_identity(tmp_path):
-    index = _index(CHEW_EAT_CORPUS)
-    store = _taxonomy([], tmp_path)
+    index = index_from(CHEW_EAT_CORPUS)
+    store = taxonomy_from([], tmp_path)
     assert predicate_score(index, "eat", "eat", 0.5, probs(index, store)) == 1.0
 
 
 def test_predicate_score_matches_hand_built_vectors(tmp_path):
-    index = _index(CHEW_EAT_CORPUS)
-    store = _taxonomy([], tmp_path)
+    index = index_from(CHEW_EAT_CORPUS)
+    store = taxonomy_from([], tmp_path)
     # Independent construction: N=24, c(chew)=6, c(eat)=12,
     # c(boy|apple)=6, c(boy|food)=6, c(girl|bread)=12.
     w_chew = {
@@ -380,22 +359,22 @@ def test_predicate_score_matches_hand_built_vectors(tmp_path):
 
 
 def test_predicate_score_zero_without_shared_context(tmp_path):
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=boy;v1=chew;n2=apple\t1", "s-v-o\tn1=sun;v1=eat;n2=sky\t1"]
     )
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     assert predicate_score(index, "chew", "eat", 1.0, probs(index, store)) == 0.0
 
 
 def test_score_predicate_rules_fills_each_rule_score(tmp_path):
-    index = _index(CHEW_EAT_CORPUS)
-    store = _taxonomy([], tmp_path)
-    rules = (PredicateRule("chew", "eat"), PredicateRule("see", "eat"))
+    index = index_from(CHEW_EAT_CORPUS)
+    store = taxonomy_from([], tmp_path)
+    pairs = (("see", "eat"), ("chew", "eat"))
     table = probs(index, store)
-    serial = score_predicate_rules(index, rules, 0.5, table)
-    assert [r.score for r in serial] == [
-        predicate_score(index, r.from_pred, r.to_pred, 0.5, table) for r in rules
-    ]
+    serial = score_predicate_rules(index, pairs, 0.5, table)
+    assert serial == tuple(
+        PredicateRule(a, b, predicate_score(index, a, b, 0.5, table)) for a, b in pairs
+    )
 
 
 # --- penalty (edge composer) ---------------------------------------------------
@@ -416,7 +395,7 @@ def _penalty(index, id_from, id_to):
 
 
 def test_penalty_worked_example():
-    index = _index(SEE_THINK_CORPUS)
+    index = index_from(SEE_THINK_CORPUS)
     see = "s-v-o:she|see|towel"
     think = "s-v-o:she|think|towel"
     # raw = (26/100)/(4/100) = 6.5, clamped
@@ -427,14 +406,14 @@ def test_penalty_worked_example():
 
 
 def test_penalty_equal_conditionals():
-    index = _index(
+    index = index_from(
         ["s-v-o\tn1=a;v1=p;n2=x\t3", "s-v-o\tn1=a;v1=q;n2=x\t3"]
     )
     assert _penalty(index, "s-v-o:a|p|x", "s-v-o:a|q|x") == 1.0
 
 
 def test_penalty_ratio_example():
-    index = _index(
+    index = index_from(
         [
             "s-v-o\tn1=a;v1=p;n2=x\t1",
             "s-v-o\tn1=b;v1=p;n2=y\t9",
@@ -447,7 +426,7 @@ def test_penalty_ratio_example():
 
 
 def test_penalty_reciprocal_before_clamping():
-    index = _index(SEE_THINK_CORPUS)
+    index = index_from(SEE_THINK_CORPUS)
     a, b = "s-v-o:she|see|towel", "s-v-o:she|think|towel"
     # the clamped direction is exactly the reciprocal of the unclamped one
     assert _penalty(index, a, b) == 1.0

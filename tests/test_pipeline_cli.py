@@ -585,6 +585,31 @@ def test_cli_bad_config_value(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("k", "1.5", "k must be an integer, got '1.5'"),
+        ("tau_e", "abc", "tau_e must be a number, got 'abc'"),
+    ],
+)
+def test_cli_bad_flag_value_reports_as_the_config_line(tmp_path, capsys, key, value, message):
+    # A flag's value is typed by make_config, as the same config line is.
+    assert main(["build", "--config", str(_toy_config_file(tmp_path)), f"--{key}", value]) == 1
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert main(["build", "--config", str(_toy_config_file(tmp_path, **{key: value}))]) == 1
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_corpus_summing_past_the_limit_names_its_line(tmp_path, capsys):
+    corpus = tmp_path / "big.tsv"
+    corpus.write_text(f"s-v\tn1=dog;v1=bark\t9\ns-v\tn1=dog;v1=run\t{2**63 - 9}\n", encoding="utf-8")
+    assert main(["build", "--config", str(_toy_config_file(tmp_path, corpus=corpus))]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[ingest]: line 2: the corpus frequencies sum past 2**63 - 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_not_utf8_names_its_line(tmp_path, capsys):
     cfg_file = _toy_config_file(tmp_path)
     lines = cfg_file.read_bytes().splitlines(keepends=True)

@@ -15,29 +15,14 @@ from evgraph.resources import (
     load_taxonomy,
     load_verb_hierarchy,
 )
-
-
-def _taxonomy(lines, tmp_path):
-    path = tmp_path / "taxonomy.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return load_taxonomy(path)
-
-
-def _hierarchy(lines, tmp_path, light=None):
-    path = tmp_path / "hierarchy.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    light_path = None
-    if light is not None:
-        light_path = tmp_path / "light.txt"
-        light_path.write_text("".join(v + "\n" for v in light), encoding="utf-8")
-    return load_verb_hierarchy(path, light_path)
+from inputs import hierarchy_from, taxonomy_from
 
 
 APPLE_LINES = ["fruit\tapple\t3", "company\tapple\t1"]
 
 
 def test_totals_sum_entry_frequencies(tmp_path):
-    store = _taxonomy(APPLE_LINES + ["food\tapple\t4"], tmp_path)
+    store = taxonomy_from(APPLE_LINES + ["food\tapple\t4"], tmp_path)
     # Each probability is its frequency over the instance's total of 8,
     # listed by descending frequency.
     assert list(store["apple"].items()) == [
@@ -48,13 +33,13 @@ def test_totals_sum_entry_frequencies(tmp_path):
 
 
 def test_duplicate_pairs_sum(tmp_path):
-    store = _taxonomy(["fruit\tapple\t3", "fruit\tapple\t2", "company\tapple\t5"], tmp_path)
+    store = taxonomy_from(["fruit\tapple\t3", "fruit\tapple\t2", "company\tapple\t5"], tmp_path)
     # The summed tie orders by concept.
     assert list(store["apple"].items()) == [("company", 0.5), ("fruit", 0.5)]
 
 
 def test_empty_taxonomy(tmp_path):
-    store = _taxonomy([], tmp_path)
+    store = taxonomy_from([], tmp_path)
     assert store == {}
     assert build_argument_rules(store, {"anything"}, 5, 0.0) == ()
 
@@ -71,7 +56,7 @@ def test_empty_taxonomy(tmp_path):
 )
 def test_taxonomy_load_errors_carry_line_number(line, match, tmp_path):
     with pytest.raises(ResourceError, match=match) as err:
-        _taxonomy(["fruit\tpear\t1", line], tmp_path)
+        taxonomy_from(["fruit\tpear\t1", line], tmp_path)
     assert "line 2" in str(err.value)
 
 
@@ -115,14 +100,14 @@ def test_resource_not_utf8_names_its_line(load, line, tmp_path):
 def test_conceptualize_orders_by_probability(tmp_path):
     # A term's concepts come in probability order, so its top k are the
     # first k: the argument rules take them so.
-    store = _taxonomy(APPLE_LINES, tmp_path)
+    store = taxonomy_from(APPLE_LINES, tmp_path)
     assert list(store["apple"].items()) == [("fruit", 0.75), ("company", 0.25)]
     terms = {"apple", "fruit", "company"}
     assert build_argument_rules(store, terms, 1, 0.0) == (ArgumentRule("apple", "fruit", 0.75),)
 
 
 def test_conceptualize_five_concept_list(tmp_path):
-    store = _taxonomy(
+    store = taxonomy_from(
         [
             "fruit\tapple\t10",
             "company\tapple\t8",
@@ -141,12 +126,12 @@ def test_conceptualize_five_concept_list(tmp_path):
 
 
 def test_conceptualize_tie_breaks_lexicographically(tmp_path):
-    store = _taxonomy(["zebra\tthing\t2", "alpha\tthing\t2"], tmp_path)
+    store = taxonomy_from(["zebra\tthing\t2", "alpha\tthing\t2"], tmp_path)
     assert list(store["thing"].items()) == [("alpha", 0.5), ("zebra", 0.5)]
 
 
 def test_conceptualize_k_zero_and_unknown(tmp_path):
-    store = _taxonomy(APPLE_LINES, tmp_path)
+    store = taxonomy_from(APPLE_LINES, tmp_path)
     terms = {"apple", "pear", "fruit", "company"}
     assert build_argument_rules(store, terms, 0, 0.0) == ()
     assert build_argument_rules(store, terms - {"apple"}, 5, 0.0) == ()
@@ -155,7 +140,7 @@ def test_conceptualize_k_zero_and_unknown(tmp_path):
 
 
 def test_conceptualize_probabilities_sum_to_one_when_k_covers_all(tmp_path):
-    store = _taxonomy(APPLE_LINES + ["food\tapple\t2"], tmp_path)
+    store = taxonomy_from(APPLE_LINES + ["food\tapple\t2"], tmp_path)
     probs = store["apple"].values()
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -166,7 +151,7 @@ def term_entailment_prob(store, term_i, term_j):
 
 
 def test_term_entailment_prob(tmp_path):
-    store = _taxonomy(APPLE_LINES, tmp_path)
+    store = taxonomy_from(APPLE_LINES, tmp_path)
     assert term_entailment_prob(store, "apple", "apple") == 1.0
     assert term_entailment_prob(store, "apple", "fruit") == 0.75
     assert term_entailment_prob(store, "apple", "spaceship") == 0.0
@@ -180,46 +165,46 @@ def test_term_entailment_prob_identity(term):
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = _taxonomy(APPLE_LINES, Path(tmp))
+        store = taxonomy_from(APPLE_LINES, Path(tmp))
         assert term_entailment_prob(store, term, term) == 1.0
 
 
 def test_term_entailment_prob_in_unit_interval(tmp_path):
-    store = _taxonomy(APPLE_LINES + ["food\tapple\t2", "fruit\tpear\t1"], tmp_path)
+    store = taxonomy_from(APPLE_LINES + ["food\tapple\t2", "fruit\tpear\t1"], tmp_path)
     for t_i in ("apple", "pear", "fruit", "nope"):
         for t_j in ("apple", "pear", "fruit", "company", "nope"):
             assert 0.0 <= term_entailment_prob(store, t_i, t_j) <= 1.0
 
 
 def test_hierarchy_edges(tmp_path):
-    store = _hierarchy(["sniff\tsmell\thypernym", "know\tremember\tentail"], tmp_path)
+    store = hierarchy_from(["sniff\tsmell\thypernym", "know\tremember\tentail"], tmp_path)
     assert store.edges_from == {"know": ("remember",), "sniff": ("smell",)}
 
 
 def test_hierarchy_rejects_self_loop(tmp_path):
     with pytest.raises(ResourceError, match="self-loop") as err:
-        _hierarchy(["run\trun\thypernym"], tmp_path)
+        hierarchy_from(["run\trun\thypernym"], tmp_path)
     assert "line 1" in str(err.value)
 
 
 def test_hierarchy_rejects_unknown_kind(tmp_path):
     with pytest.raises(ResourceError, match="kind"):
-        _hierarchy(["sniff\tsmell\tsynonym"], tmp_path)
+        hierarchy_from(["sniff\tsmell\tsynonym"], tmp_path)
 
 
 def test_empty_hierarchy(tmp_path):
-    store = _hierarchy([], tmp_path)
+    store = hierarchy_from([], tmp_path)
     assert store.edges_from == {}
 
 
 def test_default_light_verbs(tmp_path):
-    store = _hierarchy([], tmp_path)
+    store = hierarchy_from([], tmp_path)
     assert store.light_verbs >= {"do", "give", "have", "make", "take"}
     assert store.light_verbs == DEFAULT_LIGHT_VERBS
 
 
 def test_custom_light_verb_file(tmp_path):
-    store = _hierarchy([], tmp_path, light=["Get", "do", ""])
+    store = hierarchy_from([], tmp_path, light=["Get", "do", ""])
     assert store.light_verbs == frozenset({"get", "do"})
     path = tmp_path / "light.txt"
     assert load_light_verbs(path) == frozenset({"get", "do"})

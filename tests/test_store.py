@@ -959,3 +959,17 @@ def test_sealed_graphs_read_as_the_line_reader_reads_their_tsvs(tmp_path, graph)
     write_graph(graph, tmp_path)
     assert (tmp_path / store.COLUMN_FILE).exists()
     assert _read_outcome(read_graph, tmp_path) == _read_outcome(store._read_lines, tmp_path)
+
+
+@pytest.mark.parametrize("frequency", [10**18, 2**63 - 1])
+def test_column_file_takes_any_frequency_the_line_reader_takes(tmp_path, monkeypatch, frequency):
+    # The 'q' column holds a frequency up to 2**63 - 1, the line reader's
+    # ceiling, so the column file needs no lower one of its own.
+    chew, eat = node("boy", "chew", "apple", frequency), node("boy", "eat", "apple")
+    graph = graph_from([chew, eat], [edge(chew, eat)])
+    write_graph(graph, tmp_path)
+    lines = store._read_lines(tmp_path)
+    monkeypatch.setattr(store, "_read_lines", _read_lines_only)
+    again = read_graph(tmp_path)
+    assert again == lines == graph
+    assert _bits(again) == _bits(lines)
