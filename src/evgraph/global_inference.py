@@ -62,6 +62,7 @@ class PredicateForest:
     parents, with its tree count and the edges dropped to break cycles."""
 
     parents: dict[str, tuple[str, ...]]  # specific -> more-general predicates
+    scores: dict[tuple[str, str], float]  # (specific, general) kept edge -> rule score
     n_trees: int
     dropped_edges: tuple[tuple[str, str], ...]
 
@@ -125,6 +126,7 @@ def build_forest(rules: tuple[PredicateRule, ...]) -> PredicateForest:
 
     return PredicateForest(
         parents={s: tuple(sorted(p)) for s, p in parents.items() if p},
+        scores=edges,
         n_trees=n_trees,
         dropped_edges=tuple(sorted(dropped)),
     )

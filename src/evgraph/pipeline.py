@@ -1,8 +1,8 @@
 """End-to-end build orchestration: ingest -> rule extraction -> local
 scoring -> global inference -> seal -> persistence.
 
-The seal stage runs the `ScoredEdge` checks over the accepted edge
-columns, seals them with the index's ids into an `EntailmentGraph`, and
+The seal stage seals the accepted edge columns and the index's ids
+through `EntailmentGraph.from_parts`, the graph's one validator, and
 assembles the run report, whose path count is the number of lines that
 persist streams into `paths.tsv`, counted without a walk (`gi.count_paths`).
 Every stage is deterministic and runs in this process, so two builds
@@ -11,8 +11,10 @@ times each stage and `stage_peak_mb` holds the process's peak memory
 after each, and a stage's failure is a `StageError` tagged with its
 name.  `build` pauses the cyclic garbage collector from ingest through
 the seal, which make next to no reference cycles; persist runs with the
-collector as the caller left it.  Output files land atomically: nothing
-is moved into the output directory until the whole build has succeeded.
+collector as the caller left it.  Nothing is moved into the output
+directory until the whole build has succeeded; then the seven files
+move in one `replace` each, so a crash between two leaves two builds'
+files side by side.
 """
 
 from __future__ import annotations
@@ -154,16 +156,14 @@ def _build(cfg: PipelineConfig) -> BuildResult:
 
     def _global_stage():
         forest = gi.build_forest(pr)
-        rule_scores = {(r.from_pred, r.to_pred): r.score for r in pr}
         return forest, gi.run_global_stage(
-            index, gi.forest_pairs(forest, cfg.general_roots), rule_scores, probs,
+            index, gi.forest_pairs(forest, cfg.general_roots), forest.scores, probs,
             rule_by_pair, cfg.tau_a, cfg.tau_e,
         )
 
     forest, result = _staged(meters, "global", _global_stage)
 
     def _seal_stage():
-        result.edges.check(index.ids)
         graph = store.EntailmentGraph.from_parts(index.ids, index.frequency, result.edges)
         by_prov = {PROVENANCES[code]: k for code, k in Counter(graph.columns.prov).items()}
         report = {
@@ -200,10 +200,8 @@ def write_outputs(result: BuildResult, output_dir: str | Path) -> None:
     staging = Path(tempfile.mkdtemp(prefix=".build-", dir=output_dir.parent))
     try:
         store.write_graph(result.graph, staging)
-        rules.write_argument_rules(result.argument_rules, staging / ARGUMENT_RULES_FILE)
-        rules.write_predicate_rules(
-            result.predicate_rules, staging / PREDICATE_RULES_FILE
-        )
+        rules.write_rules(result.argument_rules, staging / ARGUMENT_RULES_FILE)
+        rules.write_rules(result.predicate_rules, staging / PREDICATE_RULES_FILE)
         with open(staging / PATHS_FILE, "w", encoding="utf-8") as fh:
             fh.writelines(gi.extract_paths(result.forest, result.general_roots))
         with open(staging / REPORT_FILE, "w", encoding="utf-8") as fh:

@@ -8,9 +8,10 @@ tables keyed by the corpus index's term ids.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import CorpusIndex
@@ -73,8 +74,6 @@ def build_predicate_rules(
     entry of its own falls back to its base verb's edges, keeping the
     compound on the specific side.
     """
-    if min_pred_freq < 1:
-        raise ValueError(f"min_pred_freq must be >= 1, got {min_pred_freq}")
     light = hierarchy.light_verbs
     eligible = {
         p
@@ -112,13 +111,9 @@ def term_probabilities(
     return {tid: related for tid, related in known if related}
 
 
-def write_argument_rules(rules, path: str | Path) -> None:
+def write_rules(rules: Sequence[ArgumentRule] | Sequence[PredicateRule], path: str | Path) -> None:
+    """Write rules of one kind as from, to and `repr(score)` lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in rules:
-            fh.write(f"{r.from_term}\t{r.to_term}\t{r.score!r}\n")
-
-
-def write_predicate_rules(rules, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rules:
-            fh.write(f"{r.from_pred}\t{r.to_pred}\t{r.score!r}\n")
+        if rules:
+            fields = attrgetter(*type(rules[0]).__slots__)
+            fh.writelines("{}\t{}\t{!r}\n".format(*fields(r)) for r in rules)

@@ -27,12 +27,14 @@ with the sha256 of both TSVs.  It holds no whole-file copy: ids are
 encoded a block at a time, the arrays go out by `tofile`, and the TSVs
 are hashed as read back in chunks.
 
-`read_graph` takes the column file only when its header and all three
-digests match the files on disk and its graph passes the line reader's
-checks.  Any other graph (no column file, a stale one, one of another
-build, or a graph that fails a check) is read line by line, by the
-reader that alone names a faulty line.  So a read depends on the TSVs
-alone, and deleting the column file is always safe.
+The column file is a cache of a graph that `from_parts`, the one
+validator, sealed.  `read_graph` takes it when its header (version 2)
+and all three digests match the files on disk and its columns are in
+bounds, and runs no other check.  Any other graph, a version 1 file's
+among them (its writer did not validate), is read line by line, by the
+reader that alone names a faulty line.  A file forged with recomputed
+digests is trusted as written; deleting the column file is always safe.
+The digests stay sha256: the trust rests on them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ class NodeLookupError(KeyError):
 
 @dataclass(frozen=True)
 class EntailmentGraph:
+    """A sealed graph, whose constructor trusts its parts: only `from_parts`,
+    which checks them, and the column-file read call it."""
+
     ids: list[str]  # row -> node id, ascending
     frequency: array  # 'q'
     columns: EdgeColumns  # sorted by (from row, to row)
@@ -85,16 +90,24 @@ class EntailmentGraph:
 
     @classmethod
     def from_parts(cls, ids: list[str], frequency: array, edges: EdgeColumns) -> "EntailmentGraph":
-        """Seal nodes and edges, given in key order, into a graph.  `ids` and
-        `frequency` are the nodes, `ids` strictly ascending; the edges'
-        endpoints are positions in `ids`, their (from, to) pairs strictly
-        ascending.  The graph holds all three as given.  An endpoint past
-        the last node is rejected, then the first node and the first edge
-        out of order, as a duplicate when it repeats the one before."""
+        """Check nodes and edges, given in key order, and seal them into a
+        graph.  `ids` and `frequency` are the nodes, `ids` strictly
+        ascending; the edges' endpoints are positions in `ids`, their
+        (from, to) pairs strictly ascending.  The graph holds all three as
+        given.  Rejected in turn: an endpoint past the last node, an edge
+        failing `EdgeColumns.check`, an id the line reader does not take, a
+        frequency count other than n or below 1, then the first node and
+        edge out of order, as a duplicate when it repeats the one before."""
         n = len(ids)
         src, dst = edges.src, edges.dst
         if src and (top := max(max(src), max(dst))) >= n:
             raise ValueError(f"edge endpoint not among graph nodes: row {top}")
+        edges.check(ids)
+        if not (all(map(_ID.fullmatch, ids)) and all(map(eq, ids, map(str.lower, ids)))):
+            bad = next(i for i in ids if not _ID.fullmatch(i) or i != i.lower())
+            raise ValueError(f"node id {bad!r} is not a lower-case id of its pattern's tokens")
+        if len(frequency) != n or min(frequency, default=1) < 1:
+            raise ValueError(f"{len(frequency)} frequencies for {n} nodes, or one below 1")
         for i in compress(count(1), map(ge, ids, islice(ids, 1, None))):
             raise ValueError(_disorder("node", ids[i], ids[i] == ids[i - 1]))
         later = zip(islice(src, 1, None), islice(dst, 1, None))
@@ -199,8 +212,6 @@ def write_graph(graph: EntailmentGraph, directory: str | Path) -> None:
             roles = _ROLE_FIELDS[pattern]
             block, cut, n = ids[start:end], len(pattern) + 1, len(PATTERN_ROLES[pattern])
             tokens = "|".join([node_id[cut:] for node_id in block]).split("|")
-            if len(tokens) != n * len(block):
-                raise ValueError(f"a {pattern} node id without {n} tokens")
             line = f"{{}}\t{pattern}\t{roles}\t{{}}\n".format
             columns = (islice(tokens, k, None, n) for k in range(n))
             fh.write("".join(map(line, block, *columns, graph.frequency[start:end])))
@@ -240,7 +251,7 @@ _PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
 _HEADER = struct.Struct("<8sHc9s3Q32s32s32s")
 _COUNTS = struct.Struct("<3Q")
 _SIZES = bytes(column.itemsize for column in (array("q"), *EdgeColumns().columns()))
-_STAMP = (b"evgraph\0", 1, sys.byteorder[0].encode(), _SIZES)
+_STAMP = (b"evgraph\0", 2, sys.byteorder[0].encode(), _SIZES)
 # A node id as the line reader takes it, lower case apart.
 _ID = re.compile(
     "|".join(f"{re.escape(p)}:{'[|]'.join([_TOKEN] * len(r))}" for p, r in PATTERN_ROLES.items())
@@ -288,9 +299,9 @@ def read_graph(directory: str | Path) -> EntailmentGraph:
 
 def _read_column_file(directory: Path) -> EntailmentGraph | None:
     """The graph in the column file, or None unless its header and digests
-    match the files on disk and it passes the line reader's checks: the id
-    grammar, frequency >= 1 (a 'q' item is at most the line reader's
-    ceiling, 2**63 - 1), `EdgeColumns.check` and `from_parts`."""
+    match the files on disk, it holds n ids, its endpoints and codes are
+    in bounds and its frequencies at least 1.  The graph is built with no
+    other check: its file was written for a graph `from_parts` sealed."""
     try:
         with open(directory / COLUMN_FILE, "rb") as fh:
             *stamp, n, m, blob, nodes_sha, edges_sha, digest = _HEADER.unpack(fh.read(_HEADER.size))
@@ -308,11 +319,12 @@ def _read_column_file(directory: Path) -> EntailmentGraph | None:
                 return None
         text = text.decode("utf-8")
         ids = text.split("\n") if text else []
-        if (len(ids) != n or text != text.lower() or not all(map(_ID.fullmatch, ids))
-                or min(frequency, default=1) < 1):
+        bounds = ((edges.src, n), (edges.dst, n), (edges.type, len(TYPE_LABELS)),
+                  (edges.prov, len(PROVENANCES)))
+        if (len(ids) != n or min(frequency, default=1) < 1
+                or any(max(column, default=-1) >= top for column, top in bounds)):
             return None
-        edges.check(ids)
-        return EntailmentGraph.from_parts(ids, frequency, edges)
+        return EntailmentGraph(ids, frequency, edges, _starts(edges.src, n))
     except (OSError, EOFError, ValueError, struct.error):
         return None
 

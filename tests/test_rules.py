@@ -8,7 +8,7 @@ from evgraph.rules import (
     build_argument_rules,
     build_predicate_rules,
     collect_vocabulary,
-    write_predicate_rules,
+    write_rules,
 )
 from inputs import hierarchy_from, index_from, taxonomy_from
 
@@ -135,14 +135,13 @@ def test_predicate_rule_file_round_trip(tmp_path):
     pairs = build_predicate_rules(hier, freq, dict.fromkeys(freq, "verb"), 5)
     scored = tuple(PredicateRule(a, b, 0.5) for a, b in pairs)
     path = tmp_path / "pr.tsv"
-    write_predicate_rules(scored, path)
+    write_rules(scored, path)
     assert read_predicate_rules(path) == scored
 
 
 def test_min_pred_freq_validation(tmp_path):
-    hier = hierarchy_from([], tmp_path)
-    with pytest.raises(ValueError):
-        build_predicate_rules(hier, {}, {}, 0)
-    # tau's bound is the configuration's one check.
+    # min_pred_freq's and tau's bounds are the configuration's one check.
+    with pytest.raises(ConfigError, match=r"^min_pred_freq must be >= 1, got 0$"):
+        PipelineConfig(output_dir=str(tmp_path), min_pred_freq=0)
     with pytest.raises(ConfigError, match=r"^tau must be in \[0,1\), got 1.0$"):
         PipelineConfig(output_dir=str(tmp_path), tau=1.0)

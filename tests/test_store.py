@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,10 @@ from columns import columns_of, graph_from, sealed, type_label
 from evgraph import store
 from evgraph.config import PipelineConfig
 from evgraph.local import compose_edge
-from evgraph.model import EdgeColumns, Eventuality, ScoredEdge, aligned_slots, display_text, split_id
+from evgraph.model import (
+    PROVENANCES, TYPE_LABELS, EdgeColumns, Eventuality, ScoredEdge, _starts, aligned_slots,
+    display_text, split_id,
+)
 from evgraph.pipeline import run_build
 from evgraph.store import (
     EntailmentGraph,
@@ -866,7 +870,8 @@ def _column_file_edits():
         "appended": lambda raw: raw + b"\0",
         "flipped body byte": lambda raw: at(head, bytes([raw[head] ^ 1]))(raw),
         "magic": at(0, b"evgraph\1"),
-        "version": at(8, (2).to_bytes(2, "little")),
+        # A version 1 file came from a writer that did not check its graph.
+        "version": at(8, (1).to_bytes(2, "little")),
         "byte order": at(10, other_order),
         "item size": at(11, bytes([4])),
     }
@@ -929,36 +934,122 @@ def test_a_column_file_of_another_build_is_not_read(small_graph, tmp_path):
     assert read_graph(tmp_path / "one") == other
 
 
-def _one_node_graph(node_id, frequency=1):
-    return EntailmentGraph.from_parts([node_id], array("q", [frequency]), EdgeColumns())
+def _one_node(node_id, frequency=1):
+    return [node_id], array("q", [frequency]), EdgeColumns()
 
 
-@pytest.mark.parametrize(
-    "graph",
-    [
-        _one_node_graph("s-v:Dog|bark"),
-        _one_node_graph("s-v:dog|bark", 0),
-        _one_node_graph("s-v:dog|bark", 10**18),
-        _one_node_graph("s-v:big  dog|bark"),
-        _one_node_graph("s-v: dog|bark"),
-        _one_node_graph("s-v:dog|"),
-        _one_node_graph("s-v:dog\nx|bark"),
-        _one_node_graph("s-v:dog\u00a0x|bark"),
-        EntailmentGraph.from_parts(
-            ["s-v-o:boy|chew|apple", "s-v-o:boy|eat|apple"], array("q", [1, 1]),
-            EdgeColumns([(0, 1, 0.5, 0.5, 1.0, 0.9, 1, 0)]),
-        ),
-        graph_from([node("boy", "chew", "apple"), node("boy", "eat", "apple")], []),
-    ],
-    ids=["upper case", "frequency 0", "frequency 10**18", "two spaces", "leading space",
-         "empty token", "newline", "no-break space", "bad local score", "valid"],
-)
-def test_sealed_graphs_read_as_the_line_reader_reads_their_tsvs(tmp_path, graph):
-    # `from_parts` takes ids, frequencies and edges that a line of the
-    # TSVs may not hold: written, each reads as the line reader reads it.
+def _two_nodes(local):
+    """Two s-v-o nodes and an edge between them with the given local score,
+    which is valid at 0.5."""
+    edges = EdgeColumns([(0, 1, 0.5, 0.5, 1.0, local, 1, 0)])
+    return ["s-v-o:boy|chew|apple", "s-v-o:boy|eat|apple"], array("q", [1, 1]), edges
+
+
+def _not_an_id(node_id):
+    """The parts of a one-node graph of an id the line reader does not
+    take, and the message `from_parts` rejects them with."""
+    return _one_node(node_id), f"node id {node_id!r} is not a lower-case id of its pattern's tokens"
+
+
+# Case -> the parts of a graph, and the start of the message `from_parts`
+# rejects them with, or None where it seals them.
+SEALS = {
+    "upper case": _not_an_id("s-v:Dog|bark"),
+    "frequency 0": (_one_node("s-v:dog|bark", 0), "1 frequencies for 1 nodes, or one below 1"),
+    "frequency 10**18": (_one_node("s-v:dog|bark", 10**18), None),
+    "two spaces": _not_an_id("s-v:big  dog|bark"),
+    "leading space": _not_an_id("s-v: dog|bark"),
+    "empty token": _not_an_id("s-v:dog|"),
+    "newline": _not_an_id("s-v:dog\nx|bark"),
+    "no-break space": _not_an_id("s-v:dog\u00a0x|bark"),
+    "bad local score": (_two_nodes(0.9), "local_score does not satisfy the geometric-mean"),
+    "valid": (_two_nodes(0.5), None),
+}
+
+
+@pytest.mark.parametrize("case", SEALS)
+def test_sealed_graphs_read_as_the_line_reader_reads_their_tsvs(tmp_path, monkeypatch, case):
+    # `from_parts` rejects ids, frequencies and edges that no line of the
+    # TSVs may hold: written all the same, they fail the line reader.  A
+    # graph it seals is read from its column file as the line reader
+    # reads its TSVs.
+    (ids, frequency, edges), fault = SEALS[case]
+    if fault is not None:
+        with pytest.raises(ValueError) as err:
+            EntailmentGraph.from_parts(ids, frequency, edges)
+        assert str(err.value).startswith(fault)
+        write_graph(EntailmentGraph(ids, frequency, edges, _starts(edges.src, len(ids))), tmp_path)
+        with pytest.raises(GraphFormatError):
+            store._read_lines(tmp_path)
+        return
+    graph = EntailmentGraph.from_parts(ids, frequency, edges)
     write_graph(graph, tmp_path)
-    assert (tmp_path / store.COLUMN_FILE).exists()
-    assert _read_outcome(read_graph, tmp_path) == _read_outcome(store._read_lines, tmp_path)
+    lines = store._read_lines(tmp_path)
+    monkeypatch.setattr(store, "_read_lines", _read_lines_only)
+    assert _bits(read_graph(tmp_path)) == _bits(lines) == _bits(graph)
+
+
+def test_from_parts_needs_a_frequency_per_node():
+    ids, frequency, edges = _two_nodes(0.5)
+    with pytest.raises(ValueError, match="^1 frequencies for 2 nodes, or one below 1$"):
+        EntailmentGraph.from_parts(ids, frequency[:1], edges)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a graph check ran on a column-file read")
+
+
+def test_a_column_file_read_runs_no_graph_check(small_graph, tmp_path, monkeypatch):
+    # The column file holds a graph `from_parts` checked when it was
+    # sealed, so its read checks the digests and bounds alone.
+    write_graph(small_graph, tmp_path)
+    lines = store._read_lines(tmp_path)
+    monkeypatch.setattr(EdgeColumns, "check", _refuse)
+    monkeypatch.setattr(EntailmentGraph, "from_parts", classmethod(_refuse))
+    monkeypatch.setattr(store, "_ID", SimpleNamespace(fullmatch=_refuse))
+    monkeypatch.setattr(store, "_read_lines", _read_lines_only)
+    assert _bits(read_graph(tmp_path)) == _bits(lines)
+
+
+def _forged(graph, edit):
+    """A trusted copy of the graph's ids and arrays, one of them edited."""
+    ids, frequency = list(graph.ids), array("q", graph.frequency)
+    edges = EdgeColumns()
+    edges.extend(graph.columns)
+    edit(ids, frequency, edges)
+    return EntailmentGraph(ids, frequency, edges, graph.offsets)
+
+
+# Name -> an edit that puts a forged column file out of the read's bounds.
+OUT_OF_BOUNDS = {
+    "from row": lambda ids, frequency, edges: edges.src.__setitem__(-1, len(ids)),
+    "to row": lambda ids, frequency, edges: edges.dst.__setitem__(0, len(ids) + 5),
+    "type code": lambda ids, frequency, edges: edges.type.__setitem__(0, len(TYPE_LABELS)),
+    "provenance code": lambda ids, frequency, edges: edges.prov.__setitem__(1, len(PROVENANCES)),
+    "frequency 0": lambda ids, frequency, edges: frequency.__setitem__(2, 0),
+    "newline in an id": lambda ids, frequency, edges: ids.__setitem__(0, "s-v:a\nb|c"),
+}
+
+
+@pytest.mark.parametrize("edit", OUT_OF_BOUNDS)
+def test_a_forged_column_file_out_of_bounds_reads_as_the_lines(small_graph, tmp_path, edit):
+    # A column file written, with its digests, for columns no sealed graph
+    # holds: it is refused, not read into an IndexError later.
+    write_graph(small_graph, tmp_path)
+    store._write_column_file(_forged(small_graph, OUT_OF_BOUNDS[edit]), tmp_path)
+    assert store._read_column_file(tmp_path) is None
+    assert _bits(read_graph(tmp_path)) == _bits(small_graph)
+
+
+def test_a_forged_column_file_in_bounds_is_trusted(small_graph, tmp_path):
+    # The trust boundary: a column file forged with its digests, in
+    # bounds, is read as written.
+    write_graph(small_graph, tmp_path)
+    forged = _forged(small_graph, lambda ids, frequency, edges: frequency.__setitem__(0, 99))
+    store._write_column_file(forged, tmp_path)
+    assert list(read_graph(tmp_path).frequency) == [99, 1, 1]
+    (tmp_path / store.COLUMN_FILE).unlink()
+    assert read_graph(tmp_path) == small_graph
 
 
 @pytest.mark.parametrize("frequency", [10**18, 2**63 - 1])
